@@ -259,7 +259,15 @@ def parse_config(doc: Mapping) -> RunConfig:
     if "tolerances" in doc:
         _check_keys(doc["tolerances"], set(_TOL_DEFAULTS), "$.tolerances")
         for key in doc["tolerances"]:
-            tolerances[key] = _get_number(doc["tolerances"], key, "$.tolerances", required=True)
+            if key == "grid_points":
+                value = _get_int(doc["tolerances"], key, "$.tolerances")
+                if value < 2:
+                    raise ConfigError("$.tolerances.grid_points", "must be at least 2")
+            else:
+                value = _get_number(doc["tolerances"], key, "$.tolerances")
+                if not (math.isfinite(value) and value > 0):
+                    raise ConfigError(f"$.tolerances.{key}", "must be finite and positive")
+            tolerances[key] = value
 
     kwargs: dict = {}
     needs_model = command in ("meanfield-scan", "critical", "no-go",
@@ -347,6 +355,17 @@ def _nscan_job(args):
                            seed=seed, max_dim=max_dim)
 
 
+def _workers() -> int:
+    raw = os.environ.get("DICKELAB_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError("DICKELAB_WORKERS", f"expected an integer >= 1, got {raw!r}")
+    return workers
+
+
 def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
     """Execute one parsed config; returns {artifact name: path} incl. manifest."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -360,20 +379,20 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
     if cfg.command == "meanfield-scan":
         sols = scan_order_parameter(
             cfg.model, cfg.scan_coupling, cfg.scan_values, tie=cfg.scan_tie,
-            n_grid=int(cfg.tol("grid_points")), x_tol=cfg.tol("x_tol"))
+            n_grid=cfg.tol("grid_points"), x_tol=cfg.tol("x_tol"))
         write_scan_csv(emit("scan.csv"), cfg.scan_values, sols)
     elif cfg.command == "critical":
         tp = critical_coupling(
             cfg.model, cfg.scan_coupling, cfg.bracket, tie=cfg.scan_tie,
             x_tol=cfg.tol("x_tol"), jump_threshold=cfg.tol("jump_threshold"),
             rel_width=cfg.tol("bisect_rel_width"), delta_rel=cfg.tol("delta_rel"),
-            n_grid=int(cfg.tol("grid_points")))
+            n_grid=cfg.tol("grid_points"))
         _write_json(emit("transition.json"), transition_to_dict(tp))
     elif cfg.command == "no-go":
         ok = no_go_check(
             cfg.model, cfg.lambda_max, n_points=cfg.n_points,
             which=cfg.scan_coupling, kappa_rule=cfg.kappa_rule,
-            x_tol=cfg.tol("x_tol"), n_grid=int(cfg.tol("grid_points")))
+            x_tol=cfg.tol("x_tol"), n_grid=cfg.tol("grid_points"))
         _write_json(emit("nogo.json"), {
             "no_transition": ok,
             "coupling": list(cfg.scan_coupling),
@@ -400,7 +419,7 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
     elif cfg.command == "ed-nscan":
         jobs = [(cfg.model, n, cfg.tol("tol_e"), cfg.tol("lanczos_tol"),
                  cfg.seed, cfg.ed_max_dim) for n in cfg.ed_n_list]
-        workers = int(os.environ.get("DICKELAB_WORKERS", "1"))
+        workers = _workers()
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_nscan_job, jobs))
@@ -483,7 +502,7 @@ def _fail(outdir: Path | None, exc: Exception, code: int) -> int:
     record = {"error_type": type(exc).__name__, "message": str(exc), "exit_code": code}
     if isinstance(exc, ConfigError):
         record["path"] = exc.path
-    if isinstance(exc, ResourceLimitError) and exc.trace:
+    if isinstance(exc, (ResourceLimitError, ConvergenceError)) and exc.trace:
         record["trace"] = [[n, e] for n, e in exc.trace]
     if outdir is not None:
         try:

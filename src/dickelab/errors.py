@@ -23,10 +23,17 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """An iterative solver stopped before reaching its tolerance."""
+    """An iterative solver stopped before reaching its tolerance.
 
-    def __init__(self, message: str, best_residual: float | None = None):
+    ``best_residual`` is the eigensolver's residual when it gave up;
+    ``trace`` records the (n_max, e0) pairs of a cutoff sweep that never
+    stabilized, as on ResourceLimitError.
+    """
+
+    def __init__(self, message: str, best_residual: float | None = None,
+                 trace: list[tuple[int, float]] | None = None):
         self.best_residual = best_residual
+        self.trace = trace or []
         super().__init__(message)
 
 

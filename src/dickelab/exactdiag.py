@@ -19,6 +19,7 @@ they are deep in a superradiant phase.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -238,73 +239,22 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
     return float(np.linalg.norm(H @ psi - e0 * psi))
 
 
-def _lanczos_ground(H, tol: float, rng: np.random.Generator,
-                    v0: np.ndarray | None, max_iter: int) -> tuple[float, np.ndarray, int, float]:
-    dim = H.shape[0]
-    if v0 is None:
-        q = rng.standard_normal(dim)
-    else:
-        q = np.array(v0, dtype=float)
-    nq = np.linalg.norm(q)
-    if nq == 0.0:
-        raise ValueError("start vector must be nonzero")
-    q /= nq
-
-    cap = min(max_iter + 1, 128)
-    Q = np.empty((dim, cap))
-    Q[:, 0] = q
-    alphas: list[float] = []
-    betas: list[float] = []
-    best_resid = math.inf
-
-    for i in range(max_iter):
-        w = H @ Q[:, i]
-        a = float(Q[:, i] @ w)
-        alphas.append(a)
-        w -= a * Q[:, i]
-        if i > 0:
-            w -= betas[-1] * Q[:, i - 1]
-        # full reorthogonalization, two passes
-        w -= Q[:, :i + 1] @ (Q[:, :i + 1].T @ w)
-        w -= Q[:, :i + 1] @ (Q[:, :i + 1].T @ w)
-        b = float(np.linalg.norm(w))
-
-        theta = sla.eigvalsh_tridiagonal(alphas, betas)
-        scale = max(abs(theta[0]), abs(theta[-1]), 1e-300)
-        _, S = sla.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        resid_est = abs(b * S[-1, 0])
-        best_resid = min(best_resid, resid_est)
-        if resid_est <= tol * scale or b <= 1e-13 * scale:
-            psi = Q[:, :i + 1] @ S[:, 0]
-            psi /= np.linalg.norm(psi)
-            e0 = float(theta[0])
-            resid = _true_residual(H, psi, e0)
-            if resid <= max(tol * scale, 10.0 * resid_est) or b <= 1e-13 * scale:
-                return e0, psi, i + 1, resid
-        if i + 1 >= max_iter:
-            break
-        if i + 1 == Q.shape[1]:
-            grown = np.empty((dim, min(max_iter + 1, 2 * Q.shape[1])))
-            grown[:, :Q.shape[1]] = Q
-            Q = grown
-        betas.append(b)
-        Q[:, i + 1] = w / b
-
-    raise ConvergenceError(
-        f"Lanczos did not reach tol {tol:g} within {max_iter} iterations",
-        best_residual=best_resid)
-
-
 def ground_state(H, tol: float = 1e-10, seed: int = 0,
                  v0: np.ndarray | None = None, max_iter: int | None = None,
                  dense_cutoff: int = DENSE_CUTOFF,
                  force_lanczos: bool = False) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense).
 
-    Dimensions at or below dense_cutoff go to a dense eigensolver; larger
-    ones run Lanczos with full reorthogonalization from a seeded random
-    start vector (or v0 if given).  Convergence is declared when the Ritz
-    residual drops below tol relative to the spectral-radius estimate.
+    Dimensions at or below dense_cutoff go to a dense eigensolver.  Larger
+    ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
+    which="SA"), whose workspace stays at dim x ncv vectors.  The start
+    vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
+    so reruns are byte-identical; converge_cutoff warm-starts each cutoff
+    step from the previous step's zero-padded ground vector.  ARPACK stops
+    when the Ritz residual drops below tol relative to |e0|.  `iterations`
+    counts matrix-vector products, and max_iter bounds them: running out
+    raises ConvergenceError carrying the Rayleigh-quotient residual of the
+    last Krylov vector (ARPACK returns no Ritz pair when k=1 fails).
     """
     dim = H.shape[0]
     if dim <= dense_cutoff and not force_lanczos:
@@ -315,12 +265,38 @@ def ground_state(H, tol: float = 1e-10, seed: int = 0,
         return GroundState(e0=e0, vector=psi, iterations=0,
                            residual_norm=_true_residual(H, psi, e0),
                            seed=seed, method="dense")
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     if max_iter is None:
-        max_iter = min(dim, int(10 * math.sqrt(dim)) + 200)
+        max_iter = int(10 * math.sqrt(dim)) + 200
     rng = np.random.default_rng(seed)
-    e0, psi, iters, resid = _lanczos_ground(H, tol, rng, v0, max_iter)
-    return GroundState(e0=e0, vector=psi, iterations=iters,
-                       residual_norm=resid, seed=seed, method="lanczos")
+    start = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
+    if not np.any(start):
+        raise ValueError("start vector must be nonzero")
+    matvecs = 0
+
+    def matvec(x):
+        # no numpy BLAS calls here: its thread pool would contend with ARPACK's
+        nonlocal matvecs
+        if matvecs == max_iter:
+            psi = x / np.linalg.norm(x)
+            raise ConvergenceError(
+                f"Lanczos did not reach tol {tol:g} within {max_iter} matvecs",
+                best_residual=_true_residual(H, psi, float(psi @ (H @ psi))))
+        matvecs += 1
+        return H @ x
+
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+    # ARPACK draws a fresh vector after a Lanczos breakdown.  scipy >= 1.16
+    # takes it from `rng` (OS entropy if omitted); older releases have no
+    # such argument and use ARPACK's own fixed-seed generator.
+    seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
+    w, v = eigsh(op, k=1, which="SA", v0=start, tol=tol, maxiter=max_iter, **seeded)
+    psi = v[:, 0]
+    e0 = float(w[0])
+    return GroundState(e0=e0, vector=psi, iterations=matvecs,
+                       residual_norm=_true_residual(H, psi, e0),
+                       seed=seed, method="lanczos")
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +363,46 @@ def ed_ground(model: DickeModel, n_max: int, tol: float = 1e-10,
     are solved independently and the lower one wins (ties go to the even
     sector), which pins |<Pi>| = 1 even for quasi-degenerate pairs.
     """
+    return _ed_ground(model, n_max, tol, seed, max_dim, keep_state)[0]
+
+
+def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
+               max_dim: int, keep_state: bool,
+               warm: list[np.ndarray] | None = None) -> tuple[EDResult, list[np.ndarray]]:
+    """ed_ground, plus the full-basis ground vector of every solved block.
+
+    warm holds those vectors from a smaller cutoff.  The basis index is
+    n_ph * A + rank, so the old basis is a prefix of the new one: each
+    vector, zero-padded and restricted to its block, starts that block's
+    solve.
+    """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
     H = build_hamiltonian(model, basis)
     if parity_compatible(model.atom):
         signs = parity_signs(basis)
-        solves = []
-        for offset, sign in enumerate((1.0, -1.0)):
-            idx = np.flatnonzero(signs == sign)
-            if idx.size == 0:
-                continue
-            Hs = H[idx][:, idx]
-            gs = ground_state(Hs, tol=tol, seed=seed + offset)
-            solves.append((gs, idx))
-        gs, idx = min(solves, key=lambda pair: pair[0].e0)
+        blocks = [np.flatnonzero(signs == sign) for sign in (1.0, -1.0)]
+    else:
+        blocks = [np.arange(basis.dim)]
+    solves, vectors = [], []
+    for offset, idx in enumerate(blocks):
+        v0 = None
+        if warm is not None:
+            v0 = np.zeros(idx.size)
+            kept = np.searchsorted(idx, warm[offset].size)
+            v0[:kept] = warm[offset][idx[:kept]]
+        Hs = H if len(blocks) == 1 else H[idx][:, idx]
+        gs = ground_state(Hs, tol=tol, seed=seed + offset, v0=v0)
         psi = np.zeros(basis.dim)
         psi[idx] = gs.vector
-    else:
-        gs = ground_state(H, tol=tol, seed=seed)
-        psi = gs.vector
-    return observables(
-        psi, basis, model, e0=gs.e0, lanczos_iterations=gs.iterations,
+        solves.append(gs)
+        vectors.append(psi)
+    best = min(range(len(solves)), key=lambda i: solves[i].e0)
+    gs = solves[best]
+    res = observables(
+        vectors[best], basis, model, e0=gs.e0, lanczos_iterations=gs.iterations,
         residual_norm=gs.residual_norm, seed=seed, method=gs.method,
         keep_state=keep_state)
+    return res, vectors
 
 
 def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
@@ -420,7 +414,9 @@ def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
     """Grow n_max geometrically until e0 is stable to tol_e.
 
     The starting cutoff comes from the mean-field photon density:
-    n_max0 = max(8, ceil(4 N x*^2) + 16).
+    n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step after the first starts
+    its eigensolves from the previous step's ground vectors.  Failures carry
+    the (n_max, e0) pairs measured so far as ``trace``.
     """
     from .meanfield import minimize
 
@@ -432,10 +428,10 @@ def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
     trace: list[tuple[int, float]] = []
     n = int(n_max_start)
     prev: EDResult | None = None
+    warm: list[np.ndarray] | None = None
     for _ in range(max_steps):
         try:
-            res = ed_ground(model, n, tol=tol, seed=seed, max_dim=max_dim,
-                            keep_state=keep_state)
+            res, warm = _ed_ground(model, n, tol, seed, max_dim, keep_state, warm)
         except ResourceLimitError as exc:
             raise ResourceLimitError(str(exc), trace=trace) from exc
         trace.append((n, res.e0))
@@ -444,8 +440,7 @@ def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
         prev = res
         n = max(n + 8, math.ceil(growth * n))
     raise ConvergenceError(
-        f"e0 not stable to {tol_e:g} after {max_steps} cutoff steps; "
-        f"trace: {trace}")
+        f"e0 not stable to {tol_e:g} after {max_steps} cutoff steps", trace=trace)
 
 
 # ---------------------------------------------------------------------------

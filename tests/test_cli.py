@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from dickelab.cli import main, parse_config
-from dickelab.errors import ConfigError
+from dickelab import converge_cutoff, ladder
+from dickelab.cli import _fail, main, parse_config
+from dickelab.errors import ConfigError, ConvergenceError
 
 LADDER_E_STAR = -7.0 / 9.0
 
@@ -167,6 +168,39 @@ class TestExitCodes:
         assert main([cfg, "-o", str(out)]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ResourceLimitError"
+
+    def test_cutoff_trace_in_error_record(self, tmp_path):
+        with pytest.raises(ConvergenceError) as exc:
+            converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4), max_steps=1)
+        out = tmp_path / "out"
+        assert _fail(out, exc.value, 3) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "ConvergenceError"
+        assert record["trace"] == [list(exc.value.trace[0])]
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count(self, tmp_path, monkeypatch, workers):
+        cfg = write_config(tmp_path, {"command": "ed-nscan", "model": ladder_model(),
+                                      "ed": {"n_list": [2]}})
+        monkeypatch.setenv("DICKELAB_WORKERS", workers)
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == "DICKELAB_WORKERS"
+
+    @pytest.mark.parametrize("key, value", [
+        ("bisect_rel_width", 0.0), ("x_tol", -1.0), ("lanczos_tol", 0.0),
+        ("tol_e", float("nan")), ("jump_threshold", float("inf")),
+        ("delta_rel", -1e-4), ("grid_points", 1), ("grid_points", 64.0),
+    ])
+    def test_tolerance_out_of_range(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, {
+            "command": "critical", "model": ladder_model(),
+            "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]},
+            "tolerances": {key: value},
+        })
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == f"$.tolerances.{key}"
 
 
 class TestArtifacts:

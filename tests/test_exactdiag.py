@@ -192,6 +192,17 @@ class TestGroundState:
         assert exc.value.best_residual is not None
         assert exc.value.best_residual > 0.0
 
+    def test_exact_start_vector_converges_fast(self):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        basis = build_basis(8, 3, 100)
+        idx = np.flatnonzero(parity_signs(basis) == 1.0)
+        Hs = build_hamiltonian(m, basis)[idx][:, idx]
+        cold = ground_state(Hs, seed=2)
+        warm = ground_state(Hs, seed=2, v0=cold.vector)
+        assert warm.method == cold.method == "lanczos"
+        assert warm.iterations <= cold.iterations // 4
+        assert abs(warm.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
+
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
@@ -299,6 +310,20 @@ class TestConvergeCutoff:
             assert res.e0_per_atom <= LADDER_E_STAR + 1e-12
             gaps.append(LADDER_E_STAR - res.e0_per_atom)
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    def test_warm_started_ladder_matches_cold_solve(self):
+        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
+        res = converge_cutoff(m, tol_e=1e-8)
+        assert res.method == "lanczos"
+        cold = ed_ground(m, n_max=res.n_max_used)
+        assert abs(res.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
+
+    def test_unstable_cutoff_carries_trace(self):
+        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4)
+        with pytest.raises(ConvergenceError) as exc:
+            converge_cutoff(m, tol_e=1e-8, max_steps=1)
+        [(n0, e0)] = exc.value.trace
+        assert n0 >= 8 and e0 < 0.0
 
     def test_resource_limit_carries_trace(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10)
