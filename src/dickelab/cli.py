@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -35,6 +34,9 @@ from . import __version__
 from .cpb import CpbSpec, write_cpb_csv
 from .errors import BracketError, ConfigError, ConvergenceError, ResourceLimitError, SolverError
 from .exactdiag import (
+    DEFAULT_TOL,
+    DEFAULT_TOL_E,
+    MAX_DIM_DEFAULT,
     converge_cutoff,
     dump_state,
     ed_csv_header,
@@ -42,8 +44,11 @@ from .exactdiag import (
     ed_ground,
 )
 from .meanfield import (
+    DEFAULT_DELTA_REL,
     DEFAULT_GRID,
     DEFAULT_JUMP_THRESHOLD,
+    DEFAULT_N_POINTS,
+    DEFAULT_REL_WIDTH,
     DEFAULT_X_TOL,
     critical_coupling,
     no_go_check,
@@ -51,7 +56,14 @@ from .meanfield import (
     transition_to_dict,
     write_scan_csv,
 )
-from .model import DickeModel, model_from_dict, model_to_dict, trk_report
+from .model import (
+    DickeModel,
+    config_int,
+    config_number,
+    config_numbers,
+    model_from_dict,
+    trk_report,
+)
 
 DEFAULT_SEED = 1234
 
@@ -62,10 +74,10 @@ _TOL_DEFAULTS = {
     "x_tol": DEFAULT_X_TOL,
     "jump_threshold": DEFAULT_JUMP_THRESHOLD,
     "grid_points": DEFAULT_GRID,
-    "bisect_rel_width": 1e-8,
-    "delta_rel": 1e-4,
-    "lanczos_tol": 1e-10,
-    "tol_e": 1e-8,
+    "bisect_rel_width": DEFAULT_REL_WIDTH,
+    "delta_rel": DEFAULT_DELTA_REL,
+    "lanczos_tol": DEFAULT_TOL,
+    "tol_e": DEFAULT_TOL_E,
 }
 
 
@@ -81,11 +93,11 @@ class RunConfig:
     scan_tie: dict | None = None
     bracket: tuple[float, float] | None = None
     lambda_max: float | None = None
-    n_points: int = 200
+    n_points: int = DEFAULT_N_POINTS
     kappa_rule: str = "fixed"
     ed_n_max: int | None = None
     ed_n_list: tuple[int, ...] | None = None
-    ed_max_dim: int = 5_000_000
+    ed_max_dim: int = MAX_DIM_DEFAULT
     ed_dump_state: bool = False
     cpb_specs: tuple[CpbSpec, ...] = ()
     tolerances: Mapping[str, float] = dataclasses.field(default_factory=dict)
@@ -102,33 +114,10 @@ def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
 
 
-def _get_number(doc, key, path, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    return float(v)
-
-
-def _get_int(doc, key, path, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
-    return v
-
-
 def _pair(value, path) -> tuple[int, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a pair of level indices [j, k]")
-    j, k = value
+    j, k = (config_int(v, f"{path}[{i}]") for i, v in enumerate(value))
     if j == k or j < 0 or k < 0:
         raise ConfigError(path, "level indices must be distinct and nonnegative")
     return (min(j, k), max(j, k))
@@ -148,61 +137,51 @@ def _parse_tie(doc, path, d):
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
         if max(pair) >= d:
             raise ConfigError(f"{path}.{key}", f"level index out of range for d={d}")
-        if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
-            raise ConfigError(f"{path}.{key}", "expected a number")
-        tie[pair] = float(ratio)
+        tie[pair] = config_number(ratio, f"{path}.{key}")
     return tie
 
 
-def _parse_scan(doc, path, command, d):
+def _parse_scan(doc, path, command, d) -> dict:
+    """The RunConfig fields set by a scan block."""
     keys_by_command = {
         "meanfield-scan": {"coupling", "values", "tie"},
         "critical": {"coupling", "bracket", "tie"},
         "no-go": {"coupling", "lambda_max", "n_points", "kappa_rule"},
     }
     _check_keys(doc, keys_by_command[command], path)
-    out: dict = {}
     if "coupling" not in doc:
         raise ConfigError(f"{path}.coupling", "missing required key")
-    out["coupling"] = _pair(doc["coupling"], f"{path}.coupling")
-    if max(out["coupling"]) >= d:
+    out: dict = {"scan_coupling": _pair(doc["coupling"], f"{path}.coupling")}
+    if max(out["scan_coupling"]) >= d:
         raise ConfigError(f"{path}.coupling", f"level index out of range for d={d}")
     if "tie" in doc:
-        out["tie"] = _parse_tie(doc["tie"], f"{path}.tie", d)
+        out["scan_tie"] = _parse_tie(doc["tie"], f"{path}.tie", d)
     if command == "meanfield-scan":
-        values = doc.get("values")
-        if not isinstance(values, (list, tuple)) or len(values) < 2:
+        vals = config_numbers(doc.get("values"), f"{path}.values")
+        if len(vals) < 2:
             raise ConfigError(f"{path}.values", "expected a list of at least 2 values")
-        vals = []
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{path}.values[{i}]", "expected a number")
-            vals.append(float(v))
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError(f"{path}.values", "values must be strictly ascending")
-        out["values"] = tuple(vals)
+        out["scan_values"] = tuple(vals)
     elif command == "critical":
-        br = doc.get("bracket")
-        if not isinstance(br, (list, tuple)) or len(br) != 2:
+        br = config_numbers(doc.get("bracket"), f"{path}.bracket")
+        if len(br) != 2:
             raise ConfigError(f"{path}.bracket", "expected [lo, hi]")
-        lo = _get_number({"lo": br[0]}, "lo", path, required=True)
-        hi = _get_number({"hi": br[1]}, "hi", path, required=True)
-        if not 0 <= lo < hi:
+        if not 0 <= br[0] < br[1]:
             raise ConfigError(f"{path}.bracket", "need 0 <= lo < hi")
-        out["bracket"] = (lo, hi)
+        out["bracket"] = tuple(br)
     else:  # no-go
-        lam_max = _get_number(doc, "lambda_max", path, required=True)
-        if lam_max <= 0:
+        if "lambda_max" not in doc:
+            raise ConfigError(f"{path}.lambda_max", "missing required key")
+        out["lambda_max"] = config_number(doc["lambda_max"], f"{path}.lambda_max")
+        if out["lambda_max"] <= 0:
             raise ConfigError(f"{path}.lambda_max", "must be positive")
-        out["lambda_max"] = lam_max
-        n_points = _get_int(doc, "n_points", path, default=200)
-        if n_points < 100:
+        out["n_points"] = config_int(doc.get("n_points", DEFAULT_N_POINTS), f"{path}.n_points")
+        if out["n_points"] < 100:
             raise ConfigError(f"{path}.n_points", "must be at least 100")
-        out["n_points"] = n_points
-        rule = doc.get("kappa_rule", "fixed")
-        if rule not in ("fixed", "trk-ground"):
+        out["kappa_rule"] = doc.get("kappa_rule", "fixed")
+        if out["kappa_rule"] not in ("fixed", "trk-ground"):
             raise ConfigError(f"{path}.kappa_rule", "expected 'fixed' or 'trk-ground'")
-        out["kappa_rule"] = rule
     return out
 
 
@@ -213,29 +192,22 @@ def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
     for key in ("ec", "ej", "ng"):
         if key not in doc:
             raise ConfigError(f"{path}.{key}", "missing required key")
-        v = doc[key]
-        if isinstance(v, (list, tuple)):
-            vals = []
-            for i, x in enumerate(v):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ConfigError(f"{path}.{key}[{i}]", "expected a number")
-                vals.append(float(x))
-            if not vals:
+        if isinstance(doc[key], (list, tuple)):
+            lists[key] = config_numbers(doc[key], f"{path}.{key}")
+            if not lists[key]:
                 raise ConfigError(f"{path}.{key}", "sweep list must not be empty")
-            lists[key] = vals
         else:
-            scalars[key] = _get_number(doc, key, path, required=True)
+            scalars[key] = config_number(doc[key], f"{path}.{key}")
     if len(lists) > 1:
         raise ConfigError(f"{path}.{sorted(lists)[1]}",
                           "at most one of ec/ej/ng may be a sweep list")
-    n_cut = _get_int(doc, "n_cut", path, default=None)
+    kw = {"n_cut": config_int(doc["n_cut"], f"{path}.n_cut")} if "n_cut" in doc else {}
     specs = []
     sweep_key, sweep_vals = (next(iter(lists.items())) if lists else (None, [None]))
     for v in sweep_vals:
         params = dict(scalars)
         if sweep_key is not None:
             params[sweep_key] = v
-        kw = {} if n_cut is None else {"n_cut": n_cut}
         try:
             specs.append(CpbSpec(ec=params["ec"], ej=params["ej"], ng=params["ng"], **kw))
         except ValueError as exc:
@@ -250,7 +222,7 @@ def parse_config(doc: Mapping) -> RunConfig:
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError("$.command", f"expected one of {', '.join(COMMANDS)}")
-    seed = _get_int(doc, "seed", "$", default=DEFAULT_SEED)
+    seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output", "expected a string path")
@@ -258,15 +230,16 @@ def parse_config(doc: Mapping) -> RunConfig:
     tolerances = {}
     if "tolerances" in doc:
         _check_keys(doc["tolerances"], set(_TOL_DEFAULTS), "$.tolerances")
-        for key in doc["tolerances"]:
+        for key, raw in doc["tolerances"].items():
+            path = f"$.tolerances.{key}"
             if key == "grid_points":
-                value = _get_int(doc["tolerances"], key, "$.tolerances")
+                value = config_int(raw, path)
                 if value < 2:
-                    raise ConfigError("$.tolerances.grid_points", "must be at least 2")
+                    raise ConfigError(path, "must be at least 2")
             else:
-                value = _get_number(doc["tolerances"], key, "$.tolerances")
-                if not (math.isfinite(value) and value > 0):
-                    raise ConfigError(f"$.tolerances.{key}", "must be finite and positive")
+                value = config_number(raw, path)
+                if value <= 0:
+                    raise ConfigError(path, "must be positive")
             tolerances[key] = value
 
     kwargs: dict = {}
@@ -292,33 +265,31 @@ def parse_config(doc: Mapping) -> RunConfig:
             raise ConfigError("$.scan", "missing required key")
         if "ed" in doc:
             raise ConfigError("$.ed", f"not used by command {command!r}")
-        scan = _parse_scan(doc["scan"], "$.scan", command, kwargs["model"].atom.d)
-        kwargs["scan_coupling"] = scan["coupling"]
-        kwargs["scan_values"] = scan.get("values")
-        kwargs["scan_tie"] = scan.get("tie")
-        kwargs["bracket"] = scan.get("bracket")
-        kwargs["lambda_max"] = scan.get("lambda_max")
-        kwargs["n_points"] = scan.get("n_points", 200)
-        kwargs["kappa_rule"] = scan.get("kappa_rule", "fixed")
-        if kwargs["kappa_rule"] == "trk-ground" and kwargs["model"].atom.energies[1] == 0.0:
+        kwargs.update(_parse_scan(doc["scan"], "$.scan", command, model.atom.d))
+        if kwargs.get("kappa_rule") == "trk-ground" and model.atom.energies[1] == 0.0:
             raise ConfigError("$.model.atom.energies", "degenerate ground transition")
     elif command in ("ed-ground", "ed-nscan"):
         if "scan" in doc:
             raise ConfigError("$.scan", f"not used by command {command!r}")
         ed = doc.get("ed", {})
         _check_keys(ed, {"n_max", "n_list", "max_dim", "dump_state"}, "$.ed")
-        kwargs["ed_n_max"] = _get_int(ed, "n_max", "$.ed")
-        kwargs["ed_max_dim"] = _get_int(ed, "max_dim", "$.ed", default=5_000_000)
+        if "n_max" in ed:
+            kwargs["ed_n_max"] = config_int(ed["n_max"], "$.ed.n_max")
+            if kwargs["ed_n_max"] < 0:
+                raise ConfigError("$.ed.n_max", "must be nonnegative")
+        if "max_dim" in ed:
+            kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim")
         dump = ed.get("dump_state", False)
         if not isinstance(dump, bool):
             raise ConfigError("$.ed.dump_state", "expected a boolean")
         kwargs["ed_dump_state"] = dump
         if command == "ed-nscan":
             n_list = ed.get("n_list")
-            if (not isinstance(n_list, (list, tuple)) or not n_list
-                    or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
-                           for n in n_list)):
+            if not isinstance(n_list, (list, tuple)) or not n_list:
                 raise ConfigError("$.ed.n_list", "expected a nonempty list of positive integers")
+            for i, n in enumerate(n_list):
+                if config_int(n, f"$.ed.n_list[{i}]") < 1:
+                    raise ConfigError(f"$.ed.n_list[{i}]", "must be a positive integer")
             kwargs["ed_n_list"] = tuple(n_list)
         elif "n_list" in ed:
             raise ConfigError("$.ed.n_list", "only used by ed-nscan")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,18 +47,21 @@ class CpbSpec:
         return np.arange(-self.n_cut, self.n_cut + 1)
 
 
-def cpb_hamiltonian(spec: CpbSpec) -> np.ndarray:
+def _tridiagonal(spec: CpbSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 4 E_C (n - n_g)^2 and off-diagonal -E_J/2 of H."""
     n = spec.charges.astype(float)
-    h = np.diag(4.0 * spec.ec * (n - spec.ng) ** 2)
-    off = np.full(spec.dim - 1, -spec.ej / 2.0)
+    return 4.0 * spec.ec * (n - spec.ng) ** 2, np.full(spec.dim - 1, -spec.ej / 2.0)
+
+
+def cpb_hamiltonian(spec: CpbSpec) -> np.ndarray:
+    diag, off = _tridiagonal(spec)
+    h = np.diag(diag)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
 
 
 def _spectrum(spec: CpbSpec):
-    n = spec.charges.astype(float)
-    diag = 4.0 * spec.ec * (n - spec.ng) ** 2
-    off = np.full(spec.dim - 1, -spec.ej / 2.0)
+    diag, off = _tridiagonal(spec)
     if spec.ej == 0.0:
         # eigh_tridiagonal requires nonzero off-diagonals
         order = np.argsort(diag, kind="stable")

@@ -33,6 +33,9 @@ from .model import AtomSpec, DickeModel
 
 DENSE_CUTOFF = 2000
 MAX_DIM_DEFAULT = 5_000_000
+DEFAULT_TOL = 1e-10
+DEFAULT_TOL_E = 1e-8
+_CUTOFF_GROWTH = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
     return float(np.linalg.norm(H @ psi - e0 * psi))
 
 
-def ground_state(H, tol: float = 1e-10, seed: int = 0,
+def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
                  v0: np.ndarray | None = None, max_iter: int | None = None,
                  dense_cutoff: int = DENSE_CUTOFF,
                  force_lanczos: bool = False) -> GroundState:
@@ -354,7 +357,7 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel,
         seed=seed, method=method, psi0=np.asarray(psi0, float) if keep_state else None)
 
 
-def ed_ground(model: DickeModel, n_max: int, tol: float = 1e-10,
+def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
               seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
               keep_state: bool = False) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
@@ -405,13 +408,11 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
     return res, vectors
 
 
-def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
-                    n_atoms: int | None = None, tol: float = 1e-10,
+def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
+                    n_atoms: int | None = None, tol: float = DEFAULT_TOL,
                     seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
-                    growth: float = 1.5, max_steps: int = 16,
-                    n_max_start: int | None = None,
-                    keep_state: bool = False) -> EDResult:
-    """Grow n_max geometrically until e0 is stable to tol_e.
+                    max_steps: int = 16, keep_state: bool = False) -> EDResult:
+    """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to tol_e.
 
     The starting cutoff comes from the mean-field photon density:
     n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step after the first starts
@@ -422,11 +423,9 @@ def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
 
     if n_atoms is not None:
         model = model.with_n_atoms(n_atoms)
-    if n_max_start is None:
-        x_mf = minimize(model).x_star
-        n_max_start = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
+    x_mf = minimize(model).x_star
+    n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
-    n = int(n_max_start)
     prev: EDResult | None = None
     warm: list[np.ndarray] | None = None
     for _ in range(max_steps):
@@ -438,7 +437,7 @@ def converge_cutoff(model: DickeModel, tol_e: float = 1e-8,
         if prev is not None and abs(res.e0 - prev.e0) <= tol_e:
             return res
         prev = res
-        n = max(n + 8, math.ceil(growth * n))
+        n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(
         f"e0 not stable to {tol_e:g} after {max_steps} cutoff steps", trace=trace)
 

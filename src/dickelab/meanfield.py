@@ -22,7 +22,7 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import BracketError
-from .model import DickeModel, single_atom_matrix
+from .model import DickeModel, single_atom_matrices
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -30,6 +30,9 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 DEFAULT_GRID = 512
 DEFAULT_X_TOL = 1e-6
 DEFAULT_JUMP_THRESHOLD = 0.05
+DEFAULT_REL_WIDTH = 1e-8
+DEFAULT_DELTA_REL = 1e-4
+DEFAULT_N_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,19 @@ class TransitionPoint:
     order: Literal["first", "second"]
     x_jump: float
     pop_jump: float
-    delta_rel: float = 1e-4
+    delta_rel: float = DEFAULT_DELTA_REL
+
+
+def _energies(omega_eff, energies: np.ndarray, couplings: np.ndarray, xs: np.ndarray):
+    """e(x) = omega_eff x^2 + min_spec[diag(eps) + 2 x lam], broadcast over xs."""
+    mats = single_atom_matrices(energies, couplings, xs)
+    return omega_eff * xs**2 + np.linalg.eigvalsh(mats)[..., 0]
 
 
 def energy_density(model: DickeModel, x) -> np.ndarray | float:
     """e(x) per atom; x may be a scalar or an array."""
     xs = np.asarray(x, dtype=float)
-    mats = np.diag(model.atom.energies) + 2.0 * xs[..., None, None] * model.atom.couplings
-    e_min = np.linalg.eigvalsh(mats)[..., 0]
-    out = model.omega_eff * xs**2 + e_min
+    out = _energies(model.omega_eff, model.atom.energies, model.atom.couplings, xs)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
@@ -86,13 +93,6 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
     return np.maximum(1.25 * root, 1.0)
 
 
-def _batch_energies(omega_eff, energies, couplings, xs):
-    """e(x) for a batch: couplings (B,d,d), xs (B,G) -> (B,G)."""
-    mats = np.diag(energies)[None, None] + 2.0 * xs[..., None, None] * couplings[:, None]
-    e_min = np.linalg.eigvalsh(mats)[..., 0]
-    return omega_eff[:, None] * xs**2 + e_min
-
-
 def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
                  n_grid: int = DEFAULT_GRID, x_tol: float = DEFAULT_X_TOL
                  ) -> list[MeanFieldSolution]:
@@ -101,7 +101,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     x_hi = _x_max(omega_eff, energies, couplings)
     grid = np.linspace(0.0, 1.0, n_grid)
     xs = x_hi[:, None] * grid[None, :]
-    e = _batch_energies(omega_eff, energies, couplings, xs)
+    e = _energies(omega_eff[:, None], energies, couplings[:, None], xs)
 
     # bracket every grid-resolved local minimum, boundaries included
     owners, los, his = [], [], []
@@ -123,8 +123,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
 
     # golden-section refinement, vectorized across all brackets
     def feval(points):
-        mats = np.diag(energies)[None] + 2.0 * points[:, None, None] * couplings[owners]
-        return omega_eff[owners] * points**2 + np.linalg.eigvalsh(mats)[:, 0]
+        return _energies(omega_eff[owners], energies, couplings[owners], points)
 
     h = hi - lo
     x_atol = 1e-12 * max(1.0, float(x_hi.max()))
@@ -168,8 +167,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
                 keep_e.append(ev)
         best = int(np.argmin(keep_e))
         x_star = float(keep_x[best])
-        mat = np.diag(energies) + 2.0 * x_star * couplings[b]
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(single_atom_matrices(energies, couplings[b], x_star))
         occ = vecs[:, 0] ** 2
         occ.flags.writeable = False
         e_star = float(omega_eff[b] * x_star**2 + vals[0])
@@ -231,18 +229,13 @@ def scan_order_parameter(model: DickeModel, which: tuple[int, int],
     return _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)
 
 
-def _solve_single(model, which, value, tie, n_grid, x_tol) -> MeanFieldSolution:
-    C, omega_eff = _scan_arrays(model, which, np.array([value], dtype=float), tie)
-    return _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)[0]
-
-
 def critical_coupling(model: DickeModel, which: tuple[int, int],
                       bracket: tuple[float, float],
                       tie: Mapping[tuple[int, int], float] | None = None,
                       x_tol: float = DEFAULT_X_TOL,
                       jump_threshold: float = DEFAULT_JUMP_THRESHOLD,
-                      rel_width: float = 1e-8,
-                      delta_rel: float = 1e-4,
+                      rel_width: float = DEFAULT_REL_WIDTH,
+                      delta_rel: float = DEFAULT_DELTA_REL,
                       n_grid: int = DEFAULT_GRID) -> TransitionPoint:
     """Bisect the normal/superradiant indicator x*(lam) > x_tol inside bracket.
 
@@ -254,8 +247,13 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     if not 0.0 <= lo < hi:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
+    def solve(lam: float) -> MeanFieldSolution:
+        pairs = {tuple(which): lam}
+        pairs.update((pair, ratio * lam) for pair, ratio in (tie or {}).items())
+        return minimize(model.with_couplings(pairs), n_grid=n_grid, x_tol=x_tol)
+
     def superradiant(lam: float) -> bool:
-        return _solve_single(model, which, lam, tie, n_grid, x_tol).x_star > 0.0
+        return solve(lam).x_star > 0.0
 
     if superradiant(lo):
         raise BracketError(f"no transition in bracket: x* > 0 already at coupling {lo}")
@@ -272,8 +270,8 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     lam_c = 0.5 * (lo + hi)
 
     delta = delta_rel * lam_c
-    below = _solve_single(model, which, lam_c - delta, tie, n_grid, x_tol)
-    above = _solve_single(model, which, lam_c + delta, tie, n_grid, x_tol)
+    below = solve(lam_c - delta)
+    above = solve(lam_c + delta)
     x_jump = abs(above.x_star - below.x_star)
     pop_jump = float(np.max(np.abs(above.occupations - below.occupations)))
     return TransitionPoint(
@@ -285,7 +283,7 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     )
 
 
-def no_go_check(model: DickeModel, lambda_max: float, n_points: int = 200,
+def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_POINTS,
                 which: tuple[int, int] = (0, 1),
                 kappa_rule: Literal["fixed", "trk-ground"] = "fixed",
                 x_tol: float = DEFAULT_X_TOL,

@@ -14,8 +14,9 @@ scaling makes the energy per atom finite in the thermodynamic limit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -135,13 +136,22 @@ def ladder(omega: float, eps1: float, eps2: float, coupling01: float,
     return DickeModel(omega, atom, n_atoms=n_atoms, kappa=kappa)
 
 
+def single_atom_matrices(energies: np.ndarray, couplings: np.ndarray, x) -> np.ndarray:
+    """Single-atom Hamiltonians diag(eps) + 2 x lam, broadcast over x.
+
+    x has shape (...) and couplings (..., d, d); the result has the
+    broadcast shape (..., d, d).  Every solver builds the matrix here.
+    """
+    return np.diag(energies) + (2.0 * np.asarray(x)[..., None, None]) * couplings
+
+
 def single_atom_matrix(atom: AtomSpec, x: float) -> np.ndarray:
     """Single-atom Hamiltonian diag(eps) + 2 x lam at photon amplitude x.
 
     x may be negative; the mean-field solvers only use x >= 0 (the two signs
     are related by the photon parity of H).
     """
-    return np.diag(atom.energies) + (2.0 * x) * atom.couplings
+    return single_atom_matrices(atom.energies, atom.couplings, x)
 
 
 @dataclass(frozen=True)
@@ -193,16 +203,31 @@ _MODEL_KEYS = {"omega", "kappa", "n_atoms", "atom", "ladder"}
 _ATOM_KEYS = {"energies", "couplings"}
 
 
-def _require_number(value, path: str) -> float:
+def config_number(value, path: str) -> float:
+    """A finite JSON number (bool excluded) as a float, else ConfigError at path."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
-def _number_list(value, path: str) -> list[float]:
+def config_int(value, path: str) -> int:
+    """A JSON integer (bool excluded), else ConfigError at path."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def config_numbers(value, path: str) -> list[float]:
+    """A JSON list of finite numbers; element errors name path[i]."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, f"expected a list, got {type(value).__name__}")
-    return [_require_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [config_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
@@ -224,7 +249,7 @@ def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
         if key not in atom_doc:
             raise ConfigError(f"{path}.atom.{key}", "missing required key")
 
-    energies = _number_list(atom_doc["energies"], f"{path}.atom.energies")
+    energies = config_numbers(atom_doc["energies"], f"{path}.atom.energies")
     d = len(energies)
     raw = atom_doc["couplings"]
     cpath = f"{path}.atom.couplings"
@@ -233,23 +258,21 @@ def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
     if raw and isinstance(raw[0], (list, tuple)):
         rows = []
         for i, row in enumerate(raw):
-            rows.append(_number_list(row, f"{cpath}[{i}]"))
+            rows.append(config_numbers(row, f"{cpath}[{i}]"))
             if len(rows[-1]) != d:
                 raise ConfigError(f"{cpath}[{i}]", f"expected {d} entries")
         if len(rows) != d:
             raise ConfigError(cpath, f"expected {d} rows")
         couplings = rows
     else:
-        flat = _number_list(raw, cpath)
+        flat = config_numbers(raw, cpath)
         if len(flat) != d * d:
             raise ConfigError(cpath, f"expected {d * d} row-major entries, got {len(flat)}")
         couplings = np.array(flat).reshape(d, d)
 
-    omega = _require_number(doc.get("omega", 1.0), f"{path}.omega")
-    kappa = _require_number(doc.get("kappa", 0.0), f"{path}.kappa")
-    n_atoms = doc.get("n_atoms", 1)
-    if isinstance(n_atoms, bool) or not isinstance(n_atoms, int):
-        raise ConfigError(f"{path}.n_atoms", "expected an integer")
+    omega = config_number(doc.get("omega", 1.0), f"{path}.omega")
+    kappa = config_number(doc.get("kappa", 0.0), f"{path}.kappa")
+    n_atoms = config_int(doc.get("n_atoms", 1), f"{path}.n_atoms")
 
     try:
         atom = AtomSpec(energies, couplings)

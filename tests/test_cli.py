@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 
 LADDER_E_STAR = -7.0 / 9.0
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+NAN, INF = float("nan"), float("inf")
 
 
 def ladder_model(lam12=1.0, lam01=0.0, kappa=0.0):
@@ -202,6 +205,47 @@ class TestExitCodes:
         assert main([cfg, "-o", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["path"] == f"$.tolerances.{key}"
 
+    def test_negative_cutoff(self, tmp_path):
+        cfg = write_config(tmp_path, {"command": "ed-ground",
+                                      "model": {**ladder_model(), "n_atoms": 3},
+                                      "ed": {"n_max": -3}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == "$.ed.n_max"
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"command": "meanfield-scan", "model": ladder_model(kappa=NAN),
+          "scan": {"coupling": [1, 2], "values": [1.0, 1.2]}}, "$.model.kappa"),
+        ({"command": "trk-check", "model": ladder_model(lam01=0.1, kappa=NAN)},
+         "$.model.kappa"),
+        ({"command": "trk-check", "model": ladder_model(lam01=0.1, kappa=10**400)},
+         "$.model.kappa"),
+        ({"command": "critical", "model": {**ladder_model(), "omega": INF},
+          "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}}, "$.model.omega"),
+        ({"command": "critical",
+          "model": {"atom": {**ladder_model()["atom"], "energies": [0.0, NAN, 2.0]}},
+          "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}},
+         "$.model.atom.energies[1]"),
+        ({"command": "meanfield-scan", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "values": [1.0, NAN]}}, "$.scan.values[1]"),
+        ({"command": "meanfield-scan", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "values": [1.0, INF]}}, "$.scan.values[1]"),
+        ({"command": "critical", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "bracket": [0.8, 1.6], "tie": {"0,1": NAN}}},
+         "$.scan.tie.0,1"),
+        ({"command": "no-go", "model": ladder_model(lam01=0.1),
+          "scan": {"coupling": [1, 2], "lambda_max": INF}}, "$.scan.lambda_max"),
+        ({"command": "cpb-sweet-spot", "cpb": {"ec": 1.0, "ej": 0.05, "ng": INF}},
+         "$.cpb.ng"),
+        ({"command": "cpb-sweet-spot", "cpb": {"ec": 1.0, "ej": NAN, "ng": 0.5}},
+         "$.cpb.ej"),
+    ])
+    def test_non_finite_number(self, tmp_path, doc, path):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == path
+
 
 class TestArtifacts:
     def test_manifest_checksums(self, tmp_path):
@@ -313,6 +357,16 @@ class TestArtifacts:
         assert [int(r[0]) for r in rows[1:]] == [4, 6, 8]
         gaps = [abs(float(r[5]) - LADDER_E_STAR) for r in rows[1:]]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_example_config(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert main([str(config), "-o", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs
+        for name, checksum in outputs.items():
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert checksum == f"sha256:{digest}", name
 
 
 class TestDeterminism:
