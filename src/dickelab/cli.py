@@ -123,7 +123,7 @@ def _pair(value, path) -> tuple[int, int]:
     return (min(j, k), max(j, k))
 
 
-def _parse_tie(doc, path, d):
+def _parse_tie(doc, path, d, scanned):
     tie = {}
     if not isinstance(doc, Mapping):
         raise ConfigError(path, "expected a mapping of 'j,k' to ratio")
@@ -137,6 +137,8 @@ def _parse_tie(doc, path, d):
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
         if max(pair) >= d:
             raise ConfigError(f"{path}.{key}", f"level index out of range for d={d}")
+        if pair == scanned:
+            raise ConfigError(f"{path}.{key}", "cannot tie the scanned coupling to itself")
         tie[pair] = config_number(ratio, f"{path}.{key}")
     return tie
 
@@ -155,7 +157,7 @@ def _parse_scan(doc, path, command, d) -> dict:
     if max(out["scan_coupling"]) >= d:
         raise ConfigError(f"{path}.coupling", f"level index out of range for d={d}")
     if "tie" in doc:
-        out["scan_tie"] = _parse_tie(doc["tie"], f"{path}.tie", d)
+        out["scan_tie"] = _parse_tie(doc["tie"], f"{path}.tie", d, out["scan_coupling"])
     if command == "meanfield-scan":
         vals = config_numbers(doc.get("values"), f"{path}.values")
         if len(vals) < 2:
@@ -279,6 +281,8 @@ def parse_config(doc: Mapping) -> RunConfig:
                 raise ConfigError("$.ed.n_max", "must be nonnegative")
         if "max_dim" in ed:
             kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim")
+            if kwargs["ed_max_dim"] < 1:
+                raise ConfigError("$.ed.max_dim", "must be a positive integer")
         dump = ed.get("dump_state", False)
         if not isinstance(dump, bool):
             raise ConfigError("$.ed.dump_state", "expected a boolean")

@@ -1,7 +1,8 @@
 """Exception types shared across the solver modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2, ConvergenceError and
-BracketError -> 3, ResourceLimitError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, ResourceLimitError
+-> 4, every other SolverError (ConvergenceError, BracketError, a mean-field
+scan range that overflows) -> 3.
 """
 
 from __future__ import annotations

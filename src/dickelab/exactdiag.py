@@ -57,6 +57,21 @@ def _enumerate_occupations(n_atoms: int, d: int) -> np.ndarray:
     return np.array(states, dtype=np.int64)
 
 
+def _rank(states: np.ndarray) -> np.ndarray:
+    """Descending-lex rank of every row of an (M, d) array of occupation vectors.
+
+    m is preceded by the vectors that agree with it on levels 0..j-1 and put
+    more atoms in level j.  With t_j = m_{j+1} + ... + m_{d-1} atoms above
+    level j and s_j = d - 1 - j levels to hold them, there are
+    comb(t_j + s_j - 1, s_j) of those (zero when t_j = 0).
+    """
+    d = states.shape[1]
+    tails = np.cumsum(states[:, :0:-1], axis=1)[:, ::-1]  # t_0 .. t_{d-2}
+    table = np.array([[math.comb(t + s - 1, s) for s in range(d - 1, 0, -1)]
+                      for t in range(int(tails.max(initial=0)) + 1)], dtype=np.int64)
+    return table[tails, np.arange(d - 1)].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class SymmetricBasis:
     n_atoms: int
@@ -77,33 +92,12 @@ class SymmetricBasis:
         m = tuple(int(v) for v in m)
         if len(m) != self.d or any(v < 0 for v in m) or sum(m) != self.n_atoms:
             raise ValueError(f"not an occupation vector for N={self.n_atoms}, d={self.d}: {m}")
-        rank = 0
-        rem = self.n_atoms
-        for j in range(self.d - 1):
-            # states that agree so far but put more atoms in level j come first
-            t = rem - m[j] - 1
-            slots = self.d - j - 1
-            if t >= 0:
-                rank += math.comb(t + slots, slots)
-            rem -= m[j]
-        return rank
+        return int(_rank(np.array([m], dtype=np.int64))[0])
 
     def unrank(self, rank: int) -> tuple[int, ...]:
         if not 0 <= rank < self.n_atomic:
             raise ValueError(f"rank out of range: {rank}")
-        m = []
-        rem = self.n_atoms
-        for j in range(self.d - 1):
-            slots = self.d - j - 1
-            for v in range(rem, -1, -1):
-                block = math.comb(rem - v + slots - 1, slots - 1)
-                if rank < block:
-                    m.append(v)
-                    rem -= v
-                    break
-                rank -= block
-        m.append(rem)
-        return tuple(m)
+        return tuple(int(v) for v in self.atomic_states[rank])
 
     def index(self, n_ph: int, m: Sequence[int]) -> int:
         if not 0 <= n_ph <= self.n_max:
@@ -136,84 +130,56 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix
     if atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
     A = basis.n_atomic
-    n_max = basis.n_max
-    dim = basis.dim
     states = basis.atomic_states
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    ns = np.arange(basis.n_max + 1)
 
     # diagonal: omega n + sum_j eps_j m_j + kappa (2n + 1)
     e_atom = states @ atom.energies
-    ns = np.arange(n_max + 1)
     diag = (model.omega * ns[:, None] + e_atom[None, :]
             + model.kappa * (2.0 * ns[:, None] + 1.0)).ravel()
-    idx = np.arange(dim)
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
 
-    # rank lookup for one-hop moves
-    rank_of = {tuple(m): r for r, m in enumerate(states)}
-
+    # each off-diagonal entry once; its transpose is added at the end
+    rows, cols, vals = [], [], []
     coef = 1.0 / math.sqrt(model.n_atoms)
-    ns1 = np.arange(n_max)          # photon n -> n+1 transitions
-    ph1 = np.sqrt(ns1 + 1.0)
-    for j in range(atom.d):
-        for k in range(j + 1, atom.d):
-            lam = atom.couplings[j, k]
-            if lam == 0.0:
-                continue
-            # collective move k -> j with amplitude sqrt((m_j + 1) m_k)
-            src, dst, amp = [], [], []
-            for r, m in enumerate(states):
-                if m[k] >= 1:
-                    m2 = list(m)
-                    m2[j] += 1
-                    m2[k] -= 1
-                    src.append(r)
-                    dst.append(rank_of[tuple(m2)])
-                    amp.append(math.sqrt((m[j] + 1) * m[k]))
-            if not src:
-                continue
-            src = np.array(src)
-            dst = np.array(dst)
-            amp = np.array(amp)
-            v = (lam * coef) * ph1[:, None] * amp[None, :]
-            lo = ns1[:, None] * A        # photon row offsets, n side
-            hi = (ns1[:, None] + 1) * A  # n+1 side
-            # a' (k->j), its transpose, a (k->j), its transpose
-            rows.extend([(hi + dst).ravel(), (lo + src).ravel(),
-                         (lo + dst).ravel(), (hi + src).ravel()])
-            cols.extend([(lo + src).ravel(), (hi + dst).ravel(),
-                         (hi + src).ravel(), (lo + dst).ravel()])
-            vals.extend([v.ravel()] * 4)
+    ph1 = np.sqrt(ns[:-1] + 1.0)    # photon n -> n+1 transitions
+    lo = ns[:-1, None] * A          # photon row offsets, n side
+    hi = lo + A                     # n+1 side
+    for j, k in coupling_pairs(atom.d):
+        lam = atom.couplings[j, k]
+        if lam == 0.0:
+            continue
+        # collective move k -> j with amplitude sqrt((m_j + 1) m_k)
+        src = np.flatnonzero(states[:, k] >= 1)
+        moved = states[src]
+        moved[:, j] += 1
+        moved[:, k] -= 1
+        dst = _rank(moved)
+        amp = np.sqrt(moved[:, j] * states[src, k])    # moved[:, j] = m_j + 1
+        v = ((lam * coef) * ph1[:, None] * amp[None, :]).ravel()
+        # a' (k->j) and a (k->j)
+        rows += [(hi + dst).ravel(), (lo + dst).ravel()]
+        cols += [(lo + src).ravel(), (hi + src).ravel()]
+        vals += [v, v]
 
-    if model.kappa != 0.0 and n_max >= 2:
-        ns2 = np.arange(n_max - 1)
-        ph2 = model.kappa * np.sqrt((ns2 + 1.0) * (ns2 + 2.0))
-        r = np.arange(A)
-        v = np.broadcast_to(ph2[:, None], (n_max - 1, A)).ravel()
-        lo = (ns2[:, None] * A + r[None, :]).ravel()
-        hi = ((ns2[:, None] + 2) * A + r[None, :]).ravel()
-        rows.extend([hi, lo])
-        cols.extend([lo, hi])
-        vals.extend([v, v])
+    if model.kappa != 0.0:
+        # kappa a'^2: photon n -> n+2 at fixed atoms
+        lo2 = (ns[:-2, None] * A + np.arange(A)).ravel()
+        rows.append(lo2 + 2 * A)
+        cols.append(lo2)
+        vals.append(np.repeat(model.kappa * np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0)), A))
 
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return H.tocsr()
+    idx = np.arange(basis.dim)
+    return sp.coo_matrix(
+        (np.concatenate([diag, *vals, *vals]),
+         (np.concatenate([idx, *rows, *cols]), np.concatenate([idx, *cols, *rows]))),
+        shape=(basis.dim, basis.dim),
+    ).tocsr()
 
 
 def parity_compatible(atom: AtomSpec) -> bool:
     """True when Pi = (-1)^(n + sum j m_j) commutes with the coupling term."""
-    for j in range(atom.d):
-        for k in range(j + 1, atom.d):
-            if atom.couplings[j, k] != 0.0 and (k - j) % 2 == 0:
-                return False
-    return True
+    return all(atom.couplings[j, k] == 0.0 or (k - j) % 2
+               for j, k in coupling_pairs(atom.d))
 
 
 def parity_signs(basis: SymmetricBasis) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, SolverError
 from .model import DickeModel, single_atom_matrices
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,11 +86,22 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
     Gershgorin gives min_spec >= -2 x L with L the largest absolute row sum
     of the coupling matrix, so e(x) > 0 once omega_eff x^2 > eps_max + 2 L x.
     The positive root of that quadratic (padded) bounds all global minima.
+    Finite but extreme inputs can overflow the bound or the terms
+    omega_eff x^2 and 2 x L of e(x) on [0, x_max]; that raises SolverError
+    naming the first such parameter set, before any eigensolve.
     """
     L = np.abs(couplings).sum(axis=2).max(axis=1)
     eps_max = float(energies.max())
-    root = (L + np.sqrt(L**2 + omega_eff * eps_max)) / omega_eff
-    return np.maximum(1.25 * root, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = (L + np.sqrt(L**2 + omega_eff * eps_max)) / omega_eff
+        x_hi = np.maximum(1.25 * root, 1.0)
+        finite = np.isfinite([x_hi, omega_eff * x_hi**2, 2.0 * x_hi * L]).all(axis=0)
+    if not finite.all():
+        b = int(np.argmin(finite))
+        raise SolverError(
+            f"mean-field scan range overflows for parameter set {b}: x_max = {x_hi[b]:g} "
+            f"(omega_eff = {omega_eff[b]:g}, largest coupling row sum = {L[b]:g})")
+    return x_hi
 
 
 def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,

@@ -5,6 +5,7 @@ matrices, brute-force scans) without importing solver code, so agreement
 with the package is a real cross-check and not a tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -177,3 +178,47 @@ def charpoly_min_eig(energies, couplings, x: float) -> float:
     else:
         raise ValueError("charpoly route implemented for d <= 3 only")
     return float(np.min(roots.real))
+
+
+def symmetric_sector_spectrum(n_atoms: int, energies, couplings, omega: float,
+                              n_max: int, kappa: float = 0.0) -> np.ndarray:
+    """Sorted spectrum of N distinguishable d-level atoms + one photon mode,
+    restricted to the permutation-symmetric subspace.
+
+    H = omega a'a + sum_i eps(i) + (a + a') / sqrt(N) sum_{j<k} lam_jk
+    sum_i (|j><k| + |k><j|)_i + kappa (a + a')^2, built with explicit kron
+    products over the d^N atomic space (operators squared before the photon
+    truncation, as in rabi_hamiltonian).  The symmetric subspace is the range
+    of the symmetrizer (1/N!) sum over tensor-factor permutations.
+    """
+    energies = np.asarray(energies, dtype=float)
+    couplings = np.asarray(couplings, dtype=float)
+    d = energies.size
+    D = d**n_atoms
+
+    def on_site(op, i):
+        return np.kron(np.kron(np.eye(d**i), op), np.eye(d**(n_atoms - i - 1)))
+
+    h_atoms = sum(on_site(np.diag(energies), i) for i in range(n_atoms))
+    jump = np.zeros((d, d))
+    for j in range(d):
+        for k in range(j + 1, d):
+            jump[j, k] = jump[k, j] = couplings[j, k]
+    s_x = sum(on_site(jump, i) for i in range(n_atoms))
+
+    dim_ph = n_max + 3
+    a = np.diag(np.sqrt(np.arange(1, dim_ph)), 1)
+    x_op = a + a.T
+    full = (omega * np.kron(a.T @ a, np.eye(D)) + np.kron(np.eye(dim_ph), h_atoms)
+            + np.kron(x_op, s_x) / math.sqrt(n_atoms)
+            + kappa * np.kron(x_op @ x_op, np.eye(D)))
+    keep = (n_max + 1) * D
+    full = full[:keep, :keep]
+
+    tensor = np.eye(D).reshape([D] + [d] * n_atoms)
+    perms = list(itertools.permutations(range(n_atoms)))
+    sym = sum(tensor.transpose([0] + [1 + p for p in perm]).reshape(D, D)
+              for perm in perms) / len(perms)
+    w, v = np.linalg.eigh(sym)
+    q = np.kron(np.eye(n_max + 1), v[:, w > 0.5])
+    return np.linalg.eigvalsh(q.T @ full @ q)

@@ -213,6 +213,43 @@ class TestExitCodes:
         assert main([cfg, "-o", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["path"] == "$.ed.n_max"
 
+    @pytest.mark.parametrize("max_dim", [-1, 0])
+    def test_max_dim_must_be_positive(self, tmp_path, max_dim):
+        cfg = write_config(tmp_path, {"command": "ed-ground",
+                                      "model": {**ladder_model(), "n_atoms": 3},
+                                      "ed": {"max_dim": max_dim}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == "$.ed.max_dim"
+
+    @pytest.mark.parametrize("key", ["1,2", "2,1"])
+    @pytest.mark.parametrize("command, scan", [
+        ("meanfield-scan", {"values": [1.2, 1.3]}),
+        ("critical", {"bracket": [0.8, 1.6]}),
+    ])
+    def test_tie_cannot_name_scanned_coupling(self, tmp_path, command, scan, key):
+        # a tie on the scanned pair would overwrite the scanned value with r*lam
+        cfg = write_config(tmp_path, {
+            "command": command, "model": ladder_model(lam01=0.1),
+            "scan": {"coupling": [1, 2], **scan, "tie": {"0,1": 0.1, key: 0.5}},
+        })
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == f"$.scan.tie.{key}"
+
+    @pytest.mark.parametrize("model, values", [
+        (ladder_model(lam01=0.1), [1.0, 1e300]),
+        ({**ladder_model(lam01=0.1), "omega": 1e-320}, [1.0, 1.3]),
+    ])
+    def test_mean_field_overflow(self, tmp_path, model, values):
+        cfg = write_config(tmp_path, {"command": "meanfield-scan", "model": model,
+                                      "scan": {"coupling": [1, 2], "values": values}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "SolverError"
+        assert "parameter set" in record["message"]
+
     @pytest.mark.parametrize("doc, path", [
         ({"command": "meanfield-scan", "model": ladder_model(kappa=NAN),
           "scan": {"coupling": [1, 2], "values": [1.0, 1.2]}}, "$.model.kappa"),

@@ -119,6 +119,24 @@ class TestHamiltonian:
         e0 = ground_state(H).e0
         assert e0 == pytest.approx(float(sla.eigvalsh(ref)[0]), abs=1e-10)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.15])
+    @pytest.mark.parametrize("n_atoms, d", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_symmetric_sector_against_kron_oracle(self, n_atoms, d, kappa):
+        # every pair coupled, so the even hop 0 <-> 2 (V-type) is included
+        rng = np.random.default_rng(10 * n_atoms + d)
+        eps = np.sort(np.concatenate([[0.0], rng.uniform(0.3, 2.5, d - 1)]))
+        lam = np.zeros((d, d))
+        for j in range(d):
+            for k in range(j + 1, d):
+                lam[j, k] = lam[k, j] = rng.uniform(-1.5, 1.5)
+        m = DickeModel(0.8, AtomSpec(eps, lam), n_atoms=n_atoms, kappa=kappa)
+        assert not parity_compatible(m.atom)
+        n_max = 6
+        H = build_hamiltonian(m, build_basis(n_atoms, d, n_max)).toarray()
+        ref = oracles.symmetric_sector_spectrum(n_atoms, eps, lam, 0.8, n_max, kappa=kappa)
+        assert ref.size == H.shape[0]
+        np.testing.assert_allclose(sla.eigvalsh(H), ref, atol=1e-10)
+
     def test_kappa_only_matches_bogoliubov(self):
         # couplings off: H is the photon mode alone, ground energy known
         atom = AtomSpec([0.0, 1.0], np.zeros((2, 2)))
