@@ -67,8 +67,22 @@ from .model import (
 
 DEFAULT_SEED = 1234
 
-COMMANDS = ("meanfield-scan", "critical", "no-go", "ed-ground", "ed-nscan",
-            "cpb-sweet-spot", "trk-check")
+# Each command's top-level blocks and, for scan, ed and cpb, the keys each
+# block allows (model keys are model_from_dict's).  A listed block is
+# required, except ed, whose keys are all optional; any other block is
+# "not used by command".
+_COMMANDS = {
+    "meanfield-scan": {"model": None, "scan": {"coupling", "values", "tie"}},
+    "critical": {"model": None, "scan": {"coupling", "bracket", "tie"}},
+    "no-go": {"model": None, "scan": {"coupling", "lambda_max", "n_points", "kappa_rule"}},
+    "ed-ground": {"model": None, "ed": {"n_max", "max_dim", "dump_state"}},
+    "ed-nscan": {"model": None, "ed": {"n_list", "max_dim"}},
+    "cpb-sweet-spot": {"cpb": {"ec", "ej", "ng", "n_cut"}},
+    "trk-check": {"model": None},
+}
+COMMANDS = tuple(_COMMANDS)
+_BLOCKS = tuple(dict.fromkeys(block for blocks in _COMMANDS.values() for block in blocks))
+_TOP_KEYS = {"command", "seed", "output", "tolerances", *_BLOCKS}
 
 _TOL_DEFAULTS = {
     "x_tol": DEFAULT_X_TOL,
@@ -114,12 +128,14 @@ def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
 
 
-def _pair(value, path) -> tuple[int, int]:
+def _pair(value, path, d) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a pair of level indices [j, k]")
     j, k = (config_int(v, f"{path}[{i}]") for i, v in enumerate(value))
     if j == k or j < 0 or k < 0:
         raise ConfigError(path, "level indices must be distinct and nonnegative")
+    if max(j, k) >= d:
+        raise ConfigError(path, f"level index out of range for d={d}")
     return (min(j, k), max(j, k))
 
 
@@ -132,11 +148,9 @@ def _parse_tie(doc, path, d, scanned):
         if len(parts) != 2:
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'")
         try:
-            pair = _pair([int(parts[0]), int(parts[1])], f"{path}.{key}")
+            pair = _pair([int(parts[0]), int(parts[1])], f"{path}.{key}", d)
         except ValueError as exc:
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
-        if max(pair) >= d:
-            raise ConfigError(f"{path}.{key}", f"level index out of range for d={d}")
         if pair == scanned:
             raise ConfigError(f"{path}.{key}", "cannot tie the scanned coupling to itself")
         tie[pair] = config_number(ratio, f"{path}.{key}")
@@ -145,17 +159,9 @@ def _parse_tie(doc, path, d, scanned):
 
 def _parse_scan(doc, path, command, d) -> dict:
     """The RunConfig fields set by a scan block."""
-    keys_by_command = {
-        "meanfield-scan": {"coupling", "values", "tie"},
-        "critical": {"coupling", "bracket", "tie"},
-        "no-go": {"coupling", "lambda_max", "n_points", "kappa_rule"},
-    }
-    _check_keys(doc, keys_by_command[command], path)
     if "coupling" not in doc:
         raise ConfigError(f"{path}.coupling", "missing required key")
-    out: dict = {"scan_coupling": _pair(doc["coupling"], f"{path}.coupling")}
-    if max(out["scan_coupling"]) >= d:
-        raise ConfigError(f"{path}.coupling", f"level index out of range for d={d}")
+    out: dict = {"scan_coupling": _pair(doc["coupling"], f"{path}.coupling", d)}
     if "tie" in doc:
         out["scan_tie"] = _parse_tie(doc["tie"], f"{path}.tie", d, out["scan_coupling"])
     if command == "meanfield-scan":
@@ -178,9 +184,8 @@ def _parse_scan(doc, path, command, d) -> dict:
         out["lambda_max"] = config_number(doc["lambda_max"], f"{path}.lambda_max")
         if out["lambda_max"] <= 0:
             raise ConfigError(f"{path}.lambda_max", "must be positive")
-        out["n_points"] = config_int(doc.get("n_points", DEFAULT_N_POINTS), f"{path}.n_points")
-        if out["n_points"] < 100:
-            raise ConfigError(f"{path}.n_points", "must be at least 100")
+        out["n_points"] = config_int(doc.get("n_points", DEFAULT_N_POINTS),
+                                     f"{path}.n_points", minimum=100)
         out["kappa_rule"] = doc.get("kappa_rule", "fixed")
         if out["kappa_rule"] not in ("fixed", "trk-ground"):
             raise ConfigError(f"{path}.kappa_rule", "expected 'fixed' or 'trk-ground'")
@@ -188,7 +193,6 @@ def _parse_scan(doc, path, command, d) -> dict:
 
 
 def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
-    _check_keys(doc, {"ec", "ej", "ng", "n_cut"}, path)
     lists = {}
     scalars = {}
     for key in ("ec", "ej", "ng"):
@@ -219,12 +223,21 @@ def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
 
 def parse_config(doc: Mapping) -> RunConfig:
     """Validate a config document; errors carry the offending field path."""
-    top_allowed = {"command", "seed", "output", "model", "scan", "ed", "cpb", "tolerances"}
-    _check_keys(doc, top_allowed, "$")
+    _check_keys(doc, _TOP_KEYS, "$")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError("$.command", f"expected one of {', '.join(COMMANDS)}")
-    seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed")
+    blocks = _COMMANDS[command]
+    for block in _BLOCKS:
+        if block not in blocks:
+            if block in doc:
+                raise ConfigError(f"$.{block}", f"not used by command {command!r}")
+        elif block in doc:
+            if blocks[block] is not None:
+                _check_keys(doc[block], blocks[block], f"$.{block}")
+        elif block != "ed":
+            raise ConfigError(f"$.{block}", "missing required key")
+    seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed", minimum=0)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output", "expected a string path")
@@ -235,9 +248,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         for key, raw in doc["tolerances"].items():
             path = f"$.tolerances.{key}"
             if key == "grid_points":
-                value = config_int(raw, path)
-                if value < 2:
-                    raise ConfigError(path, "must be at least 2")
+                value = config_int(raw, path, minimum=2)
             else:
                 value = config_number(raw, path)
                 if value <= 0:
@@ -245,64 +256,30 @@ def parse_config(doc: Mapping) -> RunConfig:
             tolerances[key] = value
 
     kwargs: dict = {}
-    needs_model = command in ("meanfield-scan", "critical", "no-go",
-                              "ed-ground", "ed-nscan", "trk-check")
-    if needs_model:
-        if "model" not in doc:
-            raise ConfigError("$.model", "missing required key")
-        model = model_from_dict(doc["model"], path="$.model")
-        kwargs["model"] = model
-        if "cpb" in doc:
-            raise ConfigError("$.cpb", f"not used by command {command!r}")
-    else:
-        if "cpb" not in doc:
-            raise ConfigError("$.cpb", "missing required key")
-        for stray in ("model", "scan", "ed"):
-            if stray in doc:
-                raise ConfigError(f"$.{stray}", f"not used by command {command!r}")
-        kwargs["cpb_specs"] = _parse_cpb(doc["cpb"], "$.cpb")
-
-    if command in ("meanfield-scan", "critical", "no-go"):
-        if "scan" not in doc:
-            raise ConfigError("$.scan", "missing required key")
-        if "ed" in doc:
-            raise ConfigError("$.ed", f"not used by command {command!r}")
-        kwargs.update(_parse_scan(doc["scan"], "$.scan", command, model.atom.d))
-        if kwargs.get("kappa_rule") == "trk-ground" and model.atom.energies[1] == 0.0:
-            raise ConfigError("$.model.atom.energies", "degenerate ground transition")
-    elif command in ("ed-ground", "ed-nscan"):
-        if "scan" in doc:
-            raise ConfigError("$.scan", f"not used by command {command!r}")
+    if "model" in blocks:
+        kwargs["model"] = model_from_dict(doc["model"], path="$.model")
+    if "scan" in blocks:
+        kwargs.update(_parse_scan(doc["scan"], "$.scan", command, kwargs["model"].atom.d))
+    if "ed" in blocks:
         ed = doc.get("ed", {})
-        _check_keys(ed, {"n_max", "n_list", "max_dim", "dump_state"}, "$.ed")
         if "n_max" in ed:
-            kwargs["ed_n_max"] = config_int(ed["n_max"], "$.ed.n_max")
-            if kwargs["ed_n_max"] < 0:
-                raise ConfigError("$.ed.n_max", "must be nonnegative")
+            kwargs["ed_n_max"] = config_int(ed["n_max"], "$.ed.n_max", minimum=0)
         if "max_dim" in ed:
-            kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim")
-            if kwargs["ed_max_dim"] < 1:
-                raise ConfigError("$.ed.max_dim", "must be a positive integer")
-        dump = ed.get("dump_state", False)
-        if not isinstance(dump, bool):
+            kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim", minimum=1)
+        kwargs["ed_dump_state"] = ed.get("dump_state", False)
+        if not isinstance(kwargs["ed_dump_state"], bool):
             raise ConfigError("$.ed.dump_state", "expected a boolean")
-        kwargs["ed_dump_state"] = dump
-        if command == "ed-nscan":
+        if "n_list" in blocks["ed"]:
             n_list = ed.get("n_list")
             if not isinstance(n_list, (list, tuple)) or not n_list:
                 raise ConfigError("$.ed.n_list", "expected a nonempty list of positive integers")
-            for i, n in enumerate(n_list):
-                if config_int(n, f"$.ed.n_list[{i}]") < 1:
-                    raise ConfigError(f"$.ed.n_list[{i}]", "must be a positive integer")
-            kwargs["ed_n_list"] = tuple(n_list)
-        elif "n_list" in ed:
-            raise ConfigError("$.ed.n_list", "only used by ed-nscan")
-    elif command == "trk-check":
-        for stray in ("scan", "ed"):
-            if stray in doc:
-                raise ConfigError(f"$.{stray}", f"not used by command {command!r}")
-        if kwargs["model"].atom.energies[1] == 0.0:
-            raise ConfigError("$.model.atom.energies", "degenerate ground transition")
+            kwargs["ed_n_list"] = tuple(config_int(n, f"$.ed.n_list[{i}]", minimum=1)
+                                        for i, n in enumerate(n_list))
+    if "cpb" in blocks:
+        kwargs["cpb_specs"] = _parse_cpb(doc["cpb"], "$.cpb")
+    if ((command == "trk-check" or kwargs.get("kappa_rule") == "trk-ground")
+            and kwargs["model"].atom.energies[1] == 0.0):
+        raise ConfigError("$.model.atom.energies", "degenerate ground transition")
 
     return RunConfig(command=command, seed=seed, output=output,
                      echo=json.loads(json.dumps(doc)), tolerances=tolerances, **kwargs)
@@ -459,9 +436,9 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
         cfg = parse_config(doc)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
         outdir = Path(args.output_dir or cfg.output or ".")
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=config_int(args.seed, "--seed", minimum=0))
         run(cfg, outdir, verbose=args.verbose)
         return 0
     except ConfigError as exc:

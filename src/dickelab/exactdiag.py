@@ -210,11 +210,10 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
 
 def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
                  v0: np.ndarray | None = None, max_iter: int | None = None,
-                 dense_cutoff: int = DENSE_CUTOFF,
                  force_lanczos: bool = False) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense).
 
-    Dimensions at or below dense_cutoff go to a dense eigensolver.  Larger
+    Dimensions at or below DENSE_CUTOFF go to a dense eigensolver.  Larger
     ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
     which="SA"), whose workspace stays at dim x ncv vectors.  The start
     vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
@@ -226,7 +225,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     last Krylov vector (ARPACK returns no Ritz pair when k=1 fails).
     """
     dim = H.shape[0]
-    if dim <= dense_cutoff and not force_lanczos:
+    if dim <= DENSE_CUTOFF and not force_lanczos:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         w, v = sla.eigh(dense, subset_by_index=(0, 0))
         psi = v[:, 0]

@@ -1,9 +1,12 @@
+import copy
 import csv
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickelab import converge_cutoff, ladder
 from dickelab.cli import _fail, main, parse_config
@@ -29,6 +32,30 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# one document per command: run twice for byte identity, and mutated by the
+# config-contract property test
+DOCS = {
+    "scan": {"command": "meanfield-scan", "model": ladder_model(),
+             "scan": {"coupling": [1, 2], "values": [1.0, 1.2, 1.4]}},
+    "crit": {"command": "critical", "model": ladder_model(),
+             "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}},
+    "nogo": {"command": "no-go",
+             "model": {"atom": {"energies": [0.0, 1.0],
+                                "couplings": [[0.0, 1.0], [1.0, 0.0]]}},
+             "scan": {"coupling": [0, 1], "lambda_max": 5.0,
+                      "n_points": 100, "kappa_rule": "trk-ground"}},
+    "ed": {"command": "ed-ground",
+           "model": {**ladder_model(lam12=1.3), "n_atoms": 3},
+           "ed": {"n_max": 16, "dump_state": True}},
+    "nscan": {"command": "ed-nscan", "model": ladder_model(lam12=1.3),
+              "ed": {"n_list": [2, 3]}},
+    "cpb": {"command": "cpb-sweet-spot",
+            "cpb": {"ec": 1.0, "ej": [0.02, 0.05], "ng": 0.5}},
+    "trk": {"command": "trk-check",
+            "model": ladder_model(lam01=0.1, kappa=0.01)},
+}
 
 
 class TestParseConfig:
@@ -222,6 +249,32 @@ class TestExitCodes:
         assert main([cfg, "-o", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["path"] == "$.ed.max_dim"
 
+    @pytest.mark.parametrize("command, ed, path", [
+        ("ed-nscan", {"n_list": [2, 3], "n_max": 2}, "$.ed.n_max"),
+        ("ed-nscan", {"n_list": [2, 3], "dump_state": True}, "$.ed.dump_state"),
+        ("ed-ground", {"n_max": 4, "n_list": [2, 3]}, "$.ed.n_list"),
+    ])
+    def test_ed_key_not_taken_by_command(self, tmp_path, command, ed, path):
+        cfg = write_config(tmp_path, {"command": command,
+                                      "model": {**ladder_model(), "n_atoms": 2}, "ed": ed})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == path
+        assert not (out / "psi0.npz").exists()
+
+    @pytest.mark.parametrize("seed, flags, path", [
+        (-1, [], "$.seed"),
+        (1, ["--seed", "-7"], "--seed"),
+    ])
+    def test_negative_seed(self, tmp_path, seed, flags, path):
+        # N=10 at n_max 60 goes through ARPACK, whose default_rng rejects seeds < 0
+        cfg = write_config(tmp_path, {"command": "ed-ground", "seed": seed,
+                                      "model": {**ladder_model(lam12=1.5), "n_atoms": 10},
+                                      "ed": {"n_max": 60}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out), *flags]) == 2
+        assert json.loads((out / "error.json").read_text())["path"] == path
+
     @pytest.mark.parametrize("key", ["1,2", "2,1"])
     @pytest.mark.parametrize("command, scan", [
         ("meanfield-scan", {"values": [1.2, 1.3]}),
@@ -282,6 +335,48 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([cfg, "-o", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["path"] == path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+NEW_KEYS = st.sampled_from(["model", "scan", "ed", "cpb", "seed", "tie", "n_max", "n_list",
+                            "dump_state", "unknown"]) | st.text(max_size=4)
+
+
+def _slots(node):
+    """(container, key) of every value below node."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield node, key
+        yield from _slots(child)
+
+
+class TestConfigContract:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(DOCS)), data=st.data())
+    def test_mutated_document_parses_or_raises_config_error(self, name, data):
+        # one mutation: replace a value, delete a key or add a key
+        doc = copy.deepcopy(DOCS[name])
+        slots = list(_slots(doc))
+        mutation = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if mutation == "replace":
+            container, key = data.draw(st.sampled_from(slots))
+            container[key] = data.draw(JSON_VALUES)
+        else:
+            mapping = data.draw(st.sampled_from(
+                [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]))
+            if mutation == "delete":
+                del mapping[data.draw(st.sampled_from(sorted(mapping)))]
+            else:
+                mapping[data.draw(NEW_KEYS)] = data.draw(JSON_VALUES)
+        try:
+            parse_config(doc)
+        except ConfigError:
+            pass
 
 
 class TestArtifacts:
@@ -429,27 +524,7 @@ class TestDeterminism:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_all_commands_byte_identical(self, tmp_path):
-        docs = {
-            "scan": {"command": "meanfield-scan", "model": ladder_model(),
-                     "scan": {"coupling": [1, 2], "values": [1.0, 1.2, 1.4]}},
-            "crit": {"command": "critical", "model": ladder_model(),
-                     "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}},
-            "nogo": {"command": "no-go",
-                     "model": {"atom": {"energies": [0.0, 1.0],
-                                        "couplings": [[0.0, 1.0], [1.0, 0.0]]}},
-                     "scan": {"coupling": [0, 1], "lambda_max": 5.0,
-                              "n_points": 100, "kappa_rule": "trk-ground"}},
-            "ed": {"command": "ed-ground",
-                   "model": {**ladder_model(lam12=1.3), "n_atoms": 3},
-                   "ed": {"n_max": 16, "dump_state": True}},
-            "nscan": {"command": "ed-nscan", "model": ladder_model(lam12=1.3),
-                      "ed": {"n_list": [2, 3]}},
-            "cpb": {"command": "cpb-sweet-spot",
-                    "cpb": {"ec": 1.0, "ej": [0.02, 0.05], "ng": 0.5}},
-            "trk": {"command": "trk-check",
-                    "model": ladder_model(lam01=0.1, kappa=0.01)},
-        }
-        for name, doc in docs.items():
+        for name, doc in DOCS.items():
             sub = tmp_path / name
             sub.mkdir()
             a, b = self.run_twice(sub, doc)
