@@ -28,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping
 
 from . import __version__
@@ -364,10 +365,9 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
                                   keep_state=cfg.ed_dump_state)
         _ed_result_csv(emit("ed.csv"), [(res, cfg.model)], cfg.model)
         if cfg.ed_dump_state:
-            from .exactdiag import build_basis
-            basis = build_basis(cfg.model.n_atoms, cfg.model.atom.d,
-                                res.n_max_used, max_dim=cfg.ed_max_dim)
-            dump_state(emit("psi0.npz"), res.psi0, basis)
+            shape = SimpleNamespace(n_atoms=res.n_atoms, d=cfg.model.atom.d,
+                                    n_max=res.n_max_used)
+            dump_state(emit("psi0.npz"), res.psi0, shape)
     elif cfg.command == "ed-nscan":
         jobs = [(cfg.model, n, cfg.tol("tol_e"), cfg.tol("lanczos_tol"),
                  cfg.seed, cfg.ed_max_dim) for n in cfg.ed_n_list]

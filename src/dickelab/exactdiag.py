@@ -29,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, ResourceLimitError
-from .model import AtomSpec, DickeModel
+from .model import AtomSpec, DickeModel, single_atom_matrices
 
 DENSE_CUTOFF = 2000
 MAX_DIM_DEFAULT = 5_000_000
@@ -190,6 +190,44 @@ def parity_signs(basis: SymmetricBasis) -> np.ndarray:
     return (s_ph[:, None] * s_atom[None, :]).ravel()
 
 
+def coupling_graph_connected(atom: AtomSpec) -> bool:
+    """True when the nonzero couplings connect all d levels.
+
+    Otherwise some population sum is conserved and H splits into blocks.
+    """
+    adj = atom.couplings != 0.0
+    reach = np.arange(atom.d) == 0
+    for _ in range(atom.d - 1):
+        reach = reach | adj[reach].any(axis=0)
+    return bool(reach.all())
+
+
+def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) -> np.ndarray:
+    """Mean-field product state |sqrt(N) x*> (x) |c>^N in the basis, unit norm.
+
+    c is the lowest eigenvector of diag(eps) + 2 x* lam.  The photon factor
+    has the coherent amplitudes e^(-mu/2) mu^(n/2) / sqrt(n!), mu = N x*^2,
+    and occupation vector m has the amplitude sqrt(N! / prod m_j!) prod c_j^m_j.
+    Both factors are formed from logarithms, so large N and n_max neither
+    overflow nor underflow to an all-zero vector.
+    """
+    N = basis.n_atoms
+    c = np.linalg.eigh(single_atom_matrices(model.atom.energies, model.atom.couplings,
+                                            x_star))[1][:, 0]
+    states = basis.atomic_states
+    ns = np.arange(basis.n_max + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, max(N, basis.n_max) + 1)))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # x log y with 0 log 0 = 0; a zero base gives -inf, i.e. amplitude 0
+        log_ph = np.where(ns > 0, 0.5 * ns * np.log(N * x_star**2), 0.0) - 0.5 * log_fact[ns]
+        log_c = np.log(np.abs(c))
+        log_at = (np.where(states > 0, states * log_c, 0.0).sum(axis=1)
+                  - 0.5 * log_fact[states].sum(axis=1))
+    sign_at = 1.0 - 2.0 * ((states @ (c < 0)) % 2)
+    psi = np.outer(np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max()))
+    return psi.ravel() / np.linalg.norm(psi)
+
+
 # ---------------------------------------------------------------------------
 # ground-state solvers
 # ---------------------------------------------------------------------------
@@ -217,12 +255,14 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
     which="SA"), whose workspace stays at dim x ncv vectors.  The start
     vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
-    so reruns are byte-identical; converge_cutoff warm-starts each cutoff
-    step from the previous step's zero-padded ground vector.  ARPACK stops
-    when the Ritz residual drops below tol relative to |e0|.  `iterations`
-    counts matrix-vector products, and max_iter bounds them: running out
-    raises ConvergenceError carrying the Rayleigh-quotient residual of the
-    last Krylov vector (ARPACK returns no Ritz pair when k=1 fails).
+    so reruns are byte-identical.  ed_ground passes the mean-field product
+    state as v0, and converge_cutoff warm-starts each later cutoff step from
+    the previous step's zero-padded ground vector.  ARPACK stops when the
+    Ritz residual drops below tol relative to |e0|.  `iterations` counts
+    matrix-vector products, and max_iter bounds them: running out raises
+    ConvergenceError carrying the Rayleigh-quotient residual of the last
+    Krylov vector (ARPACK returns no Ritz pair when k=1 fails).  Any other
+    ARPACK failure is raised as ConvergenceError too.
     """
     dim = H.shape[0]
     if dim <= DENSE_CUTOFF and not force_lanczos:
@@ -233,7 +273,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
         return GroundState(e0=e0, vector=psi, iterations=0,
                            residual_norm=_true_residual(H, psi, e0),
                            seed=seed, method="dense")
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     if max_iter is None:
         max_iter = int(10 * math.sqrt(dim)) + 200
@@ -259,7 +299,10 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     # takes it from `rng` (OS entropy if omitted); older releases have no
     # such argument and use ARPACK's own fixed-seed generator.
     seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
-    w, v = eigsh(op, k=1, which="SA", v0=start, tol=tol, maxiter=max_iter, **seeded)
+    try:
+        w, v = eigsh(op, k=1, which="SA", v0=start, tol=tol, maxiter=max_iter, **seeded)
+    except ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed after {matvecs} matvecs: {exc}") from exc
     psi = v[:, 0]
     e0 = float(w[0])
     return GroundState(e0=e0, vector=psi, iterations=matvecs,
@@ -328,21 +371,29 @@ def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
     """Ground state of the finite-N model at a fixed photon cutoff.
 
     When the coupling graph conserves photon parity the two parity sectors
-    are solved independently and the lower one wins (ties go to the even
-    sector), which pins |<Pi>| = 1 even for quasi-degenerate pairs.
+    are solved independently, which pins |<Pi>| = 1 even for quasi-degenerate
+    pairs.  The lower sector wins unless the two energies differ by no more
+    than the sum of their residual norms; such a tie goes to the even sector.
+    A sector solve that goes to ARPACK starts from the mean-field product
+    state (mean_field_state at the global minimum x*) when the nonzero
+    couplings connect all levels and that state has weight in the sector;
+    otherwise it starts from the seeded random vector.  A basis state that
+    H couples to no other one is an exact eigenstate: the lowest of those is
+    taken as it is, and the eigensolver runs on the remaining rows.
     """
     return _ed_ground(model, n_max, tol, seed, max_dim, keep_state)[0]
 
 
 def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
-               max_dim: int, keep_state: bool,
-               warm: list[np.ndarray] | None = None) -> tuple[EDResult, list[np.ndarray]]:
+               max_dim: int, keep_state: bool, warm: list[np.ndarray] | None = None,
+               x_star: float | None = None) -> tuple[EDResult, list[np.ndarray]]:
     """ed_ground, plus the full-basis ground vector of every solved block.
 
     warm holds those vectors from a smaller cutoff.  The basis index is
     n_ph * A + rank, so the old basis is a prefix of the new one: each
     vector, zero-padded and restricted to its block, starts that block's
-    solve.
+    solve.  Without one, the mean-field start uses x_star, the global
+    mean-field minimum, which is computed here when not given.
     """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
     H = build_hamiltonian(model, basis)
@@ -351,20 +402,52 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
         blocks = [np.flatnonzero(signs == sign) for sign in (1.0, -1.0)]
     else:
         blocks = [np.arange(basis.dim)]
+    # build_hamiltonian stores every diagonal entry and no zero off-diagonal
+    # one, so a row with a single stored entry is an exact eigenvector
+    isolated = np.diff(H.indptr) == 1
+    has_isolated = bool(isolated.any())
+    mf_start = None
     solves, vectors = [], []
     for offset, idx in enumerate(blocks):
-        v0 = None
-        if warm is not None:
-            v0 = np.zeros(idx.size)
-            kept = np.searchsorted(idx, warm[offset].size)
-            v0[:kept] = warm[offset][idx[:kept]]
-        Hs = H if len(blocks) == 1 else H[idx][:, idx]
-        gs = ground_state(Hs, tol=tol, seed=seed + offset, v0=v0)
+        exact = idx[:0]
+        if has_isolated:
+            exact, idx = idx[isolated[idx]], idx[~isolated[idx]]
         psi = np.zeros(basis.dim)
-        psi[idx] = gs.vector
+        gs = None
+        if idx.size:
+            v0 = None
+            if warm is not None:
+                v0 = np.zeros(idx.size)
+                kept = np.searchsorted(idx, warm[offset].size)
+                v0[:kept] = warm[offset][idx[:kept]]
+            if ((v0 is None or not v0.any()) and idx.size > DENSE_CUTOFF
+                    and coupling_graph_connected(model.atom)):
+                if mf_start is None:
+                    if x_star is None:
+                        from .meanfield import minimize
+                        x_star = minimize(model).x_star
+                    mf_start = mean_field_state(model, basis, x_star)
+                v0 = mf_start[idx]
+            if v0 is not None and not v0.any():
+                v0 = None    # no weight in this block: seeded random start
+            Hs = H if idx.size == basis.dim else H[idx][:, idx]
+            gs = ground_state(Hs, tol=tol, seed=seed + offset, v0=v0)
+            psi[idx] = gs.vector
+        if exact.size:
+            e_exact = H.data[H.indptr[exact]]
+            low = int(np.argmin(e_exact))
+            if gs is None or e_exact[low] <= gs.e0 + gs.residual_norm:
+                psi = np.zeros(basis.dim)
+                psi[exact[low]] = 1.0
+                gs = GroundState(e0=float(e_exact[low]), vector=psi,
+                                 iterations=gs.iterations if gs else 0, residual_norm=0.0,
+                                 seed=seed + offset, method="exact")
         solves.append(gs)
         vectors.append(psi)
-    best = min(range(len(solves)), key=lambda i: solves[i].e0)
+    best = 0
+    if len(solves) == 2:
+        even, odd = solves
+        best = int(odd.e0 < even.e0 - (even.residual_norm + odd.residual_norm))
     gs = solves[best]
     res = observables(
         vectors[best], basis, model, e0=gs.e0, lanczos_iterations=gs.iterations,
@@ -380,9 +463,11 @@ def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
     """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to tol_e.
 
     The starting cutoff comes from the mean-field photon density:
-    n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step after the first starts
-    its eigensolves from the previous step's ground vectors.  Failures carry
-    the (n_max, e0) pairs measured so far as ``trace``.
+    n_max0 = max(8, ceil(4 N x*^2) + 16).  The first step starts its ARPACK
+    solves from the mean-field product state at that x* (see ed_ground for
+    when the seeded random vector is used instead); each later step starts
+    from the previous step's ground vectors.  Failures carry the
+    (n_max, e0) pairs measured so far as ``trace``.
     """
     from .meanfield import minimize
 
@@ -395,7 +480,7 @@ def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
     warm: list[np.ndarray] | None = None
     for _ in range(max_steps):
         try:
-            res, warm = _ed_ground(model, n, tol, seed, max_dim, keep_state, warm)
+            res, warm = _ed_ground(model, n, tol, seed, max_dim, keep_state, warm, x_mf)
         except ResourceLimitError as exc:
             raise ResourceLimitError(str(exc), trace=trace) from exc
         trace.append((n, res.e0))
@@ -436,7 +521,8 @@ def dump_state(path, psi0: np.ndarray, basis: SymmetricBasis) -> None:
     """Binary ground-state dump: nonzero coefficients, largest magnitude first.
 
     Layout (npz): indices (int64 basis indices, n_ph*A + atomic_rank),
-    coefficients (float64), n_atoms, d, n_max.
+    coefficients (float64), n_atoms, d, n_max.  Only those three attributes
+    of basis are read, so any object that carries them will do.
     """
     psi0 = np.asarray(psi0, dtype=float)
     nz = np.flatnonzero(psi0)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickelab import converge_cutoff, ladder
+from dickelab import build_basis, converge_cutoff, ed_ground, ladder, model_from_dict
 from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
+from dickelab.exactdiag import dump_state
 
 LADDER_E_STAR = -7.0 / 9.0
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -476,6 +477,28 @@ class TestArtifacts:
         assert (out / "psi0.npz").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"ed.csv", "psi0.npz"}
+
+    def test_state_dump_matches_dump_with_basis(self, tmp_path):
+        doc = DOCS["ed"]
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, doc), "-o", str(out)]) == 0
+        model = model_from_dict(doc["model"])
+        res = ed_ground(model, doc["ed"]["n_max"], keep_state=True)
+        dump_state(tmp_path / "ref.npz", res.psi0, build_basis(3, 3, doc["ed"]["n_max"]))
+        assert (out / "psi0.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+    @pytest.mark.parametrize("n_atoms", [20, 30])
+    def test_isolated_zero_energy_ground_state(self, tmp_path, n_atoms):
+        # lam01 = 0: vacuum x all-ground is an exact E = 0 eigenstate; ARPACK
+        # missed it (N=30) or broke down when warm-started from it (N=20)
+        doc = {"command": "ed-ground",
+               "model": {**ladder_model(lam12=0.8), "n_atoms": n_atoms}}
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, doc), "-o", str(out)]) == 0
+        with open(out / "ed.csv") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert abs(float(row["e0_per_atom"])) <= 1e-12
+        assert float(row["parity"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ed_nscan_rows_and_trend(self, tmp_path):
         doc = {"command": "ed-nscan", "model": ladder_model(lam12=1.5),

@@ -15,9 +15,12 @@ from dickelab import (
     build_basis,
     build_hamiltonian,
     converge_cutoff,
+    coupling_graph_connected,
     ed_ground,
+    energy_density,
     ground_state,
     ladder,
+    mean_field_state,
     minimize,
     observables,
     parity_compatible,
@@ -221,6 +224,14 @@ class TestGroundState:
         assert warm.iterations <= cold.iterations // 4
         assert abs(warm.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
 
+    def test_arpack_failure_is_convergence_error(self):
+        # an exact start vector with eigenvalue 0 makes H v0 = 0: ARPACK info -9
+        H = np.diag(np.arange(2500.0))
+        v0 = np.zeros(2500)
+        v0[0] = 1.0
+        with pytest.raises(ConvergenceError, match="ARPACK"):
+            ground_state(H, force_lanczos=True, v0=v0)
+
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
@@ -302,6 +313,100 @@ class TestEdGround:
     def test_seed_recorded(self):
         res = ed_ground(two_level(1.0, 1.0, 0.3, n_atoms=2), n_max=8, seed=77)
         assert res.seed == 77
+
+    @pytest.mark.parametrize("lam01", [0.0, 0.1])
+    @pytest.mark.parametrize("n_atoms", [8, 10])
+    def test_parity_and_energy_independent_of_seed(self, lam01, n_atoms):
+        # deep superradiant: the sector energies agree to within their residuals
+        m = ladder(1.0, 1.0, 2.0, lam01, 1.5, n_atoms=n_atoms)
+        runs = [converge_cutoff(m, seed=seed) for seed in (1, 2, 3, 1234)]
+        assert {round(r.parity) for r in runs} == {1}
+        e = [r.e0_per_atom for r in runs]
+        assert max(e) - min(e) <= 1e-12
+        if lam01 != 0.0:    # mean-field start: no seed enters the solve
+            assert len(set(e)) == 1 and len({r.parity for r in runs}) == 1
+
+    def test_isolated_state_taken_exactly(self):
+        # lam01 = 0: |n=0, (N, 0, 0)> has no off-diagonal entry and E = 0 is
+        # the ground energy, below everything the 1-2 coupling reaches
+        m = ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=30)
+        res = ed_ground(m, n_max=16)
+        assert res.e0 == 0.0 and res.method == "exact"
+        assert res.parity == 1.0 and res.residual_norm == 0.0
+        np.testing.assert_array_equal(res.populations, [1.0, 0.0, 0.0])
+
+
+class TestMeanFieldStart:
+    def test_amplitudes_match_product_formula(self):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.02, n_atoms=5)
+        x = minimize(m).x_star
+        basis = build_basis(5, 3, 12)
+        c = np.linalg.eigh(np.diag(m.atom.energies) + 2.0 * x * m.atom.couplings)[1][:, 0]
+        mu = 5 * x**2
+        ph = [math.exp(-mu / 2) * mu ** (n / 2) / math.sqrt(math.factorial(n))
+              for n in range(13)]
+        at = [math.sqrt(math.factorial(5) / math.prod(math.factorial(int(k)) for k in occ))
+              * math.prod(float(cj) ** int(k) for cj, k in zip(c, occ))
+              for occ in basis.atomic_states]
+        ref = np.outer(ph, at).ravel()
+        ref /= np.linalg.norm(ref)
+        psi = mean_field_state(m, basis, x)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(psi * np.sign(psi @ ref), ref, atol=1e-13)
+
+    def test_energy_is_mean_field_energy(self):
+        # <H> = N e(x*) + kappa for an untruncated coherent x product state
+        kappa = 0.05
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=kappa, n_atoms=6)
+        x = minimize(m).x_star
+        basis = build_basis(6, 3, 80)
+        psi = mean_field_state(m, basis, x)
+        H = build_hamiltonian(m, basis)
+        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x) + kappa, abs=1e-9)
+
+    def test_normal_phase_is_vacuum_ground(self):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 0.5, n_atoms=4)
+        basis = build_basis(4, 3, 10)
+        psi = mean_field_state(m, basis, 0.0)
+        np.testing.assert_array_equal(np.abs(psi), np.eye(basis.dim)[0])
+
+    def test_coupling_graph_connected(self):
+        assert coupling_graph_connected(ladder(1.0, 1.0, 2.0, 0.1, 1.5).atom)
+        assert not coupling_graph_connected(ladder(1.0, 1.0, 2.0, 0.0, 1.5).atom)
+        assert not coupling_graph_connected(two_level(1.0, 1.0, 0.0).atom)
+        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.3, 0.2], [0.3, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        assert coupling_graph_connected(vtype)
+
+    @pytest.mark.parametrize("n_atoms", [6, 8])
+    @pytest.mark.parametrize("lam12", [1.15, 1.2, 1.25])
+    @pytest.mark.parametrize("lam01", [0.02, 0.05, 0.1])
+    def test_started_lanczos_matches_dense(self, lam01, lam12, n_atoms):
+        # near the first-order transition, where local minima compete
+        m = ladder(1.0, 1.0, 2.0, lam01, lam12, n_atoms=n_atoms)
+        basis = build_basis(n_atoms, 3, 40)
+        H = build_hamiltonian(m, basis)
+        start = mean_field_state(m, basis, minimize(m).x_star)
+        for sign in (1.0, -1.0):
+            idx = np.flatnonzero(parity_signs(basis) == sign)
+            Hs = H[idx][:, idx]
+            v0 = start[idx] if start[idx].any() else None
+            lanc = ground_state(Hs, force_lanczos=True, v0=v0)
+            assert abs(lanc.e0 - ground_state(Hs).e0) <= 1e-8
+
+    def test_fewer_matvecs_than_random_start(self):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20)
+        x = minimize(m).x_star
+        basis = build_basis(20, 3, max(8, math.ceil(4.0 * 20 * x**2) + 16))   # first cutoff
+        H = build_hamiltonian(m, basis)
+        start = mean_field_state(m, basis, x)
+        for sign in (1.0, -1.0):
+            idx = np.flatnonzero(parity_signs(basis) == sign)
+            Hs = H[idx][:, idx]
+            cold = ground_state(Hs, seed=1234)
+            warm = ground_state(Hs, v0=start[idx])
+            assert warm.method == cold.method == "lanczos"
+            assert 3 * warm.iterations <= 2 * cold.iterations
+            assert abs(warm.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
 
 
 class TestConvergeCutoff:
