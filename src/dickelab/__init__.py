@@ -41,7 +41,6 @@ from .exactdiag import (
     build_basis,
     build_hamiltonian,
     converge_cutoff,
-    coupling_graph_connected,
     ed_ground,
     ground_state,
     mean_field_state,

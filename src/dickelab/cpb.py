@@ -21,6 +21,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
+N_CUT_MAX = 1000    # the dense spectrum holds (2 n_cut + 1)^2 doubles, 32 MB here
+
 
 @dataclass(frozen=True)
 class CpbSpec:
@@ -37,6 +39,8 @@ class CpbSpec:
         if self.n_cut < 5 + math.ceil(abs(self.ng)):
             raise ValueError(
                 f"n_cut must be at least 5 + ceil(|ng|) = {5 + math.ceil(abs(self.ng))}")
+        if self.n_cut > N_CUT_MAX:
+            raise ValueError(f"n_cut must be at most {N_CUT_MAX}")
 
     @property
     def dim(self) -> int:

@@ -10,15 +10,16 @@ Basis index convention: index = n_ph * A + atomic_rank where A is the number
 of occupation vectors; occupation vectors are ranked so the all-ground state
 (N, 0, ..., 0) comes first (descending lexicographic order of the tuple).
 
-The photon parity Pi = (-1)^(n_ph + sum_j j*m_j) commutes with H whenever
-every coupled level pair (j, k) has odd k - j (true for chain couplings).
-Ground-state solves then run inside each parity sector separately, which
-keeps |<Pi>| = 1 even when the two lowest states are almost degenerate, as
-they are deep in a superradiant phase.
+Ground-state solves run on each connected component of the sparsity graph
+of H, so every conserved quantity splits them: the photon parity
+Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd k - j,
+which keeps |<Pi>| = 1 for the near-degenerate superradiant doublet, and a
+population sum when the couplings do not connect all levels.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -28,10 +29,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from . import meanfield
 from .errors import ConvergenceError, ResourceLimitError
 from .model import AtomSpec, DickeModel, single_atom_matrices
 
-DENSE_CUTOFF = 2000
+DENSE_CUTOFF = 256    # dense eigh and ARPACK take about equally long at this dim
 MAX_DIM_DEFAULT = 5_000_000
 DEFAULT_TOL = 1e-10
 DEFAULT_TOL_E = 1e-8
@@ -190,18 +192,6 @@ def parity_signs(basis: SymmetricBasis) -> np.ndarray:
     return (s_ph[:, None] * s_atom[None, :]).ravel()
 
 
-def coupling_graph_connected(atom: AtomSpec) -> bool:
-    """True when the nonzero couplings connect all d levels.
-
-    Otherwise some population sum is conserved and H splits into blocks.
-    """
-    adj = atom.couplings != 0.0
-    reach = np.arange(atom.d) == 0
-    for _ in range(atom.d - 1):
-        reach = reach | adj[reach].any(axis=0)
-    return bool(reach.all())
-
-
 def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) -> np.ndarray:
     """Mean-field product state |sqrt(N) x*> (x) |c>^N in the basis, unit norm.
 
@@ -255,14 +245,13 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
     which="SA"), whose workspace stays at dim x ncv vectors.  The start
     vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
-    so reruns are byte-identical.  ed_ground passes the mean-field product
-    state as v0, and converge_cutoff warm-starts each later cutoff step from
-    the previous step's zero-padded ground vector.  ARPACK stops when the
-    Ritz residual drops below tol relative to |e0|.  `iterations` counts
-    matrix-vector products, and max_iter bounds them: running out raises
-    ConvergenceError carrying the Rayleigh-quotient residual of the last
-    Krylov vector (ARPACK returns no Ritz pair when k=1 fails).  Any other
-    ARPACK failure is raised as ConvergenceError too.
+    so reruns are byte-identical.  ed_ground passes each block's part of the
+    mean-field product state or of the previous cutoff step's ground vectors
+    as v0.  ARPACK stops when the Ritz residual drops below tol relative
+    to |e0|.  `iterations` counts matrix-vector products, and max_iter bounds
+    them: running out raises ConvergenceError carrying the Rayleigh-quotient
+    residual of the last Krylov vector (ARPACK returns no Ritz pair when k=1
+    fails).  Any other ARPACK failure is raised as ConvergenceError too.
     """
     dim = H.shape[0]
     if dim <= DENSE_CUTOFF and not force_lanczos:
@@ -334,10 +323,7 @@ class EDResult:
         return self.e0 / self.n_atoms
 
 
-def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel,
-                e0: float = math.nan, lanczos_iterations: int = 0,
-                residual_norm: float = math.nan, seed: int = 0,
-                method: str = "", keep_state: bool = False) -> EDResult:
+def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> EDResult:
     """Per-atom densities of a normalized state: photon number, quadrature
     (a + a')^2, level populations, and photon parity."""
     if model.atom.d != basis.d or model.n_atoms != basis.n_atoms:
@@ -358,11 +344,19 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel,
     populations.flags.writeable = False
     signs = parity_signs(basis)
     parity = float(signs @ (psi.ravel() ** 2))
-    return EDResult(
-        e0=e0, photon_density=photon, quad=quad, populations=populations,
-        parity=parity, n_max_used=basis.n_max, n_atoms=N,
-        lanczos_iterations=lanczos_iterations, residual_norm=residual_norm,
-        seed=seed, method=method, psi0=np.asarray(psi0, float) if keep_state else None)
+    return EDResult(e0=math.nan, photon_density=photon, quad=quad, populations=populations,
+                    parity=parity, n_max_used=basis.n_max, n_atoms=N)
+
+
+def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
+    """Connected components of the sparsity graph of H, ordered by lowest index."""
+    # imported here, like eigsh: csgraph loads scipy.sparse.linalg, which
+    # commands without ED never need
+    from scipy.sparse.csgraph import connected_components
+
+    labels = connected_components(H, directed=False)[1]
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return sorted(blocks, key=lambda idx: idx[0])
 
 
 def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
@@ -370,89 +364,66 @@ def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
               keep_state: bool = False) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
 
-    When the coupling graph conserves photon parity the two parity sectors
-    are solved independently, which pins |<Pi>| = 1 even for quasi-degenerate
-    pairs.  The lower sector wins unless the two energies differ by no more
-    than the sum of their residual norms; such a tie goes to the even sector.
-    A sector solve that goes to ARPACK starts from the mean-field product
-    state (mean_field_state at the global minimum x*) when the nonzero
-    couplings connect all levels and that state has weight in the sector;
-    otherwise it starts from the seeded random vector.  A basis state that
-    H couples to no other one is an exact eigenstate: the lowest of those is
-    taken as it is, and the eigensolver runs on the remaining rows.
+    H is split into the connected components of its sparsity graph (see the
+    module docstring), ordered by their lowest basis index, and block b is
+    solved with seed + b.  The lowest block wins, except that among the
+    blocks whose e0 lies within r_b + r_low of the lowest one (r the
+    residual norms) the first one whose lowest basis state is even under
+    Pi wins; this pins the parity of a quasi-degenerate doublet to the even
+    sector.  A block above DENSE_CUTOFF goes to ARPACK and starts from its
+    part of the mean-field product state (mean_field_state at the global
+    minimum x*), or from the seeded random vector where that part is zero.
     """
     return _ed_ground(model, n_max, tol, seed, max_dim, keep_state)[0]
 
 
 def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
-               max_dim: int, keep_state: bool, warm: list[np.ndarray] | None = None,
-               x_star: float | None = None) -> tuple[EDResult, list[np.ndarray]]:
-    """ed_ground, plus the full-basis ground vector of every solved block.
+               max_dim: int, keep_state: bool, warm: np.ndarray | None = None,
+               x_star: float | None = None) -> tuple[EDResult, np.ndarray]:
+    """ed_ground, plus the ground vectors of all blocks as one full-basis vector.
 
-    warm holds those vectors from a smaller cutoff.  The basis index is
-    n_ph * A + rank, so the old basis is a prefix of the new one: each
-    vector, zero-padded and restricted to its block, starts that block's
-    solve.  Without one, the mean-field start uses x_star, the global
-    mean-field minimum, which is computed here when not given.
+    warm is that vector from a smaller cutoff.  The basis index is
+    n_ph * A + rank, so the old basis is a prefix of the new one and each old
+    block lies inside one new block: warm, zero-padded, replaces the
+    mean-field state as the vector whose restrictions start the solves.
+    The mean-field start uses x_star, the global mean-field minimum, which
+    is computed here when not given.
     """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
     H = build_hamiltonian(model, basis)
-    if parity_compatible(model.atom):
-        signs = parity_signs(basis)
-        blocks = [np.flatnonzero(signs == sign) for sign in (1.0, -1.0)]
-    else:
-        blocks = [np.arange(basis.dim)]
-    # build_hamiltonian stores every diagonal entry and no zero off-diagonal
-    # one, so a row with a single stored entry is an exact eigenvector
-    isolated = np.diff(H.indptr) == 1
-    has_isolated = bool(isolated.any())
-    mf_start = None
-    solves, vectors = [], []
-    for offset, idx in enumerate(blocks):
-        exact = idx[:0]
-        if has_isolated:
-            exact, idx = idx[isolated[idx]], idx[~isolated[idx]]
-        psi = np.zeros(basis.dim)
-        gs = None
-        if idx.size:
-            v0 = None
-            if warm is not None:
-                v0 = np.zeros(idx.size)
-                kept = np.searchsorted(idx, warm[offset].size)
-                v0[:kept] = warm[offset][idx[:kept]]
-            if ((v0 is None or not v0.any()) and idx.size > DENSE_CUTOFF
-                    and coupling_graph_connected(model.atom)):
-                if mf_start is None:
-                    if x_star is None:
-                        from .meanfield import minimize
-                        x_star = minimize(model).x_star
-                    mf_start = mean_field_state(model, basis, x_star)
-                v0 = mf_start[idx]
-            if v0 is not None and not v0.any():
-                v0 = None    # no weight in this block: seeded random start
-            Hs = H if idx.size == basis.dim else H[idx][:, idx]
-            gs = ground_state(Hs, tol=tol, seed=seed + offset, v0=v0)
-            psi[idx] = gs.vector
-        if exact.size:
-            e_exact = H.data[H.indptr[exact]]
-            low = int(np.argmin(e_exact))
-            if gs is None or e_exact[low] <= gs.e0 + gs.residual_norm:
-                psi = np.zeros(basis.dim)
-                psi[exact[low]] = 1.0
-                gs = GroundState(e0=float(e_exact[low]), vector=psi,
-                                 iterations=gs.iterations if gs else 0, residual_norm=0.0,
-                                 seed=seed + offset, method="exact")
+    blocks = _blocks(H)
+    start = None
+    if warm is not None:
+        start = np.zeros(basis.dim)
+        start[:warm.size] = warm
+    solves = []
+    vectors = np.zeros(basis.dim)
+    for b, idx in enumerate(blocks):
+        v0 = None
+        if idx.size > DENSE_CUTOFF:
+            if start is None:
+                if x_star is None:
+                    x_star = meanfield.minimize(model).x_star
+                start = mean_field_state(model, basis, x_star)
+            if start[idx].any():
+                v0 = start[idx]
+        Hs = H if idx.size == basis.dim else H[idx][:, idx]
+        gs = ground_state(Hs, tol=tol, seed=seed + b, v0=v0)
+        vectors[idx] = gs.vector
         solves.append(gs)
-        vectors.append(psi)
-    best = 0
-    if len(solves) == 2:
-        even, odd = solves
-        best = int(odd.e0 < even.e0 - (even.residual_norm + odd.residual_norm))
+    e0 = np.array([gs.e0 for gs in solves])
+    resid = np.array([gs.residual_norm for gs in solves])
+    low = int(np.argmin(e0))
+    tied = e0 - (resid + resid[low]) <= e0[low]
+    even = parity_signs(basis)[[idx[0] for idx in blocks]] > 0
+    best = next((int(b) for b in np.flatnonzero(tied & even)), low)
     gs = solves[best]
-    res = observables(
-        vectors[best], basis, model, e0=gs.e0, lanczos_iterations=gs.iterations,
+    psi = np.zeros(basis.dim)
+    psi[blocks[best]] = gs.vector
+    res = dataclasses.replace(
+        observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
         residual_norm=gs.residual_norm, seed=seed, method=gs.method,
-        keep_state=keep_state)
+        psi0=psi if keep_state else None)
     return res, vectors
 
 
@@ -469,15 +440,13 @@ def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
     from the previous step's ground vectors.  Failures carry the
     (n_max, e0) pairs measured so far as ``trace``.
     """
-    from .meanfield import minimize
-
     if n_atoms is not None:
         model = model.with_n_atoms(n_atoms)
-    x_mf = minimize(model).x_star
+    x_mf = meanfield.minimize(model).x_star
     n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
     prev: EDResult | None = None
-    warm: list[np.ndarray] | None = None
+    warm: np.ndarray | None = None
     for _ in range(max_steps):
         try:
             res, warm = _ed_ground(model, n, tol, seed, max_dim, keep_state, warm, x_mf)

@@ -291,6 +291,15 @@ class TestExitCodes:
         assert main([cfg, "-o", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["path"] == f"$.scan.tie.{key}"
 
+    def test_cpb_cutoff_bounded(self, tmp_path):
+        # checked before the (2 n_cut + 1)^2 spectrum would be allocated
+        cfg = write_config(tmp_path, {"command": "cpb-sweet-spot",
+                                      "cpb": {"ec": 1.0, "ej": 0.05, "ng": 0.5, "n_cut": 10**6}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["path"] == "$.cpb" and "at most 1000" in record["message"]
+
     @pytest.mark.parametrize("model, values", [
         (ladder_model(lam01=0.1), [1.0, 1e300]),
         ({**ladder_model(lam01=0.1), "omega": 1e-320}, [1.0, 1.3]),

@@ -15,7 +15,6 @@ from dickelab import (
     build_basis,
     build_hamiltonian,
     converge_cutoff,
-    coupling_graph_connected,
     ed_ground,
     energy_density,
     ground_state,
@@ -27,7 +26,7 @@ from dickelab import (
     parity_signs,
     two_level,
 )
-from dickelab.exactdiag import dump_state, ed_csv_header, ed_csv_row
+from dickelab.exactdiag import _blocks, dump_state, ed_csv_header, ed_csv_row
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
 
@@ -157,6 +156,26 @@ class TestHamiltonian:
         H = build_hamiltonian(m, basis).tocoo()
         assert np.all(signs[H.row] == signs[H.col])
 
+    def test_blocks_follow_conserved_quantities(self):
+        basis = build_basis(4, 3, 8)
+        signs = parity_signs(basis)
+        blocks = _blocks(build_hamiltonian(ladder(1.0, 1.0, 2.0, 0.1, 1.2, n_atoms=4), basis))
+        assert len(blocks) == 2
+        for block, sign in zip(blocks, (1.0, -1.0)):     # block 0 is the even sector
+            np.testing.assert_array_equal(block, np.flatnonzero(signs == sign))
+        # V-type: (-1)^(n + number of excited atoms) is conserved, Pi is not
+        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
+        blocks = _blocks(build_hamiltonian(DickeModel(1.0, vtype, n_atoms=4), basis))
+        n_ph, rank = np.divmod(np.arange(basis.dim), basis.n_atomic)
+        excited_parity = (n_ph + 4 - basis.atomic_states[rank, 0]) % 2
+        assert len(blocks) == 2
+        assert all(np.unique(excited_parity[block]).size == 1 for block in blocks)
+        # lam01 = 0: m_0 is conserved
+        blocks = _blocks(build_hamiltonian(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4), basis))
+        m0 = basis.atomic_states[rank, 0]
+        assert all(np.unique(m0[block]).size == 1 for block in blocks)
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.dim))
+
     def test_parity_incompatible_when_even_hop_coupled(self):
         atom = AtomSpec([0.0, 1.0, 2.0],
                         [[0.0, 0.0, 0.4], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
@@ -193,10 +212,9 @@ class TestGroundState:
             if n_max < 4:
                 continue
             H = build_hamiltonian(m, build_basis(m.n_atoms, m.atom.d, n_max))
-            dense = ground_state(H)
+            dense = sla.eigh(H.toarray(), subset_by_index=(0, 0))[0][0]
             lanc = ground_state(H, force_lanczos=True, seed=done)
-            scale = max(1.0, abs(dense.e0))
-            assert abs(lanc.e0 - dense.e0) <= 1e-10 * scale
+            assert abs(lanc.e0 - dense) <= 1e-10 * max(1.0, abs(dense))
             done += 1
 
     def test_superradiant_energy_drops(self):
@@ -261,7 +279,7 @@ class TestObservables:
     def test_superradiant_ladder(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
         res = converge_cutoff(m, tol_e=1e-8)
-        assert res.populations[0] < 0.3
+        assert res.populations[0] == 0.0      # the winning block has m_0 = 0
         assert res.photon_density > 0.5
         assert abs(abs(res.parity) - 1.0) <= 1e-12
         assert abs(res.populations.sum() - 1.0) <= 1e-10
@@ -321,17 +339,23 @@ class TestEdGround:
         m = ladder(1.0, 1.0, 2.0, lam01, 1.5, n_atoms=n_atoms)
         runs = [converge_cutoff(m, seed=seed) for seed in (1, 2, 3, 1234)]
         assert {round(r.parity) for r in runs} == {1}
-        e = [r.e0_per_atom for r in runs]
-        assert max(e) - min(e) <= 1e-12
-        if lam01 != 0.0:    # mean-field start: no seed enters the solve
-            assert len(set(e)) == 1 and len({r.parity for r in runs}) == 1
+        # the winning block starts from the mean-field state: no seed enters
+        assert len({r.e0_per_atom for r in runs}) == 1
+        assert len({r.parity for r in runs}) == 1
+
+    @pytest.mark.parametrize("lam12", [1.2, 1.21, 1.25])
+    def test_disconnected_couplings_match_dense(self, lam12):
+        # lam01 = 0 near the first-order transition: m_0 blocks compete
+        m = ladder(1.0, 1.0, 2.0, 0.0, lam12, n_atoms=6)
+        H = build_hamiltonian(m, build_basis(6, 3, 30))
+        assert ed_ground(m, n_max=30).e0 == pytest.approx(sla.eigvalsh(H.toarray())[0], abs=1e-10)
 
     def test_isolated_state_taken_exactly(self):
         # lam01 = 0: |n=0, (N, 0, 0)> has no off-diagonal entry and E = 0 is
         # the ground energy, below everything the 1-2 coupling reaches
         m = ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=30)
         res = ed_ground(m, n_max=16)
-        assert res.e0 == 0.0 and res.method == "exact"
+        assert res.e0 == 0.0 and res.method == "dense"
         assert res.parity == 1.0 and res.residual_norm == 0.0
         np.testing.assert_array_equal(res.populations, [1.0, 0.0, 0.0])
 
@@ -370,13 +394,6 @@ class TestMeanFieldStart:
         psi = mean_field_state(m, basis, 0.0)
         np.testing.assert_array_equal(np.abs(psi), np.eye(basis.dim)[0])
 
-    def test_coupling_graph_connected(self):
-        assert coupling_graph_connected(ladder(1.0, 1.0, 2.0, 0.1, 1.5).atom)
-        assert not coupling_graph_connected(ladder(1.0, 1.0, 2.0, 0.0, 1.5).atom)
-        assert not coupling_graph_connected(two_level(1.0, 1.0, 0.0).atom)
-        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.3, 0.2], [0.3, 0.0, 0.0], [0.2, 0.0, 0.0]])
-        assert coupling_graph_connected(vtype)
-
     @pytest.mark.parametrize("n_atoms", [6, 8])
     @pytest.mark.parametrize("lam12", [1.15, 1.2, 1.25])
     @pytest.mark.parametrize("lam01", [0.02, 0.05, 0.1])
@@ -391,7 +408,8 @@ class TestMeanFieldStart:
             Hs = H[idx][:, idx]
             v0 = start[idx] if start[idx].any() else None
             lanc = ground_state(Hs, force_lanczos=True, v0=v0)
-            assert abs(lanc.e0 - ground_state(Hs).e0) <= 1e-8
+            dense = sla.eigh(Hs.toarray(), subset_by_index=(0, 0))[0][0]
+            assert abs(lanc.e0 - dense) <= 1e-8
 
     def test_fewer_matvecs_than_random_start(self):
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20)
