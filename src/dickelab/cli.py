@@ -51,6 +51,8 @@ from .meanfield import (
     DEFAULT_N_POINTS,
     DEFAULT_REL_WIDTH,
     DEFAULT_X_TOL,
+    GRID_POINTS_MAX,
+    N_POINTS_MAX,
     critical_coupling,
     no_go_check,
     scan_order_parameter,
@@ -186,7 +188,7 @@ def _parse_scan(doc, path, command, d) -> dict:
         if out["lambda_max"] <= 0:
             raise ConfigError(f"{path}.lambda_max", "must be positive")
         out["n_points"] = config_int(doc.get("n_points", DEFAULT_N_POINTS),
-                                     f"{path}.n_points", minimum=100)
+                                     f"{path}.n_points", minimum=100, maximum=N_POINTS_MAX)
         out["kappa_rule"] = doc.get("kappa_rule", "fixed")
         if out["kappa_rule"] not in ("fixed", "trk-ground"):
             raise ConfigError(f"{path}.kappa_rule", "expected 'fixed' or 'trk-ground'")
@@ -249,7 +251,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         for key, raw in doc["tolerances"].items():
             path = f"$.tolerances.{key}"
             if key == "grid_points":
-                value = config_int(raw, path, minimum=2)
+                value = config_int(raw, path, minimum=2, maximum=GRID_POINTS_MAX)
             else:
                 value = config_number(raw, path)
                 if value <= 0:

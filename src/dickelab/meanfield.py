@@ -9,7 +9,9 @@ per atom is
 The global minimum over x decides the phase: x* = 0 is normal, x* > 0 is
 superradiant.  Minimization runs on a uniform grid (every grid-resolved
 local minimum is refined by golden-section search), which is what makes
-first-order transitions with competing minima safe to classify.
+first-order transitions with competing minima safe to classify.  A batch of
+parameter sets walks the grid a fixed number of single-atom matrices at a
+time, so the grid stage's memory does not grow with the batch size.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ DEFAULT_JUMP_THRESHOLD = 0.05
 DEFAULT_REL_WIDTH = 1e-8
 DEFAULT_DELTA_REL = 1e-4
 DEFAULT_N_POINTS = 200
+N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points d^2)
+GRID_POINTS_MAX = 65_536    # one grid row holds GRID_POINTS_MAX d^2 doubles, 4.7 MB at d=3
+
+_GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
 
 
 @dataclass(frozen=True)
@@ -107,34 +113,47 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
 def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
                  n_grid: int = DEFAULT_GRID, x_tol: float = DEFAULT_X_TOL
                  ) -> list[MeanFieldSolution]:
-    """Minimize e(x) on [0, x_max] for B parameter sets in one vectorized pass."""
+    """Minimize e(x) on [0, x_max] for B parameter sets.
+
+    The grid stage streams over the parameter sets, max(1, _GRID_CHUNK //
+    n_grid) rows per eigvalsh call, so its memory is bounded by the chunk
+    and not by B.  The golden-section refinement then runs on every bracket
+    of the batch at once, and one batched eigh gives each x*'s occupations.
+    LAPACK solves each matrix on its own, so the chunk size does not change
+    any result.
+    """
     B = couplings.shape[0]
     x_hi = _x_max(omega_eff, energies, couplings)
     grid = np.linspace(0.0, 1.0, n_grid)
-    xs = x_hi[:, None] * grid[None, :]
-    e = _energies(omega_eff[:, None], energies, couplings[:, None], xs)
+    rows = max(1, _GRID_CHUNK // n_grid)
 
     # bracket every grid-resolved local minimum, boundaries included
     owners, los, his = [], [], []
-    for b in range(B):
-        eb = e[b]
-        interior = np.flatnonzero((eb[1:-1] <= eb[:-2]) & (eb[1:-1] <= eb[2:])) + 1
-        idx = list(interior)
-        if eb[0] <= eb[1]:
-            idx.append(0)
-        if eb[-1] <= eb[-2]:
-            idx.append(n_grid - 1)
-        for i in idx:
-            owners.append(b)
-            los.append(xs[b, max(i - 1, 0)])
-            his.append(xs[b, min(i + 1, n_grid - 1)])
+    for start in range(0, B, rows):
+        chunk = slice(start, start + rows)
+        xs = x_hi[chunk, None] * grid[None, :]
+        e = _energies(omega_eff[chunk, None], energies, couplings[chunk, None], xs)
+        for b, eb, xb in zip(range(start, B), e, xs):
+            interior = np.flatnonzero((eb[1:-1] <= eb[:-2]) & (eb[1:-1] <= eb[2:])) + 1
+            idx = list(interior)
+            if eb[0] <= eb[1]:
+                idx.append(0)
+            if eb[-1] <= eb[-2]:
+                idx.append(n_grid - 1)
+            for i in idx:
+                owners.append(b)
+                los.append(xb[max(i - 1, 0)])
+                his.append(xb[min(i + 1, n_grid - 1)])
     owners = np.array(owners)
     lo = np.array(los)
     hi = np.array(his)
 
     # golden-section refinement, vectorized across all brackets
+    owner_omega = omega_eff[owners]
+    owner_couplings = couplings[owners]
+
     def feval(points):
-        return _energies(omega_eff[owners], energies, couplings[owners], points)
+        return _energies(owner_omega, energies, owner_couplings, points)
 
     h = hi - lo
     x_atol = 1e-12 * max(1.0, float(x_hi.max()))
@@ -160,9 +179,11 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     x_ref = np.where(f1 < f2, x1, x2)
     e_ref = np.minimum(f1, f2)
 
-    solutions = []
+    # owners ascend, so parameter set b owns brackets bounds[b]:bounds[b + 1]
+    bounds = np.searchsorted(owners, np.arange(B + 1))
+    x_star, minima = [], []
     for b in range(B):
-        sel = owners == b
+        sel = slice(bounds[b], bounds[b + 1])
         cand_x = np.concatenate([[0.0], x_ref[sel]])
         cand_e = np.concatenate([[0.0], e_ref[sel]])  # e(0) = eps_0 = 0 exactly
         cand_x = np.where(cand_x <= x_tol, 0.0, cand_x)
@@ -176,19 +197,23 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
             else:
                 keep_x.append(xv)
                 keep_e.append(ev)
-        best = int(np.argmin(keep_e))
-        x_star = float(keep_x[best])
-        vals, vecs = np.linalg.eigh(single_atom_matrices(energies, couplings[b], x_star))
-        occ = vecs[:, 0] ** 2
-        occ.flags.writeable = False
-        e_star = float(omega_eff[b] * x_star**2 + vals[0])
-        solutions.append(MeanFieldSolution(
-            x_star=x_star,
-            e_star=e_star,
-            occupations=occ,
-            local_minima=tuple((float(a), float(c)) for a, c in zip(keep_x, keep_e)),
-        ))
-    return solutions
+        x_star.append(float(keep_x[int(np.argmin(keep_e))]))
+        minima.append(tuple((float(a), float(c)) for a, c in zip(keep_x, keep_e)))
+
+    vals, vecs = np.linalg.eigh(single_atom_matrices(energies, couplings, np.array(x_star)))
+    occ = vecs[:, :, 0] ** 2
+    occ.flags.writeable = False
+    # e* per set from the scalar x**2 (C pow), which can differ in the last
+    # bit from numpy's array square
+    return [
+        MeanFieldSolution(
+            x_star=x_star[b],
+            e_star=float(omega_eff[b] * x_star[b]**2 + vals[b, 0]),
+            occupations=occ[b],
+            local_minima=minima[b],
+        )
+        for b in range(B)
+    ]
 
 
 def minimize(model: DickeModel, n_grid: int = DEFAULT_GRID,
@@ -307,8 +332,8 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     """
     if not lambda_max > 0:
         raise ValueError("lambda_max must be positive")
-    if n_points < 100:
-        raise ValueError("n_points must be at least 100")
+    if not 100 <= n_points <= N_POINTS_MAX:
+        raise ValueError(f"n_points must be between 100 and {N_POINTS_MAX}")
     vals = np.linspace(0.0, lambda_max, n_points)
     C, omega_eff = _scan_arrays(model, which, vals, tie=None)
     if kappa_rule == "trk-ground":

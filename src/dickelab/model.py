@@ -216,12 +216,16 @@ def config_number(value, path: str) -> float:
     return number
 
 
-def config_int(value, path: str, *, minimum: int | None = None) -> int:
-    """A JSON integer (bool excluded) >= minimum when given, else ConfigError at path."""
+def config_int(value, path: str, *, minimum: int | None = None,
+               maximum: int | None = None) -> int:
+    """A JSON integer (bool excluded) within [minimum, maximum] where given,
+    else ConfigError at path."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be at most {maximum}")
     return value
 
 

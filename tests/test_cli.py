@@ -300,6 +300,22 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["path"] == "$.cpb" and "at most 1000" in record["message"]
 
+    @pytest.mark.parametrize("command, block, path, limit", [
+        ("no-go", {"scan": {"coupling": [1, 2], "lambda_max": 2.0, "n_points": 10**9}},
+         "$.scan.n_points", "at most 100000"),
+        ("critical", {"scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]},
+                      "tolerances": {"grid_points": 10**9}},
+         "$.tolerances.grid_points", "at most 65536"),
+    ])
+    def test_mean_field_sizes_bounded(self, tmp_path, command, block, path, limit):
+        # checked before a grid of 10**9 points or parameter sets is allocated
+        cfg = write_config(tmp_path, {"command": command,
+                                      "model": ladder_model(lam01=0.1), **block})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["path"] == path and limit in record["message"]
+
     @pytest.mark.parametrize("model, values", [
         (ladder_model(lam01=0.1), [1.0, 1e300]),
         ({**ladder_model(lam01=0.1), "omega": 1e-320}, [1.0, 1.3]),

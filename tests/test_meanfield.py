@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from dickelab import (
     two_level,
     write_scan_csv,
 )
-from dickelab.meanfield import _x_max
+from dickelab import meanfield
+from dickelab.meanfield import _scan_arrays, _solve_batch, _x_max
 
 
 def random_atom(rng, d):
@@ -173,6 +176,43 @@ class TestScan:
         assert tied[0].x_star == pytest.approx(explicit[0].x_star, abs=1e-8)
 
 
+class TestGridChunks:
+    @staticmethod
+    def _batches():
+        # a tied ladder scan and a TRK-saturated no-go batch, B = 1000 and
+        # 300, neither a multiple of the default 32 rows per chunk
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5)
+        scan = scan_order_parameter(m, (1, 2), np.linspace(0.0, 2.0, 1000),
+                                    tie={(0, 1): 0.05})
+        C, _ = _scan_arrays(m, (0, 1), np.linspace(0.0, 3.0, 300), tie=None)
+        omega_eff = m.omega + 4.0 * C[:, 0, 1] ** 2 / float(m.atom.energies[1])
+        return scan + _solve_batch(omega_eff, m.atom.energies, C)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        default = self._batches()
+        monkeypatch.setattr(meanfield, "_GRID_CHUNK", meanfield.DEFAULT_GRID)  # one row each
+        single = self._batches()
+        assert [s.x_star for s in single] == [s.x_star for s in default]
+        assert [s.e_star for s in single] == [s.e_star for s in default]
+        assert [s.local_minima for s in single] == [s.local_minima for s in default]
+        for a, b in zip(single, default):
+            assert np.array_equal(a.occupations, b.occupations)
+            assert not a.occupations.flags.writeable
+            with pytest.raises(ValueError):
+                a.occupations[0] = 1.0
+
+    def test_scan_memory_bounded_by_chunk(self):
+        # the whole-batch grid stack of a 2000-point d=3 scan is 74 MB on its own
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5)
+        tracemalloc.start()
+        try:
+            scan_order_parameter(m, (1, 2), np.linspace(0.0, 2.0, 2000), n_grid=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+
 class TestCriticalCoupling:
     def test_two_level_standard(self):
         tp = critical_coupling(two_level(1.0, 1.0, 0.1), (0, 1), (0.3, 0.8))
@@ -258,6 +298,8 @@ class TestNoGo:
             no_go_check(m, 0.0)
         with pytest.raises(ValueError, match="n_points"):
             no_go_check(m, 1.0, n_points=50)
+        with pytest.raises(ValueError, match="n_points"):
+            no_go_check(m, 1.0, n_points=meanfield.N_POINTS_MAX + 1)
         atom = AtomSpec([0.0, 0.0, 1.0], np.zeros((3, 3)))
         with pytest.raises(ValueError, match="degenerate ground transition"):
             no_go_check(DickeModel(1.0, atom), 1.0, kappa_rule="trk-ground")
