@@ -19,8 +19,6 @@ from .model import (
     TrkReport,
     ladder,
     model_from_dict,
-    model_to_dict,
-    single_atom_matrix,
     trk_report,
     two_level,
 )

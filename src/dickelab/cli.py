@@ -10,9 +10,8 @@ Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence,
 bad bracket), 4 resource limit.  Failures leave a machine-readable
 error.json in the output directory when it is writable.
 
-DICKELAB_WORKERS (default 1) fans ed-nscan system sizes out to a process
-pool; results are collected in submission order so artifacts stay
-byte-identical for a fixed config and seed.
+ed-nscan solves its system sizes one after another in n_list order and
+keeps only each finished ed.csv row, not the ground vector behind it.
 """
 
 from __future__ import annotations
@@ -22,13 +21,10 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Mapping
 
 from . import __version__
@@ -296,29 +292,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _ed_result_csv(path: Path, rows: list, model: DickeModel) -> None:
+def _write_ed_csv(path: Path, d: int, rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ed_csv_header(model.atom.d))
-        for result, row_model in rows:
-            writer.writerow(ed_csv_row(result, row_model))
-
-
-def _nscan_job(args):
-    model, n, tol_e, lanczos_tol, seed, max_dim = args
-    return converge_cutoff(model, tol_e=tol_e, n_atoms=n, tol=lanczos_tol,
-                           seed=seed, max_dim=max_dim)
-
-
-def _workers() -> int:
-    raw = os.environ.get("DICKELAB_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError("DICKELAB_WORKERS", f"expected an integer >= 1, got {raw!r}")
-    return workers
+        writer.writerow(ed_csv_header(d))
+        writer.writerows(rows)
 
 
 def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
@@ -358,30 +336,20 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
     elif cfg.command == "ed-ground":
         if cfg.ed_n_max is not None:
             res = ed_ground(cfg.model, cfg.ed_n_max, tol=cfg.tol("lanczos_tol"),
-                            seed=cfg.seed, max_dim=cfg.ed_max_dim,
-                            keep_state=cfg.ed_dump_state)
+                            seed=cfg.seed, max_dim=cfg.ed_max_dim)
         else:
             res = converge_cutoff(cfg.model, tol_e=cfg.tol("tol_e"),
                                   tol=cfg.tol("lanczos_tol"), seed=cfg.seed,
-                                  max_dim=cfg.ed_max_dim,
-                                  keep_state=cfg.ed_dump_state)
-        _ed_result_csv(emit("ed.csv"), [(res, cfg.model)], cfg.model)
+                                  max_dim=cfg.ed_max_dim)
+        _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, [ed_csv_row(res, cfg.model)])
         if cfg.ed_dump_state:
-            shape = SimpleNamespace(n_atoms=res.n_atoms, d=cfg.model.atom.d,
-                                    n_max=res.n_max_used)
-            dump_state(emit("psi0.npz"), res.psi0, shape)
+            dump_state(emit("psi0.npz"), res)
     elif cfg.command == "ed-nscan":
-        jobs = [(cfg.model, n, cfg.tol("tol_e"), cfg.tol("lanczos_tol"),
-                 cfg.seed, cfg.ed_max_dim) for n in cfg.ed_n_list]
-        workers = _workers()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_nscan_job, jobs))
-        else:
-            results = [_nscan_job(job) for job in jobs]
-        rows = [(res, cfg.model.with_n_atoms(n))
-                for res, n in zip(results, cfg.ed_n_list)]
-        _ed_result_csv(emit("ed.csv"), rows, cfg.model)
+        rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), tol_e=cfg.tol("tol_e"),
+                                           tol=cfg.tol("lanczos_tol"), seed=cfg.seed,
+                                           max_dim=cfg.ed_max_dim), cfg.model)
+                for n in cfg.ed_n_list]
+        _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, rows)
     elif cfg.command == "cpb-sweet-spot":
         write_cpb_csv(emit("cpb.csv"), cfg.cpb_specs)
     elif cfg.command == "trk-check":

@@ -22,6 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 
 N_CUT_MAX = 1000    # the dense spectrum holds (2 n_cut + 1)^2 doubles, 32 MB here
+DEG_TOL = 1e-12     # levels closer than this, relative to the spectral scale, coincide
+SEPARATION_FACTOR = 3.0   # a third level nearer than this many qubit splittings is flagged
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,20 @@ class SweetSpotReport:
     degenerate_pair: bool
 
 
-def verify_sweet_spot_states(spec: CpbSpec, deg_tol: float = 1e-12) -> SweetSpotReport:
+def verify_sweet_spot_states(spec: CpbSpec) -> SweetSpotReport:
     """Overlap of the two lowest eigenstates with (|n> +/- |n+1>)/sqrt(2).
 
-    Requires n_g = n + 1/2.  If the lowest two states are numerically
-    degenerate (E_J = 0), overlaps are taken against the degenerate
-    subspace, which lifts the basis ambiguity.  A third state degenerate
-    with the pair is an error.
+    Requires n_g = n + 1/2.  If the lowest two states are degenerate within
+    DEG_TOL (E_J = 0), overlaps are taken against the degenerate subspace,
+    which lifts the basis ambiguity.  A third state degenerate with the
+    pair is an error.
     """
     n = math.floor(spec.ng)
     if abs(spec.ng - n - 0.5) > 1e-9:
         raise ValueError(f"ng = {spec.ng} is not at a sweet spot n + 1/2")
     w, v = _spectrum(spec)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[2] - w[0] <= deg_tol * scale:
+    if w[2] - w[0] <= DEG_TOL * scale:
         raise ValueError("ground-state degeneracy beyond tolerance: "
                          "three or more states coincide at the sweet spot")
     i_n = n + spec.n_cut
@@ -104,7 +106,7 @@ def verify_sweet_spot_states(spec: CpbSpec, deg_tol: float = 1e-12) -> SweetSpot
     target_g[i_n] = target_g[i_n + 1] = 1.0 / math.sqrt(2.0)
     target_e[i_n] = 1.0 / math.sqrt(2.0)
     target_e[i_n + 1] = -1.0 / math.sqrt(2.0)
-    degenerate = (w[1] - w[0]) <= deg_tol * scale
+    degenerate = (w[1] - w[0]) <= DEG_TOL * scale
     if degenerate:
         # any basis of the 2d ground space works; project the targets on it
         sub = v[:, :2]
@@ -125,16 +127,16 @@ class TwoLevelReduction:
     near_degenerate: bool
 
 
-def two_level_reduction(spec: CpbSpec, separation_factor: float = 3.0) -> TwoLevelReduction:
+def two_level_reduction(spec: CpbSpec) -> TwoLevelReduction:
     """Effective qubit splitting E_1 - E_0 and charge coupling |<1|n|0>|.
 
-    near_degenerate flags a third level closer than separation_factor times
+    near_degenerate flags a third level closer than SEPARATION_FACTOR times
     the qubit splitting, where a two-level truncation stops being valid.
     """
     w, v = _spectrum(spec)
     omega0 = float(w[1] - w[0])
     elem = float(abs(v[:, 1] @ (spec.charges * v[:, 0])))
-    near = (w[2] - w[1]) < separation_factor * omega0
+    near = (w[2] - w[1]) < SEPARATION_FACTOR * omega0
     levels = tuple(float(x) for x in w[:4])
     return TwoLevelReduction(omega0_eff=omega0, charge_matrix_element=elem,
                              e_levels=levels, near_degenerate=near)

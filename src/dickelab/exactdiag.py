@@ -312,11 +312,11 @@ class EDResult:
     parity: float
     n_max_used: int
     n_atoms: int
+    psi0: np.ndarray = field(repr=False)
     lanczos_iterations: int = 0
     residual_norm: float = math.nan
     seed: int = 0
     method: str = ""
-    psi0: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def e0_per_atom(self) -> float:
@@ -325,7 +325,8 @@ class EDResult:
 
 def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> EDResult:
     """Per-atom densities of a normalized state: photon number, quadrature
-    (a + a')^2, level populations, and photon parity."""
+    (a + a')^2, level populations, and photon parity.  The state itself is
+    kept as psi0."""
     if model.atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
     N = basis.n_atoms
@@ -345,7 +346,7 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
     signs = parity_signs(basis)
     parity = float(signs @ (psi.ravel() ** 2))
     return EDResult(e0=math.nan, photon_density=photon, quad=quad, populations=populations,
-                    parity=parity, n_max_used=basis.n_max, n_atoms=N)
+                    parity=parity, n_max_used=basis.n_max, n_atoms=N, psi0=psi.ravel())
 
 
 def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
@@ -360,9 +361,11 @@ def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
 
 
 def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
-              seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
-              keep_state: bool = False) -> EDResult:
+              seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
+
+    The result carries the normalized ground vector as psi0, over the full
+    basis and zero outside the winning block.
 
     H is split into the connected components of its sparsity graph (see the
     module docstring), ordered by their lowest basis index, and block b is
@@ -374,11 +377,11 @@ def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
     part of the mean-field product state (mean_field_state at the global
     minimum x*), or from the seeded random vector where that part is zero.
     """
-    return _ed_ground(model, n_max, tol, seed, max_dim, keep_state)[0]
+    return _ed_ground(model, n_max, tol, seed, max_dim)[0]
 
 
 def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
-               max_dim: int, keep_state: bool, warm: np.ndarray | None = None,
+               max_dim: int, warm: np.ndarray | None = None,
                x_star: float | None = None) -> tuple[EDResult, np.ndarray]:
     """ed_ground, plus the ground vectors of all blocks as one full-basis vector.
 
@@ -422,40 +425,36 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
     psi[blocks[best]] = gs.vector
     res = dataclasses.replace(
         observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
-        residual_norm=gs.residual_norm, seed=seed, method=gs.method,
-        psi0=psi if keep_state else None)
+        residual_norm=gs.residual_norm, seed=seed, method=gs.method)
     return res, vectors
 
 
 def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
-                    n_atoms: int | None = None, tol: float = DEFAULT_TOL,
-                    seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
-                    max_steps: int = 16, keep_state: bool = False) -> EDResult:
+                    tol: float = DEFAULT_TOL, seed: int = 1234,
+                    max_dim: int = MAX_DIM_DEFAULT, max_steps: int = 16) -> EDResult:
     """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to tol_e.
 
     The starting cutoff comes from the mean-field photon density:
     n_max0 = max(8, ceil(4 N x*^2) + 16).  The first step starts its ARPACK
     solves from the mean-field product state at that x* (see ed_ground for
     when the seeded random vector is used instead); each later step starts
-    from the previous step's ground vectors.  Failures carry the
-    (n_max, e0) pairs measured so far as ``trace``.
+    from the previous step's ground vectors.  The result is the last step's
+    ed_ground result, psi0 included; only the e0 of earlier steps is kept.
+    Failures carry the (n_max, e0) pairs measured so far as ``trace``.
     """
-    if n_atoms is not None:
-        model = model.with_n_atoms(n_atoms)
     x_mf = meanfield.minimize(model).x_star
     n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
-    prev: EDResult | None = None
     warm: np.ndarray | None = None
     for _ in range(max_steps):
         try:
-            res, warm = _ed_ground(model, n, tol, seed, max_dim, keep_state, warm, x_mf)
+            res, warm = _ed_ground(model, n, tol, seed, max_dim, warm, x_mf)
         except ResourceLimitError as exc:
             raise ResourceLimitError(str(exc), trace=trace) from exc
         trace.append((n, res.e0))
-        if prev is not None and abs(res.e0 - prev.e0) <= tol_e:
+        if len(trace) > 1 and abs(res.e0 - trace[-2][1]) <= tol_e:
             return res
-        prev = res
+        del res  # free its psi0 before the next, larger step
         n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(
         f"e0 not stable to {tol_e:g} after {max_steps} cutoff steps", trace=trace)
@@ -486,15 +485,15 @@ def ed_csv_row(result: EDResult, model: DickeModel) -> list:
             + [repr(result.parity), repr(result.residual_norm), result.seed])
 
 
-def dump_state(path, psi0: np.ndarray, basis: SymmetricBasis) -> None:
-    """Binary ground-state dump: nonzero coefficients, largest magnitude first.
+def dump_state(path, result: EDResult) -> None:
+    """Binary ground-state dump of result.psi0: nonzero coefficients, largest
+    magnitude first.
 
     Layout (npz): indices (int64 basis indices, n_ph*A + atomic_rank),
-    coefficients (float64), n_atoms, d, n_max.  Only those three attributes
-    of basis are read, so any object that carries them will do.
+    coefficients (float64), n_atoms, d, n_max (result.n_max_used).
     """
-    psi0 = np.asarray(psi0, dtype=float)
+    psi0 = result.psi0
     nz = np.flatnonzero(psi0)
     order = nz[np.argsort(-np.abs(psi0[nz]), kind="stable")]
     np.savez(path, indices=order.astype(np.int64), coefficients=psi0[order],
-             n_atoms=basis.n_atoms, d=basis.d, n_max=basis.n_max)
+             n_atoms=result.n_atoms, d=result.populations.size, n_max=result.n_max_used)

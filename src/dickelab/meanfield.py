@@ -118,8 +118,9 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     The grid stage streams over the parameter sets, max(1, _GRID_CHUNK //
     n_grid) rows per eigvalsh call, so its memory is bounded by the chunk
     and not by B.  The golden-section refinement then runs on every bracket
-    of the batch at once, and one batched eigh gives each x*'s occupations.
-    LAPACK solves each matrix on its own, so the chunk size does not change
+    of the batch at once.  e* is _energies at x*, the formula energy_density
+    uses, and one batched eigh gives each x*'s occupations.  LAPACK solves
+    each matrix on its own, so neither the chunk size nor the batch changes
     any result.
     """
     B = couplings.shape[0]
@@ -200,15 +201,14 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
         x_star.append(float(keep_x[int(np.argmin(keep_e))]))
         minima.append(tuple((float(a), float(c)) for a, c in zip(keep_x, keep_e)))
 
-    vals, vecs = np.linalg.eigh(single_atom_matrices(energies, couplings, np.array(x_star)))
-    occ = vecs[:, :, 0] ** 2
+    x_star = np.array(x_star)
+    e_star = _energies(omega_eff, energies, couplings, x_star)
+    occ = np.linalg.eigh(single_atom_matrices(energies, couplings, x_star))[1][:, :, 0] ** 2
     occ.flags.writeable = False
-    # e* per set from the scalar x**2 (C pow), which can differ in the last
-    # bit from numpy's array square
     return [
         MeanFieldSolution(
-            x_star=x_star[b],
-            e_star=float(omega_eff[b] * x_star[b]**2 + vals[b, 0]),
+            x_star=float(x_star[b]),
+            e_star=float(e_star[b]),
             occupations=occ[b],
             local_minima=minima[b],
         )

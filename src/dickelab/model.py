@@ -145,15 +145,6 @@ def single_atom_matrices(energies: np.ndarray, couplings: np.ndarray, x) -> np.n
     return np.diag(energies) + (2.0 * np.asarray(x)[..., None, None]) * couplings
 
 
-def single_atom_matrix(atom: AtomSpec, x: float) -> np.ndarray:
-    """Single-atom Hamiltonian diag(eps) + 2 x lam at photon amplitude x.
-
-    x may be negative; the mean-field solvers only use x >= 0 (the two signs
-    are related by the photon parity of H).
-    """
-    return single_atom_matrices(atom.energies, atom.couplings, x)
-
-
 @dataclass(frozen=True)
 class TrkReport:
     """Ground-transition oscillator-strength bound on the diamagnetic term.
@@ -296,15 +287,3 @@ def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
             if atom.couplings[0, 2] != 0.0:
                 raise ConfigError(f"{path}.atom.couplings", "ladder models require coupling (0, 2) == 0")
     return model
-
-
-def model_to_dict(model: DickeModel) -> dict:
-    return {
-        "omega": model.omega,
-        "kappa": model.kappa,
-        "n_atoms": model.n_atoms,
-        "atom": {
-            "energies": [float(e) for e in model.atom.energies],
-            "couplings": [[float(v) for v in row] for row in model.atom.couplings],
-        },
-    }

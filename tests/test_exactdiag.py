@@ -287,14 +287,14 @@ class TestObservables:
     def test_first_moment_vanishes(self):
         # parity symmetry forces <a + a'> = 0 even deep in the phase
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
-        res = converge_cutoff(m, tol_e=1e-8, keep_state=True)
+        res = converge_cutoff(m, tol_e=1e-8)
         basis = build_basis(6, 3, res.n_max_used)
         X = displacement_operator(basis)
         assert abs(res.psi0 @ (X @ res.psi0)) <= 1e-10
 
     def test_parity_twirl_leaves_energy(self):
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=5)
-        res = ed_ground(m, n_max=30, keep_state=True)
+        res = ed_ground(m, n_max=30)
         basis = build_basis(5, 3, 30)
         H = build_hamiltonian(m, basis)
         signs = parity_signs(basis)
@@ -447,7 +447,7 @@ class TestConvergeCutoff:
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5)
         gaps = []
         for n in (4, 6, 8):
-            res = converge_cutoff(m, tol_e=1e-8, n_atoms=n)
+            res = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8)
             assert res.e0_per_atom <= LADDER_E_STAR + 1e-12
             gaps.append(LADDER_E_STAR - res.e0_per_atom)
         assert gaps[0] > gaps[1] > gaps[2] > 0
@@ -491,10 +491,10 @@ class TestOutputHelpers:
 
     def test_dump_state_layout(self, tmp_path):
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=3)
-        res = ed_ground(m, n_max=20, keep_state=True)
+        res = ed_ground(m, n_max=20)
         basis = build_basis(3, 3, 20)
         path = tmp_path / "psi0.npz"
-        dump_state(path, res.psi0, basis)
+        dump_state(path, res)
         data = np.load(path)
         assert int(data["n_atoms"]) == 3 and int(data["d"]) == 3
         assert int(data["n_max"]) == 20
@@ -505,3 +505,23 @@ class TestOutputHelpers:
         rebuilt[idx] = coeffs
         assert np.linalg.norm(rebuilt) == pytest.approx(1.0, abs=1e-12)
         assert abs(rebuilt @ res.psi0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("solve", [
+        lambda m: ed_ground(m, n_max=20),
+        lambda m: converge_cutoff(m, tol_e=1e-8),
+    ], ids=["ed_ground", "converge_cutoff"])
+    def test_result_carries_state_for_dump(self, tmp_path, solve):
+        # two parity blocks of ~300 states each: Lanczos, psi0 zero off one block
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=6)
+        res = solve(m)
+        basis = build_basis(6, 3, res.n_max_used)
+        assert res.psi0.shape == (basis.dim,)
+        assert np.linalg.norm(res.psi0) == pytest.approx(1.0, abs=1e-12)
+        # the layout written from an explicit basis object
+        nz = np.flatnonzero(res.psi0)
+        order = nz[np.argsort(-np.abs(res.psi0[nz]), kind="stable")]
+        np.savez(tmp_path / "ref.npz", indices=order.astype(np.int64),
+                 coefficients=res.psi0[order], n_atoms=basis.n_atoms, d=basis.d,
+                 n_max=basis.n_max)
+        dump_state(tmp_path / "psi0.npz", res)
+        assert (tmp_path / "psi0.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()

@@ -168,6 +168,16 @@ class TestScan:
         assert [s.x_star for s in a] == [s.x_star for s in b]
         assert [s.e_star for s in a] == [s.e_star for s in b]
 
+    @pytest.mark.parametrize("model, which, values, tie", [
+        (two_level(1.0, 1.0, 0.3), (0, 1), np.linspace(0.0, 1.5, 777), {}),
+        (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), np.linspace(0.5, 2.0, 300), {(0, 1): 0.05}),
+    ], ids=["two_level", "tied_ladder"])
+    def test_e_star_is_energy_density_at_x_star(self, model, which, values, tie):
+        sols = scan_order_parameter(model, which, values, tie=tie)
+        for value, sol in zip(values, sols):
+            pairs = {which: value, **{pair: ratio * value for pair, ratio in tie.items()}}
+            assert sol.e_star == energy_density(model.with_couplings(pairs), sol.x_star)
+
     def test_tie_coscales_other_pair(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.0)
         tied = scan_order_parameter(m, (1, 2), [1.4, 1.5], tie={(0, 1): 0.05})

@@ -7,11 +7,10 @@ from dickelab import (
     DickeModel,
     ladder,
     model_from_dict,
-    model_to_dict,
-    single_atom_matrix,
     trk_report,
     two_level,
 )
+from dickelab.model import single_atom_matrices
 
 
 def test_atom_spec_validation():
@@ -80,11 +79,11 @@ def test_builders():
 
 def test_single_atom_matrix():
     atom = AtomSpec([0.0, 1.0, 2.0], [[0.0, 0.2, 0.0], [0.2, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    m = single_atom_matrix(atom, 0.5)
+    m = single_atom_matrices(atom.energies, atom.couplings, 0.5)
     expected = np.array([[0.0, 0.2, 0.0], [0.2, 1.0, 1.0], [0.0, 1.0, 2.0]])
     np.testing.assert_allclose(m, expected, atol=0)
     # x enters linearly, negative allowed
-    np.testing.assert_allclose(single_atom_matrix(atom, -0.5),
+    np.testing.assert_allclose(single_atom_matrices(atom.energies, atom.couplings, -0.5),
                                2 * np.diag(atom.energies) - m, atol=0)
 
 
@@ -183,7 +182,11 @@ class TestModelFromDict:
 
     def test_roundtrip(self):
         m = ladder(1.3, 0.9, 2.1, 0.05, 1.4, kappa=0.02, n_atoms=4)
-        again = model_from_dict(model_to_dict(m))
+        again = model_from_dict({
+            "omega": 1.3, "kappa": 0.02, "n_atoms": 4,
+            "atom": {"energies": [0.0, 0.9, 2.1],
+                     "couplings": [[0.0, 0.05, 0.0], [0.05, 0.0, 1.4], [0.0, 1.4, 0.0]]},
+        })
         assert again.omega == m.omega
         assert again.kappa == m.kappa
         assert again.n_atoms == m.n_atoms
