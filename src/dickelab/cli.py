@@ -50,6 +50,7 @@ from .meanfield import (
     GRID_POINTS_MAX,
     N_POINTS_MAX,
     critical_coupling,
+    minimize,
     no_go_check,
     scan_order_parameter,
     transition_to_dict,
@@ -345,9 +346,10 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
         if cfg.ed_dump_state:
             dump_state(emit("psi0.npz"), res)
     elif cfg.command == "ed-nscan":
+        x_star = minimize(cfg.model).x_star    # e(x) does not depend on N
         rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), tol_e=cfg.tol("tol_e"),
                                            tol=cfg.tol("lanczos_tol"), seed=cfg.seed,
-                                           max_dim=cfg.ed_max_dim), cfg.model)
+                                           max_dim=cfg.ed_max_dim, x_star=x_star), cfg.model)
                 for n in cfg.ed_n_list]
         _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, rows)
     elif cfg.command == "cpb-sweet-spot":

@@ -9,6 +9,9 @@ and antisymmetric combinations of the degenerate charge pair,
 with charge matrix element |<e|n|g>| -> 1/2.  The splitting stays finite
 and gate-independent to first order only in the charge regime E_C >> E_J;
 the solver itself is exact for any ratio.
+
+scipy.linalg is imported where it is called (_spectrum), so importing this
+module loads numpy only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 N_CUT_MAX = 1000    # the dense spectrum holds (2 n_cut + 1)^2 doubles, 32 MB here
 DEG_TOL = 1e-12     # levels closer than this, relative to the spectral scale, coincide
@@ -67,6 +69,8 @@ def cpb_hamiltonian(spec: CpbSpec) -> np.ndarray:
 
 
 def _spectrum(spec: CpbSpec):
+    import scipy.linalg as sla
+
     diag, off = _tridiagonal(spec)
     if spec.ej == 0.0:
         # eigh_tridiagonal requires nonzero off-diagonals

@@ -15,6 +15,10 @@ of H, so every conserved quantity splits them: the photon parity
 Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd k - j,
 which keeps |<Pi>| = 1 for the near-degenerate superradiant doublet, and a
 population sum when the couplings do not connect all levels.
+
+scipy is imported where it is called (build_hamiltonian, _blocks,
+ground_state), so importing this module loads numpy only and the
+mean-field commands never load scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import meanfield
 from .errors import ConvergenceError, ResourceLimitError
@@ -128,6 +130,8 @@ def build_basis(n_atoms: int, d: int, n_max: int,
 
 def build_hamiltonian(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
     """Sparse symmetric H in the basis above (both triangles stored)."""
+    import scipy.sparse as sp
+
     atom = model.atom
     if atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
@@ -253,6 +257,9 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     residual of the last Krylov vector (ARPACK returns no Ritz pair when k=1
     fails).  Any other ARPACK failure is raised as ConvergenceError too.
     """
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+
     dim = H.shape[0]
     if dim <= DENSE_CUTOFF and not force_lanczos:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
@@ -351,11 +358,11 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
 
 def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
     """Connected components of the sparsity graph of H, ordered by lowest index."""
-    # imported here, like eigsh: csgraph loads scipy.sparse.linalg, which
-    # commands without ED never need
     from scipy.sparse.csgraph import connected_components
 
-    labels = connected_components(H, directed=False)[1]
+    # H stores both triangles, so its strongly connected components are its
+    # connected components; the undirected search would first copy H^T
+    labels = connected_components(H, directed=True, connection="strong")[1]
     blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     return sorted(blocks, key=lambda idx: idx[0])
 
@@ -431,7 +438,8 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
 
 def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
                     tol: float = DEFAULT_TOL, seed: int = 1234,
-                    max_dim: int = MAX_DIM_DEFAULT, max_steps: int = 16) -> EDResult:
+                    max_dim: int = MAX_DIM_DEFAULT, max_steps: int = 16,
+                    x_star: float | None = None) -> EDResult:
     """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to tol_e.
 
     The starting cutoff comes from the mean-field photon density:
@@ -441,8 +449,10 @@ def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
     from the previous step's ground vectors.  The result is the last step's
     ed_ground result, psi0 included; only the e0 of earlier steps is kept.
     Failures carry the (n_max, e0) pairs measured so far as ``trace``.
+    x_star is that mean-field minimum, computed here when not given; it
+    does not depend on n_atoms, so a scan over N can compute it once.
     """
-    x_mf = meanfield.minimize(model).x_star
+    x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
     n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
     warm: np.ndarray | None = None

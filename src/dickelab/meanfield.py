@@ -39,6 +39,7 @@ N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points
 GRID_POINTS_MAX = 65_536    # one grid row holds GRID_POINTS_MAX d^2 doubles, 4.7 MB at d=3
 
 _GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
+_NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* > 0
 
 
 @dataclass(frozen=True)
@@ -329,6 +330,9 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     kappa_rule "fixed" keeps model.kappa; "trk-ground" sets, at each scan
     point, kappa = lam_01^2 / eps_1 (the ground-transition bound, which
     saturates the two-level no-go but leaves excited couplings free).
+    The points are solved in ascending blocks of _NO_GO_BLOCK, and the
+    first block with a superradiant point answers False; an input whose
+    scan range overflows raises SolverError before any block is solved.
     """
     if not lambda_max > 0:
         raise ValueError("lambda_max must be positive")
@@ -343,8 +347,14 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
         omega_eff = model.omega + 4.0 * (C[:, 0, 1] ** 2 / eps1)
     elif kappa_rule != "fixed":
         raise ValueError(f"unknown kappa_rule {kappa_rule!r}")
-    sols = _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)
-    return all(s.x_star == 0.0 for s in sols)
+    _x_max(omega_eff, model.atom.energies, C)
+    for start in range(0, n_points, _NO_GO_BLOCK):
+        block = slice(start, start + _NO_GO_BLOCK)
+        sols = _solve_batch(omega_eff[block], model.atom.energies, C[block],
+                            n_grid=n_grid, x_tol=x_tol)
+        if any(s.x_star > 0.0 for s in sols):
+            return False
+    return True
 
 
 def transition_to_dict(tp: TransitionPoint) -> dict:

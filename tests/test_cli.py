@@ -2,13 +2,17 @@ import copy
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickelab import converge_cutoff, ed_ground, ladder, model_from_dict
+import dickelab
+from dickelab import cli, converge_cutoff, ed_ground, ladder, meanfield, model_from_dict
 from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 from dickelab.exactdiag import dump_state
@@ -529,6 +533,20 @@ class TestArtifacts:
         gaps = [abs(float(r[5]) - LADDER_E_STAR) for r in rows[1:]]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_ed_nscan_solves_mean_field_once(self, tmp_path, monkeypatch):
+        calls = []
+        minimize = meanfield.minimize
+
+        def counting(model, *args, **kwargs):
+            calls.append(model.n_atoms)
+            return minimize(model, *args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "minimize", counting)
+        monkeypatch.setattr(cli, "minimize", counting)
+        cfg = write_config(tmp_path, {**DOCS["nscan"], "ed": {"n_list": [2, 3, 4]}})
+        assert main([cfg, "-o", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
     def test_example_config(self, tmp_path, config):
         out = tmp_path / "out"
@@ -568,3 +586,42 @@ class TestDeterminism:
             sub.mkdir()
             a, b = self.run_twice(sub, doc)
             self.compare(a, b)
+
+
+# Runs each document through cli.main in one fresh interpreter and prints,
+# after the import and after each run, the exit code and the scipy modules
+# loaded so far.
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from dickelab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = Path(sys.argv[1])
+loaded = {"import": [0, scipy_modules()]}
+for name, doc in json.loads(sys.argv[2]).items():
+    cfg = out / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    loaded[name] = [main([str(cfg), "-o", str(out / name)]), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_ed_and_cpb(tmp_path):
+    # a subprocess, because test_exactdiag and test_cpb import scipy here
+    src = str(Path(dickelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    docs = {name: DOCS[name] for name in ("crit", "scan", "nogo", "trk", "cpb", "ed")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(docs)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    loaded = json.loads(proc.stdout)
+    for name in ("import", "crit", "scan", "nogo", "trk"):
+        assert loaded[name] == [0, []], name
+    code, cpb_modules = loaded["cpb"]
+    assert code == 0 and "scipy.linalg" in cpb_modules
+    assert not any(m.startswith("scipy.sparse") for m in cpb_modules)
+    code, ed_modules = loaded["ed"]
+    assert code == 0 and "scipy.sparse" in ed_modules

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -175,6 +176,28 @@ class TestHamiltonian:
         m0 = basis.atomic_states[rank, 0]
         assert all(np.unique(m0[block]).size == 1 for block in blocks)
         np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.dim))
+
+    def test_blocks_are_undirected_components(self):
+        # _blocks takes the strong components of H; with both triangles
+        # stored they are the components of the undirected graph
+        from scipy.sparse.csgraph import connected_components
+
+        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
+        models = [ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=5),
+                  ladder(1.0, 1.0, 2.0, 0.1, 1.2, kappa=0.05, n_atoms=4),
+                  DickeModel(1.0, vtype, n_atoms=4),
+                  DickeModel(1.0, vtype, n_atoms=3, kappa=0.1),
+                  two_level(1.0, 1.0, 0.7, kappa=0.2, n_atoms=6)]
+        for model in models:
+            for n_max in (0, 1, 6, 17):
+                H = build_hamiltonian(model, build_basis(model.n_atoms, model.atom.d, n_max))
+                labels = connected_components(H, directed=False)[1]
+                expected = sorted((np.flatnonzero(labels == c) for c in np.unique(labels)),
+                                  key=lambda idx: idx[0])
+                got = _blocks(H)
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    np.testing.assert_array_equal(a, b)
 
     def test_parity_incompatible_when_even_hop_coupled(self):
         atom = AtomSpec([0.0, 1.0, 2.0],
@@ -458,6 +481,17 @@ class TestConvergeCutoff:
         assert res.method == "lanczos"
         cold = ed_ground(m, n_max=res.n_max_used)
         assert abs(res.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
+
+    def test_given_x_star_matches_computed(self):
+        # what ed-nscan passes: one mean-field x* for every N
+        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5)
+        x_star = minimize(m).x_star
+        for n in (4, 8):
+            a = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8)
+            b = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8, x_star=x_star)
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        assert b.method == "lanczos"
 
     def test_unstable_cutoff_carries_trace(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4)

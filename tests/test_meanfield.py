@@ -9,6 +9,7 @@ from dickelab import (
     AtomSpec,
     BracketError,
     DickeModel,
+    SolverError,
     critical_coupling,
     energy_density,
     ladder,
@@ -301,6 +302,45 @@ class TestNoGo:
         # kappa fixed at lam01^2/eps1; the 1-2 transition still condenses
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.0, kappa=0.1**2 / 1.0)
         assert no_go_check(m, 3.0, which=(1, 2), kappa_rule="fixed") is False
+
+    # model, coupling, lambda_max, kappa_rule, scan blocks solved out of 4
+    # (n_points 1000); both superradiant cases turn over inside the second
+    # block, the fixed two-level one at lam = 0.5
+    BLOCK_CASES = {
+        "two_level_trk": (two_level(1.0, 1.0, 0.1), (0, 1), 10.0, "trk-ground", 4),
+        "two_level_fixed_normal": (two_level(1.0, 1.0, 0.1, kappa=0.3), (0, 1), 0.7, "fixed", 4),
+        "two_level_fixed": (two_level(1.0, 1.0, 0.1), (0, 1), 1.0, "fixed", 2),
+        "ladder_trk": (ladder(1.0, 1.0, 2.0, 0.1, 1.0), (1, 2), 3.0, "trk-ground", 2),
+    }
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_blocks_answer_like_one_batch(self, case, monkeypatch):
+        model, which, lam_max, rule, n_blocks = self.BLOCK_CASES[case]
+        sizes = []
+        solve_batch = meanfield._solve_batch
+
+        def spy(omega_eff, *args, **kwargs):
+            sizes.append(omega_eff.size)
+            return solve_batch(omega_eff, *args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "_solve_batch", spy)
+        blocked = no_go_check(model, lam_max, n_points=1000, which=which, kappa_rule=rule)
+        assert sizes == [256, 256, 256, 232][:n_blocks]
+        monkeypatch.setattr(meanfield, "_NO_GO_BLOCK", 1000)
+        assert no_go_check(model, lam_max, n_points=1000, which=which,
+                           kappa_rule=rule) is blocked
+        assert sizes[n_blocks:] == [1000]
+        assert blocked is (n_blocks == 4)
+
+    def test_overflow_raises_before_first_block(self):
+        # x* > 0 from the second point on, and the scan range overflows only
+        # past the first block, which alone would answer False
+        m = two_level(1.0, 1.0, 0.1)
+        C, omega_eff = _scan_arrays(m, (0, 1), np.linspace(0.0, 2e154, 1000), tie=None)
+        block = slice(0, meanfield._NO_GO_BLOCK)
+        _x_max(omega_eff[block], m.atom.energies, C[block])
+        with pytest.raises(SolverError, match="parameter set"):
+            no_go_check(m, 2e154, n_points=1000)
 
     def test_validation(self):
         m = two_level(1.0, 1.0, 0.1)
