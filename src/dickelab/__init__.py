@@ -30,7 +30,6 @@ from .meanfield import (
     minimize,
     no_go_check,
     scan_order_parameter,
-    transition_to_dict,
     write_scan_csv,
 )
 from .exactdiag import (

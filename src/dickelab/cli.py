@@ -53,14 +53,15 @@ from .meanfield import (
     minimize,
     no_go_check,
     scan_order_parameter,
-    transition_to_dict,
     write_scan_csv,
 )
 from .model import (
     DickeModel,
     config_int,
+    config_keys,
     config_number,
     config_numbers,
+    coupling_pair,
     model_from_dict,
     trk_report,
 )
@@ -120,23 +121,14 @@ class RunConfig:
         return self.tolerances.get(name, _TOL_DEFAULTS[name])
 
 
-def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise ConfigError(path, "expected a mapping")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
-
-
 def _pair(value, path, d) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a pair of level indices [j, k]")
-    j, k = (config_int(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if j == k or j < 0 or k < 0:
-        raise ConfigError(path, "level indices must be distinct and nonnegative")
-    if max(j, k) >= d:
-        raise ConfigError(path, f"level index out of range for d={d}")
-    return (min(j, k), max(j, k))
+    pair = [config_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    try:
+        return coupling_pair(pair, d)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_tie(doc, path, d, scanned):
@@ -144,13 +136,11 @@ def _parse_tie(doc, path, d, scanned):
     if not isinstance(doc, Mapping):
         raise ConfigError(path, "expected a mapping of 'j,k' to ratio")
     for key, ratio in doc.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}.{key}", "key must look like 'j,k'")
         try:
-            pair = _pair([int(parts[0]), int(parts[1])], f"{path}.{key}", d)
+            j, k = (int(part) for part in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
+        pair = _pair([j, k], f"{path}.{key}", d)
         if pair == scanned:
             raise ConfigError(f"{path}.{key}", "cannot tie the scanned coupling to itself")
         tie[pair] = config_number(ratio, f"{path}.{key}")
@@ -223,7 +213,7 @@ def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
 
 def parse_config(doc: Mapping) -> RunConfig:
     """Validate a config document; errors carry the offending field path."""
-    _check_keys(doc, _TOP_KEYS, "$")
+    config_keys(doc, _TOP_KEYS, "$")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError("$.command", f"expected one of {', '.join(COMMANDS)}")
@@ -234,7 +224,7 @@ def parse_config(doc: Mapping) -> RunConfig:
                 raise ConfigError(f"$.{block}", f"not used by command {command!r}")
         elif block in doc:
             if blocks[block] is not None:
-                _check_keys(doc[block], blocks[block], f"$.{block}")
+                config_keys(doc[block], blocks[block], f"$.{block}")
         elif block != "ed":
             raise ConfigError(f"$.{block}", "missing required key")
     seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed", minimum=0)
@@ -244,7 +234,7 @@ def parse_config(doc: Mapping) -> RunConfig:
 
     tolerances = {}
     if "tolerances" in doc:
-        _check_keys(doc["tolerances"], set(_TOL_DEFAULTS), "$.tolerances")
+        config_keys(doc["tolerances"], _TOL_DEFAULTS, "$.tolerances")
         for key, raw in doc["tolerances"].items():
             path = f"$.tolerances.{key}"
             if key == "grid_points":
@@ -321,7 +311,7 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
             x_tol=cfg.tol("x_tol"), jump_threshold=cfg.tol("jump_threshold"),
             rel_width=cfg.tol("bisect_rel_width"), delta_rel=cfg.tol("delta_rel"),
             n_grid=cfg.tol("grid_points"))
-        _write_json(emit("transition.json"), transition_to_dict(tp))
+        _write_json(emit("transition.json"), dataclasses.asdict(tp))
     elif cfg.command == "no-go":
         ok = no_go_check(
             cfg.model, cfg.lambda_max, n_points=cfg.n_points,

@@ -232,7 +232,6 @@ class GroundState:
     vector: np.ndarray = field(repr=False)
     iterations: int
     residual_norm: float
-    seed: int
     method: str
 
 
@@ -267,8 +266,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
         psi = v[:, 0]
         e0 = float(w[0])
         return GroundState(e0=e0, vector=psi, iterations=0,
-                           residual_norm=_true_residual(H, psi, e0),
-                           seed=seed, method="dense")
+                           residual_norm=_true_residual(H, psi, e0), method="dense")
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     if max_iter is None:
@@ -302,8 +300,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     psi = v[:, 0]
     e0 = float(w[0])
     return GroundState(e0=e0, vector=psi, iterations=matvecs,
-                       residual_norm=_true_residual(H, psi, e0),
-                       seed=seed, method="lanczos")
+                       residual_norm=_true_residual(H, psi, e0), method="lanczos")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import BracketError, SolverError
-from .model import DickeModel, single_atom_matrices
+from .model import DickeModel, coupling_pair, single_atom_matrices, trk_kappa_min
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -129,26 +129,23 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     grid = np.linspace(0.0, 1.0, n_grid)
     rows = max(1, _GRID_CHUNK // n_grid)
 
-    # bracket every grid-resolved local minimum, boundaries included
+    # bracket every grid-resolved local minimum, boundaries included; the
+    # mask's columns are the interior points, then the two ends
+    cols = np.r_[1:n_grid - 1, 0, n_grid - 1]
     owners, los, his = [], [], []
     for start in range(0, B, rows):
         chunk = slice(start, start + rows)
         xs = x_hi[chunk, None] * grid[None, :]
         e = _energies(omega_eff[chunk, None], energies, couplings[chunk, None], xs)
-        for b, eb, xb in zip(range(start, B), e, xs):
-            interior = np.flatnonzero((eb[1:-1] <= eb[:-2]) & (eb[1:-1] <= eb[2:])) + 1
-            idx = list(interior)
-            if eb[0] <= eb[1]:
-                idx.append(0)
-            if eb[-1] <= eb[-2]:
-                idx.append(n_grid - 1)
-            for i in idx:
-                owners.append(b)
-                los.append(xb[max(i - 1, 0)])
-                his.append(xb[min(i + 1, n_grid - 1)])
-    owners = np.array(owners)
-    lo = np.array(los)
-    hi = np.array(his)
+        is_min = np.concatenate([(e[:, 1:-1] <= e[:, :-2]) & (e[:, 1:-1] <= e[:, 2:]),
+                                 e[:, :1] <= e[:, 1:2], e[:, -1:] <= e[:, -2:-1]], axis=1)
+        r, c = np.nonzero(is_min)
+        owners.append(start + r)
+        los.append(xs[r, np.maximum(cols[c] - 1, 0)])
+        his.append(xs[r, np.minimum(cols[c] + 1, n_grid - 1)])
+    owners = np.concatenate(owners)
+    lo = np.concatenate(los)
+    hi = np.concatenate(his)
 
     # golden-section refinement, vectorized across all brackets
     owner_omega = omega_eff[owners]
@@ -235,18 +232,21 @@ def minimize(model: DickeModel, n_grid: int = DEFAULT_GRID,
 
 def _scan_arrays(model: DickeModel, which: tuple[int, int], values: np.ndarray,
                  tie: Mapping[tuple[int, int], float] | None):
-    """Coupling matrices and omega_eff for each scanned value."""
-    B = values.size
-    C = np.repeat(model.atom.couplings[None], B, axis=0)
-    j, k = which
-    if j == k:
-        raise ValueError("scan coupling must be an off-diagonal pair")
+    """Coupling matrices and omega_eff for each scanned value.
+
+    This is the one place a tie is applied: each tied pair is set to
+    ratio * value.  Every pair goes through coupling_pair of the model
+    module, and a tie on the scanned pair, in either order, is rejected.
+    """
+    j, k = coupling_pair(which, model.atom.d)
+    C = np.repeat(model.atom.couplings[None], values.size, axis=0)
     C[:, j, k] = C[:, k, j] = values
-    if tie:
-        for (tj, tk), ratio in tie.items():
-            C[:, tj, tk] = C[:, tk, tj] = ratio * values
-    omega_eff = np.full(B, model.omega_eff)
-    return C, omega_eff
+    for pair, ratio in (tie or {}).items():
+        tj, tk = coupling_pair(pair, model.atom.d)
+        if (tj, tk) == (j, k):
+            raise ValueError(f"tie {pair}: cannot tie the scanned coupling to itself")
+        C[:, tj, tk] = C[:, tk, tj] = ratio * values
+    return C, np.full(values.size, model.omega_eff)
 
 
 def scan_order_parameter(model: DickeModel, which: tuple[int, int],
@@ -279,15 +279,16 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     The bracket must straddle the transition: normal at bracket[0],
     superradiant at bracket[1].  The order is classified from the jump of
     x* across lam_c +/- delta_rel*lam_c (first order above jump_threshold).
+    Each point is built by _scan_arrays, as in scan_order_parameter and
+    no_go_check, so a pair or tie is checked and applied the same way.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 <= lo < hi:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     def solve(lam: float) -> MeanFieldSolution:
-        pairs = {tuple(which): lam}
-        pairs.update((pair, ratio * lam) for pair, ratio in (tie or {}).items())
-        return minimize(model.with_couplings(pairs), n_grid=n_grid, x_tol=x_tol)
+        C, omega_eff = _scan_arrays(model, which, np.array([lam]), tie)
+        return _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)[0]
 
     def superradiant(lam: float) -> bool:
         return solve(lam).x_star > 0.0
@@ -328,8 +329,10 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     """True iff the model stays normal for every coupling in [0, lambda_max].
 
     kappa_rule "fixed" keeps model.kappa; "trk-ground" sets, at each scan
-    point, kappa = lam_01^2 / eps_1 (the ground-transition bound, which
-    saturates the two-level no-go but leaves excited couplings free).
+    point, kappa = trk_kappa_min(lam_01, eps_1), the model module's TRK
+    bound on the ground transition, which saturates the two-level no-go but
+    leaves excited couplings free.  The scan points come from _scan_arrays,
+    as in scan_order_parameter and critical_coupling.
     The points are solved in ascending blocks of _NO_GO_BLOCK, and the
     first block with a superradiant point answers False; an input whose
     scan range overflows raises SolverError before any block is solved.
@@ -341,10 +344,8 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     vals = np.linspace(0.0, lambda_max, n_points)
     C, omega_eff = _scan_arrays(model, which, vals, tie=None)
     if kappa_rule == "trk-ground":
-        eps1 = float(model.atom.energies[1])
-        if eps1 == 0.0:
-            raise ValueError("degenerate ground transition")
-        omega_eff = model.omega + 4.0 * (C[:, 0, 1] ** 2 / eps1)
+        kappa = trk_kappa_min(C[:, 0, 1], float(model.atom.energies[1]))
+        omega_eff = model.omega + 4.0 * kappa
     elif kappa_rule != "fixed":
         raise ValueError(f"unknown kappa_rule {kappa_rule!r}")
     _x_max(omega_eff, model.atom.energies, C)
@@ -355,16 +356,6 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
         if any(s.x_star > 0.0 for s in sols):
             return False
     return True
-
-
-def transition_to_dict(tp: TransitionPoint) -> dict:
-    return {
-        "coupling_value": tp.coupling_value,
-        "order": tp.order,
-        "x_jump": tp.x_jump,
-        "pop_jump": tp.pop_jump,
-        "delta_rel": tp.delta_rel,
-    }
 
 
 def write_scan_csv(path, values: Sequence[float],

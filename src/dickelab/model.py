@@ -9,6 +9,10 @@ Hamiltonian convention (used identically by every solver in this package):
 Level energies are measured from the ground level, eps_0 = 0, and the
 coupling matrix lam is real symmetric with zero diagonal.  The 1/sqrt(N)
 scaling makes the energy per atom finite in the thermodynamic limit.
+
+The rules every layer shares are stated once here: coupling_pair checks a
+(j, k) coupling pair, trk_kappa_min gives the ground-transition TRK bound,
+and config_keys checks the keys of a config mapping.
 """
 
 from __future__ import annotations
@@ -21,6 +25,20 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
+
+
+def coupling_pair(pair, d: int) -> tuple[int, int]:
+    """The off-diagonal pair (j, k) of a d-level atom as (min, max).
+
+    Raises ValueError naming the pair when j == k or an index is outside
+    [0, d); a negative index is never wrapped.
+    """
+    j, k = pair
+    if j == k:
+        raise ValueError(f"coupling pair ({j}, {k}) is diagonal; the levels must differ")
+    if not (0 <= j < d and 0 <= k < d):
+        raise ValueError(f"coupling pair ({j}, {k}): level index out of range for d={d}")
+    return (min(j, k), max(j, k))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -70,11 +88,11 @@ class AtomSpec:
         return float(self.couplings[j, k])
 
     def with_couplings(self, updates: Mapping[tuple[int, int], float]) -> "AtomSpec":
-        """Return a copy with the given (j, k) couplings replaced (symmetrically)."""
+        """Return a copy with the given (j, k) couplings replaced (symmetrically);
+        each pair is checked by coupling_pair."""
         lam = np.array(self.couplings)
-        for (j, k), value in updates.items():
-            if j == k:
-                raise ValueError("cannot set a diagonal coupling")
+        for pair, value in updates.items():
+            j, k = coupling_pair(pair, self.d)
             lam[j, k] = lam[k, j] = value
         return AtomSpec(self.energies, lam)
 
@@ -160,12 +178,17 @@ class TrkReport:
     unconstrained_transitions: tuple[tuple[int, int], ...]
 
 
-def trk_report(model: DickeModel) -> TrkReport:
-    atom = model.atom
-    eps1 = float(atom.energies[1])
+def trk_kappa_min(lam01, eps1: float):
+    """The TRK bound kappa_min = lam01^2 / eps1 of the 0 <-> 1 transition;
+    lam01 may be a scalar or an array."""
     if eps1 == 0.0:
         raise ValueError("degenerate ground transition")
-    kappa_min = atom.coupling(0, 1) ** 2 / eps1
+    return lam01 ** 2 / eps1
+
+
+def trk_report(model: DickeModel) -> TrkReport:
+    atom = model.atom
+    kappa_min = trk_kappa_min(atom.coupling(0, 1), float(atom.energies[1]))
     unconstrained = tuple(
         (j, k)
         for j in range(1, atom.d)
@@ -187,11 +210,25 @@ def trk_report(model: DickeModel) -> TrkReport:
 # {"omega": 1.0, "kappa": 0.0, "n_atoms": 1, "ladder": false,
 #  "atom": {"energies": [0, 1, 2], "couplings": [[...], ...]}}
 #
-# couplings may be nested rows or a flat row-major list of d*d values.
+# couplings are nested rows, d rows of d values.  config_keys is the one
+# key check of every config mapping, here and in the CLI.
 # ---------------------------------------------------------------------------
 
 _MODEL_KEYS = {"omega", "kappa", "n_atoms", "atom", "ladder"}
-_ATOM_KEYS = {"energies", "couplings"}
+_ATOM_KEYS = ("energies", "couplings")
+
+
+def config_keys(doc, allowed, path: str, required=()) -> None:
+    """ConfigError unless doc is a mapping whose keys are all in allowed and
+    include every key of required; required is checked in the order given."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(path, "expected a mapping")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{path}.{key}", "missing required key")
 
 
 def config_number(value, path: str) -> float:
@@ -229,43 +266,19 @@ def config_numbers(value, path: str) -> list[float]:
 
 def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
     """Build a DickeModel from a plain dict, reporting errors by field path."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError(path, "expected a mapping")
-    unknown = set(doc) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    if "atom" not in doc:
-        raise ConfigError(f"{path}.atom", "missing required key")
+    config_keys(doc, _MODEL_KEYS, path, required=("atom",))
     atom_doc = doc["atom"]
-    if not isinstance(atom_doc, Mapping):
-        raise ConfigError(f"{path}.atom", "expected a mapping")
-    unknown = set(atom_doc) - _ATOM_KEYS
-    if unknown:
-        raise ConfigError(f"{path}.atom.{sorted(unknown)[0]}", "unknown key")
-    for key in _ATOM_KEYS:
-        if key not in atom_doc:
-            raise ConfigError(f"{path}.atom.{key}", "missing required key")
+    config_keys(atom_doc, _ATOM_KEYS, f"{path}.atom", required=_ATOM_KEYS)
 
     energies = config_numbers(atom_doc["energies"], f"{path}.atom.energies")
     d = len(energies)
-    raw = atom_doc["couplings"]
+    couplings = atom_doc["couplings"]
     cpath = f"{path}.atom.couplings"
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(cpath, f"expected a list, got {type(raw).__name__}")
-    if raw and isinstance(raw[0], (list, tuple)):
-        rows = []
-        for i, row in enumerate(raw):
-            rows.append(config_numbers(row, f"{cpath}[{i}]"))
-            if len(rows[-1]) != d:
-                raise ConfigError(f"{cpath}[{i}]", f"expected {d} entries")
-        if len(rows) != d:
-            raise ConfigError(cpath, f"expected {d} rows")
-        couplings = rows
-    else:
-        flat = config_numbers(raw, cpath)
-        if len(flat) != d * d:
-            raise ConfigError(cpath, f"expected {d * d} row-major entries, got {len(flat)}")
-        couplings = np.array(flat).reshape(d, d)
+    if not isinstance(couplings, (list, tuple)) or len(couplings) != d:
+        raise ConfigError(cpath, f"expected a list of {d} rows")
+    for i, row in enumerate(couplings):
+        if len(config_numbers(row, f"{cpath}[{i}]")) != d:
+            raise ConfigError(f"{cpath}[{i}]", f"expected {d} entries")
 
     omega = config_number(doc.get("omega", 1.0), f"{path}.omega")
     kappa = config_number(doc.get("kappa", 0.0), f"{path}.kappa")

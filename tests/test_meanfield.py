@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,28 @@ class TestScan:
         for value, sol in zip(values, sols):
             pairs = {which: value, **{pair: ratio * value for pair, ratio in tie.items()}}
             assert sol.e_star == energy_density(model.with_couplings(pairs), sol.x_star)
+
+    # each would set another coupling than the one named: the scanned pair
+    # rescaled to ratio * value, a diagonal entry, or an index error
+    BAD_TIES = {"scanned": (1, 2), "scanned_reversed": (2, 1), "diagonal": (1, 1),
+                "out_of_range": (0, 3), "negative": (-1, 0)}
+
+    @pytest.mark.parametrize("pair", list(BAD_TIES.values()), ids=list(BAD_TIES))
+    def test_bad_tie_raises_naming_the_pair(self, pair):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match=re.escape(str(pair))):
+            scan_order_parameter(m, (1, 2), np.linspace(1.2, 1.4, 3), tie={pair: 0.5})
+        with pytest.raises(ValueError, match=re.escape(str(pair))):
+            critical_coupling(m, (1, 2), (1.0, 1.6), tie={pair: 0.5})
+
+    @pytest.mark.parametrize("which", [(-2, -1), (1, 1), (0, 3)],
+                             ids=["negative", "diagonal", "out_of_range"])
+    def test_bad_scanned_pair_raises(self, which):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match=re.escape(str(which))):
+            scan_order_parameter(m, which, np.linspace(1.2, 1.4, 3))
+        with pytest.raises(ValueError, match=re.escape(str(which))):
+            critical_coupling(m, which, (1.0, 1.6))
 
     def test_tie_coscales_other_pair(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.0)

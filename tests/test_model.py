@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dickelab
 from dickelab import (
     AtomSpec,
     ConfigError,
@@ -47,6 +53,9 @@ def test_with_couplings_symmetric_update():
     assert atom.coupling(1, 2) == 0.0
     with pytest.raises(ValueError, match="diagonal"):
         atom.with_couplings({(1, 1): 0.1})
+    # a negative index is out of range, not wrapped around to (0, 2)
+    with pytest.raises(ValueError, match=r"\(-1, 0\).*out of range"):
+        atom.with_couplings({(-1, 0): 0.7})
 
 
 def test_model_validation():
@@ -134,11 +143,6 @@ class TestModelFromDict:
         assert m.kappa == 0.0
         assert m.n_atoms == 1
 
-    def test_flat_couplings(self):
-        doc = self.base()
-        doc["atom"]["couplings"] = [0.0, 0.5, 0.5, 0.0]
-        assert model_from_dict(doc).atom.coupling(0, 1) == 0.5
-
     def test_unknown_keys_rejected_with_path(self):
         doc = self.base()
         doc["omga"] = 1.0
@@ -149,6 +153,21 @@ class TestModelFromDict:
         doc["atom"]["extra"] = 1
         with pytest.raises(ConfigError, match=r"model\.atom\.extra"):
             model_from_dict(doc)
+
+    def test_missing_atom_key_same_under_every_hash_seed(self):
+        # the first missing key is named in a fixed order, not in set order
+        probe = ("from dickelab import ConfigError, model_from_dict\n"
+                 "try:\n    model_from_dict({'atom': {}})\n"
+                 "except ConfigError as exc:\n    print(exc.path)\n")
+        src = str(Path(dickelab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        paths = set()
+        for hash_seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, check=True)
+            paths.add(proc.stdout.strip())
+        assert paths == {"model.atom.energies"}
 
     def test_negative_omega_names_field(self):
         doc = self.base()
@@ -161,9 +180,11 @@ class TestModelFromDict:
         doc["atom"]["couplings"] = [[0.0, 0.5], [0.5, 0.0], [0.0, 0.0]]
         with pytest.raises(ConfigError, match="couplings"):
             model_from_dict(doc)
-        doc["atom"]["couplings"] = [0.0, 0.5, 0.5]
-        with pytest.raises(ConfigError, match="row-major"):
-            model_from_dict(doc)
+        # a flat row-major list, complete or not, is not a nested-rows matrix
+        for flat in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.5, 0.0]):
+            doc["atom"]["couplings"] = flat
+            with pytest.raises(ConfigError, match=r"couplings: expected a list of 2 rows"):
+                model_from_dict(doc)
 
     def test_ladder_flag(self):
         doc = {
