@@ -31,8 +31,6 @@ from . import __version__
 from .cpb import CpbSpec, write_cpb_csv
 from .errors import BracketError, ConfigError, ConvergenceError, ResourceLimitError, SolverError
 from .exactdiag import (
-    DEFAULT_TOL,
-    DEFAULT_TOL_E,
     MAX_DIM_DEFAULT,
     converge_cutoff,
     dump_state,
@@ -41,13 +39,7 @@ from .exactdiag import (
     ed_ground,
 )
 from .meanfield import (
-    DEFAULT_DELTA_REL,
-    DEFAULT_GRID,
-    DEFAULT_JUMP_THRESHOLD,
     DEFAULT_N_POINTS,
-    DEFAULT_REL_WIDTH,
-    DEFAULT_X_TOL,
-    GRID_POINTS_MAX,
     N_POINTS_MAX,
     critical_coupling,
     minimize,
@@ -83,17 +75,7 @@ _COMMANDS = {
 }
 COMMANDS = tuple(_COMMANDS)
 _BLOCKS = tuple(dict.fromkeys(block for blocks in _COMMANDS.values() for block in blocks))
-_TOP_KEYS = {"command", "seed", "output", "tolerances", *_BLOCKS}
-
-_TOL_DEFAULTS = {
-    "x_tol": DEFAULT_X_TOL,
-    "jump_threshold": DEFAULT_JUMP_THRESHOLD,
-    "grid_points": DEFAULT_GRID,
-    "bisect_rel_width": DEFAULT_REL_WIDTH,
-    "delta_rel": DEFAULT_DELTA_REL,
-    "lanczos_tol": DEFAULT_TOL,
-    "tol_e": DEFAULT_TOL_E,
-}
+_TOP_KEYS = {"command", "seed", "output", *_BLOCKS}
 
 
 @dataclass(frozen=True)
@@ -115,10 +97,6 @@ class RunConfig:
     ed_max_dim: int = MAX_DIM_DEFAULT
     ed_dump_state: bool = False
     cpb_specs: tuple[CpbSpec, ...] = ()
-    tolerances: Mapping[str, float] = dataclasses.field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, _TOL_DEFAULTS[name])
 
 
 def _pair(value, path, d) -> tuple[int, int]:
@@ -232,19 +210,6 @@ def parse_config(doc: Mapping) -> RunConfig:
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output", "expected a string path")
 
-    tolerances = {}
-    if "tolerances" in doc:
-        config_keys(doc["tolerances"], _TOL_DEFAULTS, "$.tolerances")
-        for key, raw in doc["tolerances"].items():
-            path = f"$.tolerances.{key}"
-            if key == "grid_points":
-                value = config_int(raw, path, minimum=2, maximum=GRID_POINTS_MAX)
-            else:
-                value = config_number(raw, path)
-                if value <= 0:
-                    raise ConfigError(path, "must be positive")
-            tolerances[key] = value
-
     kwargs: dict = {}
     if "model" in blocks:
         kwargs["model"] = model_from_dict(doc["model"], path="$.model")
@@ -272,7 +237,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         raise ConfigError("$.model.atom.energies", "degenerate ground transition")
 
     return RunConfig(command=command, seed=seed, output=output,
-                     echo=json.loads(json.dumps(doc)), tolerances=tolerances, **kwargs)
+                     echo=json.loads(json.dumps(doc)), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +266,15 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
         return written[name]
 
     if cfg.command == "meanfield-scan":
-        sols = scan_order_parameter(
-            cfg.model, cfg.scan_coupling, cfg.scan_values, tie=cfg.scan_tie,
-            n_grid=cfg.tol("grid_points"), x_tol=cfg.tol("x_tol"))
+        sols = scan_order_parameter(cfg.model, cfg.scan_coupling, cfg.scan_values,
+                                    tie=cfg.scan_tie)
         write_scan_csv(emit("scan.csv"), cfg.scan_values, sols)
     elif cfg.command == "critical":
-        tp = critical_coupling(
-            cfg.model, cfg.scan_coupling, cfg.bracket, tie=cfg.scan_tie,
-            x_tol=cfg.tol("x_tol"), jump_threshold=cfg.tol("jump_threshold"),
-            rel_width=cfg.tol("bisect_rel_width"), delta_rel=cfg.tol("delta_rel"),
-            n_grid=cfg.tol("grid_points"))
+        tp = critical_coupling(cfg.model, cfg.scan_coupling, cfg.bracket, tie=cfg.scan_tie)
         _write_json(emit("transition.json"), dataclasses.asdict(tp))
     elif cfg.command == "no-go":
-        ok = no_go_check(
-            cfg.model, cfg.lambda_max, n_points=cfg.n_points,
-            which=cfg.scan_coupling, kappa_rule=cfg.kappa_rule,
-            x_tol=cfg.tol("x_tol"), n_grid=cfg.tol("grid_points"))
+        ok = no_go_check(cfg.model, cfg.lambda_max, n_points=cfg.n_points,
+                         which=cfg.scan_coupling, kappa_rule=cfg.kappa_rule)
         _write_json(emit("nogo.json"), {
             "no_transition": ok,
             "coupling": list(cfg.scan_coupling),
@@ -326,19 +284,15 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
         })
     elif cfg.command == "ed-ground":
         if cfg.ed_n_max is not None:
-            res = ed_ground(cfg.model, cfg.ed_n_max, tol=cfg.tol("lanczos_tol"),
-                            seed=cfg.seed, max_dim=cfg.ed_max_dim)
+            res = ed_ground(cfg.model, cfg.ed_n_max, seed=cfg.seed, max_dim=cfg.ed_max_dim)
         else:
-            res = converge_cutoff(cfg.model, tol_e=cfg.tol("tol_e"),
-                                  tol=cfg.tol("lanczos_tol"), seed=cfg.seed,
-                                  max_dim=cfg.ed_max_dim)
+            res = converge_cutoff(cfg.model, seed=cfg.seed, max_dim=cfg.ed_max_dim)
         _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, [ed_csv_row(res, cfg.model)])
         if cfg.ed_dump_state:
             dump_state(emit("psi0.npz"), res)
     elif cfg.command == "ed-nscan":
         x_star = minimize(cfg.model).x_star    # e(x) does not depend on N
-        rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), tol_e=cfg.tol("tol_e"),
-                                           tol=cfg.tol("lanczos_tol"), seed=cfg.seed,
+        rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), seed=cfg.seed,
                                            max_dim=cfg.ed_max_dim, x_star=x_star), cfg.model)
                 for n in cfg.ed_n_list]
         _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, rows)

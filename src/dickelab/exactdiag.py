@@ -37,8 +37,8 @@ from .model import AtomSpec, DickeModel, single_atom_matrices
 
 DENSE_CUTOFF = 256    # dense eigh and ARPACK take about equally long at this dim
 MAX_DIM_DEFAULT = 5_000_000
-DEFAULT_TOL = 1e-10
-DEFAULT_TOL_E = 1e-8
+TOL = 1e-10           # ARPACK stops at this Ritz residual relative to |e0|
+TOL_E = 1e-8          # converge_cutoff stops when e0 moves by at most this
 _CUTOFF_GROWTH = 1.5
 
 
@@ -239,9 +239,8 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
     return float(np.linalg.norm(H @ psi - e0 * psi))
 
 
-def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
-                 v0: np.ndarray | None = None, max_iter: int | None = None,
-                 force_lanczos: bool = False) -> GroundState:
+def ground_state(H, seed: int = 0, v0: np.ndarray | None = None,
+                 max_iter: int | None = None, force_lanczos: bool = False) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense).
 
     Dimensions at or below DENSE_CUTOFF go to a dense eigensolver.  Larger
@@ -250,7 +249,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
     so reruns are byte-identical.  ed_ground passes each block's part of the
     mean-field product state or of the previous cutoff step's ground vectors
-    as v0.  ARPACK stops when the Ritz residual drops below tol relative
+    as v0.  ARPACK stops when the Ritz residual drops below TOL relative
     to |e0|.  `iterations` counts matrix-vector products, and max_iter bounds
     them: running out raises ConvergenceError carrying the Rayleigh-quotient
     residual of the last Krylov vector (ARPACK returns no Ritz pair when k=1
@@ -283,7 +282,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
         if matvecs == max_iter:
             psi = x / np.linalg.norm(x)
             raise ConvergenceError(
-                f"Lanczos did not reach tol {tol:g} within {max_iter} matvecs",
+                f"Lanczos did not reach tol {TOL:g} within {max_iter} matvecs",
                 best_residual=_true_residual(H, psi, float(psi @ (H @ psi))))
         matvecs += 1
         return H @ x
@@ -294,7 +293,7 @@ def ground_state(H, tol: float = DEFAULT_TOL, seed: int = 0,
     # such argument and use ARPACK's own fixed-seed generator.
     seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
     try:
-        w, v = eigsh(op, k=1, which="SA", v0=start, tol=tol, maxiter=max_iter, **seeded)
+        w, v = eigsh(op, k=1, which="SA", v0=start, tol=TOL, maxiter=max_iter, **seeded)
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed after {matvecs} matvecs: {exc}") from exc
     psi = v[:, 0]
@@ -364,8 +363,8 @@ def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
     return sorted(blocks, key=lambda idx: idx[0])
 
 
-def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
-              seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT) -> EDResult:
+def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
+              max_dim: int = MAX_DIM_DEFAULT) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
 
     The result carries the normalized ground vector as psi0, over the full
@@ -381,11 +380,11 @@ def ed_ground(model: DickeModel, n_max: int, tol: float = DEFAULT_TOL,
     part of the mean-field product state (mean_field_state at the global
     minimum x*), or from the seeded random vector where that part is zero.
     """
-    return _ed_ground(model, n_max, tol, seed, max_dim)[0]
+    return _ed_ground(model, n_max, seed, max_dim)[0]
 
 
-def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
-               max_dim: int, warm: np.ndarray | None = None,
+def _ed_ground(model: DickeModel, n_max: int, seed: int, max_dim: int,
+               warm: np.ndarray | None = None,
                x_star: float | None = None) -> tuple[EDResult, np.ndarray]:
     """ed_ground, plus the ground vectors of all blocks as one full-basis vector.
 
@@ -415,7 +414,7 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
             if start[idx].any():
                 v0 = start[idx]
         Hs = H if idx.size == basis.dim else H[idx][:, idx]
-        gs = ground_state(Hs, tol=tol, seed=seed + b, v0=v0)
+        gs = ground_state(Hs, seed=seed + b, v0=v0)
         vectors[idx] = gs.vector
         solves.append(gs)
     e0 = np.array([gs.e0 for gs in solves])
@@ -433,11 +432,9 @@ def _ed_ground(model: DickeModel, n_max: int, tol: float, seed: int,
     return res, vectors
 
 
-def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
-                    tol: float = DEFAULT_TOL, seed: int = 1234,
-                    max_dim: int = MAX_DIM_DEFAULT, max_steps: int = 16,
-                    x_star: float | None = None) -> EDResult:
-    """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to tol_e.
+def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
+                    max_steps: int = 16, x_star: float | None = None) -> EDResult:
+    """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to TOL_E.
 
     The starting cutoff comes from the mean-field photon density:
     n_max0 = max(8, ceil(4 N x*^2) + 16).  The first step starts its ARPACK
@@ -455,16 +452,16 @@ def converge_cutoff(model: DickeModel, tol_e: float = DEFAULT_TOL_E,
     warm: np.ndarray | None = None
     for _ in range(max_steps):
         try:
-            res, warm = _ed_ground(model, n, tol, seed, max_dim, warm, x_mf)
+            res, warm = _ed_ground(model, n, seed, max_dim, warm, x_mf)
         except ResourceLimitError as exc:
             raise ResourceLimitError(str(exc), trace=trace) from exc
         trace.append((n, res.e0))
-        if len(trace) > 1 and abs(res.e0 - trace[-2][1]) <= tol_e:
+        if len(trace) > 1 and abs(res.e0 - trace[-2][1]) <= TOL_E:
             return res
         del res  # free its psi0 before the next, larger step
         n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(
-        f"e0 not stable to {tol_e:g} after {max_steps} cutoff steps", trace=trace)
+        f"e0 not stable to {TOL_E:g} after {max_steps} cutoff steps", trace=trace)
 
 
 # ---------------------------------------------------------------------------

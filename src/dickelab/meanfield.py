@@ -29,14 +29,13 @@ from .model import DickeModel, coupling_pair, single_atom_matrices, trk_kappa_mi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-DEFAULT_GRID = 512
-DEFAULT_X_TOL = 1e-6
-DEFAULT_JUMP_THRESHOLD = 0.05
-DEFAULT_REL_WIDTH = 1e-8
-DEFAULT_DELTA_REL = 1e-4
+GRID_POINTS = 512           # uniform grid on [0, x_max] that brackets every local minimum
+X_TOL = 1e-6                # a refined x* at or below this is the normal phase, x* = 0
+JUMP_THRESHOLD = 0.05       # a jump in x* above this across lam_c is first order
+REL_WIDTH = 1e-8            # bisection stops at this fraction of the bracket width
+DELTA_REL = 1e-4            # the jump is measured at lam_c (1 +/- DELTA_REL)
 DEFAULT_N_POINTS = 200
 N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points d^2)
-GRID_POINTS_MAX = 65_536    # one grid row holds GRID_POINTS_MAX d^2 doubles, 4.7 MB at d=3
 
 _GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* > 0
@@ -71,7 +70,7 @@ class TransitionPoint:
     order: Literal["first", "second"]
     x_jump: float
     pop_jump: float
-    delta_rel: float = DEFAULT_DELTA_REL
+    delta_rel: float = DELTA_REL
 
 
 def _energies(omega_eff, energies: np.ndarray, couplings: np.ndarray, xs: np.ndarray):
@@ -111,13 +110,12 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
     return x_hi
 
 
-def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
-                 n_grid: int = DEFAULT_GRID, x_tol: float = DEFAULT_X_TOL
+def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
                  ) -> list[MeanFieldSolution]:
     """Minimize e(x) on [0, x_max] for B parameter sets.
 
-    The grid stage streams over the parameter sets, max(1, _GRID_CHUNK //
-    n_grid) rows per eigvalsh call, so its memory is bounded by the chunk
+    The grid stage streams over the parameter sets, _GRID_CHUNK //
+    GRID_POINTS rows per eigvalsh call, so its memory is bounded by the chunk
     and not by B.  The golden-section refinement then runs on every bracket
     of the batch at once.  e* is _energies at x*, the formula energy_density
     uses, and one batched eigh gives each x*'s occupations.  LAPACK solves
@@ -126,12 +124,12 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     """
     B = couplings.shape[0]
     x_hi = _x_max(omega_eff, energies, couplings)
-    grid = np.linspace(0.0, 1.0, n_grid)
-    rows = max(1, _GRID_CHUNK // n_grid)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    rows = _GRID_CHUNK // GRID_POINTS
 
     # bracket every grid-resolved local minimum, boundaries included; the
     # mask's columns are the interior points, then the two ends
-    cols = np.r_[1:n_grid - 1, 0, n_grid - 1]
+    cols = np.r_[1:GRID_POINTS - 1, 0, GRID_POINTS - 1]
     owners, los, his = [], [], []
     for start in range(0, B, rows):
         chunk = slice(start, start + rows)
@@ -142,7 +140,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
         r, c = np.nonzero(is_min)
         owners.append(start + r)
         los.append(xs[r, np.maximum(cols[c] - 1, 0)])
-        his.append(xs[r, np.minimum(cols[c] + 1, n_grid - 1)])
+        his.append(xs[r, np.minimum(cols[c] + 1, GRID_POINTS - 1)])
     owners = np.concatenate(owners)
     lo = np.concatenate(los)
     hi = np.concatenate(his)
@@ -185,7 +183,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
         sel = slice(bounds[b], bounds[b + 1])
         cand_x = np.concatenate([[0.0], x_ref[sel]])
         cand_e = np.concatenate([[0.0], e_ref[sel]])  # e(0) = eps_0 = 0 exactly
-        cand_x = np.where(cand_x <= x_tol, 0.0, cand_x)
+        cand_x = np.where(cand_x <= X_TOL, 0.0, cand_x)
         order = np.argsort(cand_x, kind="stable")
         cand_x, cand_e = cand_x[order], cand_e[order]
         keep_x, keep_e = [cand_x[0]], [cand_e[0]]
@@ -214,19 +212,16 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     ]
 
 
-def minimize(model: DickeModel, n_grid: int = DEFAULT_GRID,
-             x_tol: float = DEFAULT_X_TOL) -> MeanFieldSolution:
+def minimize(model: DickeModel) -> MeanFieldSolution:
     """Global minimum of e(x) over x >= 0.
 
-    Any refined x* at or below x_tol is snapped to exactly 0, so
+    Any refined x* at or below X_TOL is snapped to exactly 0, so
     x_star == 0 is equivalent to the normal phase.
     """
     return _solve_batch(
         np.array([model.omega_eff]),
         model.atom.energies,
         model.atom.couplings[None],
-        n_grid=n_grid,
-        x_tol=x_tol,
     )[0]
 
 
@@ -251,9 +246,8 @@ def _scan_arrays(model: DickeModel, which: tuple[int, int], values: np.ndarray,
 
 def scan_order_parameter(model: DickeModel, which: tuple[int, int],
                          values: Sequence[float],
-                         tie: Mapping[tuple[int, int], float] | None = None,
-                         n_grid: int = DEFAULT_GRID,
-                         x_tol: float = DEFAULT_X_TOL) -> list[MeanFieldSolution]:
+                         tie: Mapping[tuple[int, int], float] | None = None
+                         ) -> list[MeanFieldSolution]:
     """Solve the mean-field problem at each coupling value (ascending, >= 2).
 
     tie maps other coupling pairs to a ratio of the scanned value, so
@@ -263,22 +257,21 @@ def scan_order_parameter(model: DickeModel, which: tuple[int, int],
     if vals.size < 2 or np.any(np.diff(vals) <= 0):
         raise ValueError("values must be strictly ascending with at least 2 entries")
     C, omega_eff = _scan_arrays(model, which, vals, tie)
-    return _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)
+    return _solve_batch(omega_eff, model.atom.energies, C)
 
 
 def critical_coupling(model: DickeModel, which: tuple[int, int],
                       bracket: tuple[float, float],
-                      tie: Mapping[tuple[int, int], float] | None = None,
-                      x_tol: float = DEFAULT_X_TOL,
-                      jump_threshold: float = DEFAULT_JUMP_THRESHOLD,
-                      rel_width: float = DEFAULT_REL_WIDTH,
-                      delta_rel: float = DEFAULT_DELTA_REL,
-                      n_grid: int = DEFAULT_GRID) -> TransitionPoint:
-    """Bisect the normal/superradiant indicator x*(lam) > x_tol inside bracket.
+                      tie: Mapping[tuple[int, int], float] | None = None
+                      ) -> TransitionPoint:
+    """Bisect the normal/superradiant indicator x*(lam) > 0 inside bracket.
+
+    x* is snapped to 0 at or below X_TOL, and bisection stops at REL_WIDTH
+    times the bracket width.
 
     The bracket must straddle the transition: normal at bracket[0],
     superradiant at bracket[1].  The order is classified from the jump of
-    x* across lam_c +/- delta_rel*lam_c (first order above jump_threshold).
+    x* across lam_c +/- DELTA_REL*lam_c (first order above JUMP_THRESHOLD).
     Each point is built by _scan_arrays, as in scan_order_parameter and
     no_go_check, so a pair or tie is checked and applied the same way.
     """
@@ -288,7 +281,7 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
 
     def solve(lam: float) -> MeanFieldSolution:
         C, omega_eff = _scan_arrays(model, which, np.array([lam]), tie)
-        return _solve_batch(omega_eff, model.atom.energies, C, n_grid=n_grid, x_tol=x_tol)[0]
+        return _solve_batch(omega_eff, model.atom.energies, C)[0]
 
     def superradiant(lam: float) -> bool:
         return solve(lam).x_star > 0.0
@@ -298,7 +291,7 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     if not superradiant(hi):
         raise BracketError(f"no transition in bracket: x* = 0 still at coupling {hi}")
 
-    width = rel_width * (hi - lo)
+    width = REL_WIDTH * (hi - lo)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if superradiant(mid):
@@ -307,25 +300,22 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
             lo = mid
     lam_c = 0.5 * (lo + hi)
 
-    delta = delta_rel * lam_c
+    delta = DELTA_REL * lam_c
     below = solve(lam_c - delta)
     above = solve(lam_c + delta)
     x_jump = abs(above.x_star - below.x_star)
     pop_jump = float(np.max(np.abs(above.occupations - below.occupations)))
     return TransitionPoint(
         coupling_value=lam_c,
-        order="first" if x_jump > jump_threshold else "second",
+        order="first" if x_jump > JUMP_THRESHOLD else "second",
         x_jump=x_jump,
         pop_jump=pop_jump,
-        delta_rel=delta_rel,
     )
 
 
 def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_POINTS,
                 which: tuple[int, int] = (0, 1),
-                kappa_rule: Literal["fixed", "trk-ground"] = "fixed",
-                x_tol: float = DEFAULT_X_TOL,
-                n_grid: int = DEFAULT_GRID) -> bool:
+                kappa_rule: Literal["fixed", "trk-ground"] = "fixed") -> bool:
     """True iff the model stays normal for every coupling in [0, lambda_max].
 
     kappa_rule "fixed" keeps model.kappa; "trk-ground" sets, at each scan
@@ -351,8 +341,7 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     _x_max(omega_eff, model.atom.energies, C)
     for start in range(0, n_points, _NO_GO_BLOCK):
         block = slice(start, start + _NO_GO_BLOCK)
-        sols = _solve_batch(omega_eff[block], model.atom.energies, C[block],
-                            n_grid=n_grid, x_tol=x_tol)
+        sols = _solve_batch(omega_eff[block], model.atom.energies, C[block])
         if any(s.x_star > 0.0 for s in sols):
             return False
     return True

@@ -30,10 +30,15 @@ from .errors import ConfigError
 def coupling_pair(pair, d: int) -> tuple[int, int]:
     """The off-diagonal pair (j, k) of a d-level atom as (min, max).
 
-    Raises ValueError naming the pair when j == k or an index is outside
-    [0, d); a negative index is never wrapped.
+    Raises ValueError naming the pair when an index is not an integer (a
+    bool or an integral float included; numpy integers are fine), when
+    j == k, or when an index is outside [0, d); a negative index is never
+    wrapped.
     """
     j, k = pair
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (j, k)):
+        raise ValueError(f"coupling pair ({j!r}, {k!r}): level indices must be integers")
+    j, k = int(j), int(k)
     if j == k:
         raise ValueError(f"coupling pair ({j}, {k}) is diagonal; the levels must differ")
     if not (0 <= j < d and 0 <= k < d):

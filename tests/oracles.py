@@ -163,6 +163,24 @@ def photon_only_ground(omega: float, kappa: float) -> float:
     return 0.5 * (math.sqrt(omega * (omega + 4.0 * kappa)) - omega)
 
 
+def holstein_primakoff_energy(omega: float, omega0: float, lam: float,
+                              kappa: float = 0.0) -> float:
+    """N -> infinity ground energy (not per atom) of the two-level model in
+    the normal phase, from the Holstein-Primakoff boson picture.
+
+    To leading order the collective spin is a boson b, and
+    H = omega a'a + omega0 b'b + lam (a + a')(b + b') + kappa (a + a')^2.
+    In quadratures the squared normal-mode frequencies are the eigenvalues
+    of V = [[omega (omega + 4 kappa), 2 lam sqrt(omega omega0)],
+    [2 lam sqrt(omega omega0), omega0^2]], so E = (1/2) sum sqrt(eig V)
+    - (omega + omega0)/2 (Emary and Brandes, PRE 67, 066203 (2003)).
+    Finite-N ED exceeds it by O(1/N).
+    """
+    c = 2.0 * lam * math.sqrt(omega * omega0)
+    v = np.array([[omega * (omega + 4.0 * kappa), c], [c, omega0**2]])
+    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(v)).sum()) - 0.5 * (omega + omega0)
+
+
 def charpoly_min_eig(energies, couplings, x: float) -> float:
     """Smallest eigenvalue of diag(eps) + 2x lam via numpy.roots, d <= 3."""
     m = np.diag(np.asarray(energies, dtype=float)) + 2.0 * x * np.asarray(couplings, dtype=float)

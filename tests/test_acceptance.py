@@ -168,9 +168,9 @@ def test_criterion_6_finite_size_trend_toward_mean_field():
     model = ladder(1.0, 1.0, 2.0, 0.0, lam12)
 
     t0 = time.perf_counter()
-    results = {n: converge_cutoff(model.with_n_atoms(n), tol_e=1e-8)
+    results = {n: converge_cutoff(model.with_n_atoms(n))
                for n in (4, 6, 8, 10, 12)}
-    normal = converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=12), tol_e=1e-8)
+    normal = converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=12))
     elapsed = time.perf_counter() - t0
 
     gaps = [abs(results[n].e0_per_atom - e_star) for n in (4, 6, 8, 10, 12)]
@@ -199,11 +199,11 @@ def test_criterion_7_ed_internal_consistency():
 
     # parity pinned to +-1 on a spread of runs, including quasi-degenerate ones
     runs = [
-        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8), tol_e=1e-8),
-        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=8), tol_e=1e-8),
-        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=6), tol_e=1e-8),
-        converge_cutoff(two_level(1.0, 1.0, 0.45, n_atoms=8), tol_e=1e-8),
-        converge_cutoff(two_level(1.0, 1.0, 1.2, n_atoms=8), tol_e=1e-8),
+        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)),
+        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=8)),
+        converge_cutoff(ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=6)),
+        converge_cutoff(two_level(1.0, 1.0, 0.45, n_atoms=8)),
+        converge_cutoff(two_level(1.0, 1.0, 1.2, n_atoms=8)),
     ]
     for i, res in enumerate(runs):
         dev = abs(abs(res.parity) - 1.0)

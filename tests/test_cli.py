@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,12 @@ from dickelab import cli, converge_cutoff, ed_ground, ladder, meanfield, model_f
 from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 from dickelab.exactdiag import dump_state
+from dickelab.model import _ATOM_KEYS, _MODEL_KEYS
 
 LADDER_E_STAR = -7.0 / 9.0
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+README = ROOT / "README.md"
 NAN, INF = float("nan"), float("inf")
 
 
@@ -74,8 +78,17 @@ class TestParseConfig:
         assert cfg.model.omega == 1.0
         assert cfg.model.kappa == 0.0
         assert cfg.seed == 1234                    # recorded even when defaulted
-        assert cfg.tol("x_tol") == 1e-6
-        assert cfg.tol("grid_points") == 512
+
+    def test_readme_schema_lists_accepted_keys(self):
+        # the README's jsonc example names every key a block accepts, no more
+        example = README.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", example))
+        assert set(doc) == cli._TOP_KEYS
+        assert set(doc["model"]) == _MODEL_KEYS
+        assert set(doc["model"]["atom"]) == set(_ATOM_KEYS)
+        for block in ("scan", "ed", "cpb"):
+            accepted = set().union(*(c[block] for c in cli._COMMANDS.values() if block in c))
+            assert set(doc[block]) == accepted, block
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match=r"\$\.unknown"):
@@ -213,20 +226,19 @@ class TestExitCodes:
         assert record["error_type"] == "ConvergenceError"
         assert record["trace"] == [list(exc.value.trace[0])]
 
-    @pytest.mark.parametrize("key, value", [
-        ("bisect_rel_width", 0.0), ("x_tol", -1.0), ("lanczos_tol", 0.0),
-        ("tol_e", float("nan")), ("jump_threshold", float("inf")),
-        ("delta_rel", -1e-4), ("grid_points", 1), ("grid_points", 64.0),
-    ])
-    def test_tolerance_out_of_range(self, tmp_path, key, value):
+    def test_tolerances_block_rejected(self, tmp_path):
+        # the solver tolerances are module constants; a block that spells out
+        # their values is an unknown key like any other
         cfg = write_config(tmp_path, {
             "command": "critical", "model": ladder_model(),
             "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]},
-            "tolerances": {key: value},
+            "tolerances": {"x_tol": 1e-6, "grid_points": 512, "tol_e": 1e-8},
         })
         out = tmp_path / "out"
         assert main([cfg, "-o", str(out)]) == 2
-        assert json.loads((out / "error.json").read_text())["path"] == f"$.tolerances.{key}"
+        record = json.loads((out / "error.json").read_text())
+        assert record["path"] == "$.tolerances" and record["message"].endswith("unknown key")
+        assert not (out / "transition.json").exists()
 
     def test_negative_cutoff(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "ed-ground",
@@ -298,12 +310,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, block, path, limit", [
         ("no-go", {"scan": {"coupling": [1, 2], "lambda_max": 2.0, "n_points": 10**9}},
          "$.scan.n_points", "at most 100000"),
-        ("critical", {"scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]},
-                      "tolerances": {"grid_points": 10**9}},
-         "$.tolerances.grid_points", "at most 65536"),
     ])
     def test_mean_field_sizes_bounded(self, tmp_path, command, block, path, limit):
-        # checked before a grid of 10**9 points or parameter sets is allocated
+        # checked before 10**9 parameter sets are allocated
         cfg = write_config(tmp_path, {"command": command,
                                       "model": ladder_model(lam01=0.1), **block})
         out = tmp_path / "out"

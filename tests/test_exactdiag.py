@@ -242,7 +242,7 @@ class TestGroundState:
 
     def test_superradiant_energy_drops(self):
         m = two_level(1.0, 1.0, 1.5, n_atoms=8)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert res.e0_per_atom < -0.1
 
     def test_nonconvergence_reports_residual(self):
@@ -301,7 +301,7 @@ class TestObservables:
 
     def test_superradiant_ladder(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert res.populations[0] == 0.0      # the winning block has m_0 = 0
         assert res.photon_density > 0.5
         assert abs(abs(res.parity) - 1.0) <= 1e-12
@@ -310,7 +310,7 @@ class TestObservables:
     def test_first_moment_vanishes(self):
         # parity symmetry forces <a + a'> = 0 even deep in the phase
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         basis = build_basis(6, 3, res.n_max_used)
         X = displacement_operator(basis)
         assert abs(res.psi0 @ (X @ res.psi0)) <= 1e-10
@@ -339,7 +339,7 @@ class TestEdGround:
         # lam12 below critical with lam01 = 0: the photon-atom block around
         # (N, 0, 0) is decoupled and the exact ground energy is 0
         m = ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=12)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert abs(res.e0) <= 1e-10
         np.testing.assert_allclose(res.populations, [1.0, 0.0, 0.0], atol=1e-12)
         assert res.parity == pytest.approx(1.0, abs=1e-12)
@@ -348,7 +348,7 @@ class TestEdGround:
         # deep superradiant regime: two lowest states nearly degenerate with
         # opposite parity; sector-resolved solves must still pin |parity| = 1
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert abs(abs(res.parity) - 1.0) <= 1e-12
 
     def test_seed_recorded(self):
@@ -453,13 +453,13 @@ class TestMeanFieldStart:
 class TestConvergeCutoff:
     def test_decoupled_converges_immediately(self):
         m = two_level(1.0, 1.0, 0.0, n_atoms=4)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert res.photon_density == 0.0
         assert res.e0 == pytest.approx(0.0, abs=1e-12)
 
     def test_cutoff_scales_with_mean_field_photon_number(self):
         m = two_level(1.0, 1.0, 0.75, n_atoms=10)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         x2 = oracles.two_level_x_star(1.0, 1.0, 0.75) ** 2
         assert res.n_max_used >= math.ceil(4 * 10 * x2)
         # e0 stable against a further cutoff bump
@@ -470,14 +470,14 @@ class TestConvergeCutoff:
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5)
         gaps = []
         for n in (4, 6, 8):
-            res = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8)
+            res = converge_cutoff(m.with_n_atoms(n))
             assert res.e0_per_atom <= LADDER_E_STAR + 1e-12
             gaps.append(LADDER_E_STAR - res.e0_per_atom)
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_warm_started_ladder_matches_cold_solve(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         assert res.method == "lanczos"
         cold = ed_ground(m, n_max=res.n_max_used)
         assert abs(res.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
@@ -487,8 +487,8 @@ class TestConvergeCutoff:
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5)
         x_star = minimize(m).x_star
         for n in (4, 8):
-            a = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8)
-            b = converge_cutoff(m.with_n_atoms(n), tol_e=1e-8, x_star=x_star)
+            a = converge_cutoff(m.with_n_atoms(n))
+            b = converge_cutoff(m.with_n_atoms(n), x_star=x_star)
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
         assert b.method == "lanczos"
@@ -496,23 +496,35 @@ class TestConvergeCutoff:
     def test_unstable_cutoff_carries_trace(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4)
         with pytest.raises(ConvergenceError) as exc:
-            converge_cutoff(m, tol_e=1e-8, max_steps=1)
+            converge_cutoff(m, max_steps=1)
         [(n0, e0)] = exc.value.trace
         assert n0 >= 8 and e0 < 0.0
 
     def test_resource_limit_carries_trace(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10)
         with pytest.raises(ResourceLimitError) as exc:
-            converge_cutoff(m, tol_e=1e-8, max_dim=8000)
+            converge_cutoff(m, max_dim=8000)
         assert len(exc.value.trace) == 1          # first cutoff fit, second did not
         n0, e0 = exc.value.trace[0]
         assert n0 >= 8 and e0 < 0.0
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_normal_phase_matches_holstein_primakoff(self, kappa):
+        # e0 - E_HP is a clean 1/N: N (e0 - E_HP) is positive, about 7e-3 at
+        # kappa 0 and 3.5e-3 at kappa 0.1, and converges in N with its steps
+        # halving (the next order is 1/N^2)
+        e_hp = oracles.holstein_primakoff_energy(1.0, 1.0, 0.3, kappa)
+        scaled = [n * (converge_cutoff(two_level(1.0, 1.0, 0.3, kappa, n_atoms=n)).e0 - e_hp)
+                  for n in (10, 20, 40, 80)]
+        assert all(0.0 < s < 0.01 for s in scaled), scaled
+        steps = np.diff(scaled)
+        assert np.all(np.abs(steps[1:]) <= 0.6 * np.abs(steps[:-1])), scaled
 
 
 class TestOutputHelpers:
     def test_csv_header_and_row(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4)
-        res = converge_cutoff(m, tol_e=1e-8)
+        res = converge_cutoff(m)
         header = ed_csv_header(3)
         assert header == ["N", "n_max_used", "coupling_01", "coupling_02",
                           "coupling_12", "e0_per_atom", "photon_density", "quad",
@@ -542,7 +554,7 @@ class TestOutputHelpers:
 
     @pytest.mark.parametrize("solve", [
         lambda m: ed_ground(m, n_max=20),
-        lambda m: converge_cutoff(m, tol_e=1e-8),
+        lambda m: converge_cutoff(m),
     ], ids=["ed_ground", "converge_cutoff"])
     def test_result_carries_state_for_dump(self, tmp_path, solve):
         # two parity blocks of ~300 states each: Lanczos, psi0 zero off one block

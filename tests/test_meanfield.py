@@ -193,8 +193,9 @@ class TestScan:
         with pytest.raises(ValueError, match=re.escape(str(pair))):
             critical_coupling(m, (1, 2), (1.0, 1.6), tie={pair: 0.5})
 
-    @pytest.mark.parametrize("which", [(-2, -1), (1, 1), (0, 3)],
-                             ids=["negative", "diagonal", "out_of_range"])
+    @pytest.mark.parametrize("which", [(-2, -1), (1, 1), (0, 3), (0.5, 1), (1.0, 2), (True, 2)],
+                             ids=["negative", "diagonal", "out_of_range", "float",
+                                  "integral_float", "bool"])
     def test_bad_scanned_pair_raises(self, which):
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.0)
         with pytest.raises(ValueError, match=re.escape(str(which))):
@@ -224,7 +225,7 @@ class TestGridChunks:
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         default = self._batches()
-        monkeypatch.setattr(meanfield, "_GRID_CHUNK", meanfield.DEFAULT_GRID)  # one row each
+        monkeypatch.setattr(meanfield, "_GRID_CHUNK", meanfield.GRID_POINTS)  # one row each
         single = self._batches()
         assert [s.x_star for s in single] == [s.x_star for s in default]
         assert [s.e_star for s in single] == [s.e_star for s in default]
@@ -240,7 +241,7 @@ class TestGridChunks:
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.5)
         tracemalloc.start()
         try:
-            scan_order_parameter(m, (1, 2), np.linspace(0.0, 2.0, 2000), n_grid=512)
+            scan_order_parameter(m, (1, 2), np.linspace(0.0, 2.0, 2000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,12 @@ def test_with_couplings_symmetric_update():
     # a negative index is out of range, not wrapped around to (0, 2)
     with pytest.raises(ValueError, match=r"\(-1, 0\).*out of range"):
         atom.with_couplings({(-1, 0): 0.7})
+    # a float or bool index would reach numpy as a bad or boolean index
+    for pair in [(0.5, 1), (1.0, 2), (True, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"{pair}: level indices must be integers")):
+            atom.with_couplings({pair: 0.3})
+    numpy_pair = atom.with_couplings({(np.int64(2), np.int32(1)): 0.7})
+    assert np.array_equal(numpy_pair.couplings, updated.couplings)
 
 
 def test_model_validation():
