@@ -8,16 +8,16 @@ per atom is
 
 The global minimum over x decides the phase: x* = 0 is normal, x* > 0 is
 superradiant.  Minimization runs on a uniform grid (every grid-resolved
-local minimum is refined by golden-section search), which is what makes
-first-order transitions with competing minima safe to classify.  A batch of
-parameter sets walks the grid a fixed number of single-atom matrices at a
-time, so the grid stage's memory does not grow with the batch size.
+local minimum is refined by a safeguarded Newton iteration on e'(x)), which
+is what makes first-order transitions with competing minima safe to
+classify.  A batch of parameter sets walks the grid a fixed number of
+single-atom matrices at a time, so the grid stage's memory does not grow
+with the batch size.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import BracketError, SolverError
 from .model import DickeModel, coupling_pair, single_atom_matrices, trk_kappa_min
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 GRID_POINTS = 512           # uniform grid on [0, x_max] that brackets every local minimum
 X_TOL = 1e-6                # a refined x* at or below this is the normal phase, x* = 0
@@ -39,6 +36,7 @@ N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points
 
 _GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* > 0
+_NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 
 
 @dataclass(frozen=True)
@@ -110,17 +108,52 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
     return x_hi
 
 
+def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
+            owners: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Newton on e'(x) from each bracket's midpoint; lo and hi shrink in place.
+
+    Bracket i belongs to parameter set owners[i], and each step is one eigh
+    call on all open brackets.  By Hellmann-Feynman, with g_n = c_n^T lam c_0,
+    e' = 2 omega_eff x + 2 g_0 and e'' = 2 omega_eff - 8 sum_{n>=1} g_n^2 /
+    (E_n - E_0).  The sign of e' shrinks the bracket.  The Newton point,
+    clipped into the closed bracket, is taken if e'' > 0 (not nan, as at a
+    degenerate ground level) and the step at least halves; else x moves to
+    the bracket midpoint.  A bracket is frozen once its step is at most its
+    owner's tol.
+    """
+    x = 0.5 * (lo + hi)
+    prev, todo = np.full(x.size, np.inf), np.arange(x.size)
+    for _ in range(_NEWTON_MAX):
+        b, xa = owners[todo], x[todo]
+        w, v = np.linalg.eigh(single_atom_matrices(energies, couplings[b], xa))
+        g = (v * (couplings[b] @ v[:, :, :1])).sum(axis=1)     # g_n = c_n^T lam c_0
+        d1 = 2.0 * omega_eff[b] * xa + 2.0 * g[:, 0]
+        lo[todo] = la = np.where(d1 < 0.0, xa, lo[todo])
+        hi[todo] = ha = np.where(d1 > 0.0, xa, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = 2.0 * omega_eff[b] - 8.0 * (g[:, 1:] ** 2 / (w[:, 1:] - w[:, :1])).sum(axis=1)
+            newton = np.clip(xa - d1 / d2, la, ha)
+        newton_ok = (d2 > 0.0) & (np.abs(newton - xa) <= 0.5 * prev[todo])
+        step = np.where(newton_ok, newton, 0.5 * (la + ha)) - xa
+        x[todo], prev[todo] = xa + step, np.abs(step)
+        todo = todo[prev[todo] > tol[b]]
+        if todo.size == 0:
+            return x
+    raise SolverError(f"Newton cap of {_NEWTON_MAX} steps hit for parameter set {owners[todo[0]]}")
+
+
 def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
                  ) -> list[MeanFieldSolution]:
     """Minimize e(x) on [0, x_max] for B parameter sets.
 
     The grid stage streams over the parameter sets, _GRID_CHUNK //
     GRID_POINTS rows per eigvalsh call, so its memory is bounded by the chunk
-    and not by B.  The golden-section refinement then runs on every bracket
-    of the batch at once.  e* is _energies at x*, the formula energy_density
-    uses, and one batched eigh gives each x*'s occupations.  LAPACK solves
-    each matrix on its own, so neither the chunk size nor the batch changes
-    any result.
+    and not by B.  _refine then runs on every bracket of the batch at once,
+    and a bracket whose refinement ends above its grid point keeps it.  e* is
+    _energies at x*, the formula energy_density uses, and one batched eigh
+    gives each x*'s occupations.  LAPACK solves each matrix on its own and
+    _refine freezes each bracket at its owner's tolerance, so neither the
+    chunk size nor the other sets of the batch change any set's result.
     """
     B = couplings.shape[0]
     x_hi = _x_max(omega_eff, energies, couplings)
@@ -130,7 +163,7 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     # bracket every grid-resolved local minimum, boundaries included; the
     # mask's columns are the interior points, then the two ends
     cols = np.r_[1:GRID_POINTS - 1, 0, GRID_POINTS - 1]
-    owners, los, his = [], [], []
+    owners, ks, e_grid = [], [], []
     for start in range(0, B, rows):
         chunk = slice(start, start + rows)
         xs = x_hi[chunk, None] * grid[None, :]
@@ -139,42 +172,15 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
                                  e[:, :1] <= e[:, 1:2], e[:, -1:] <= e[:, -2:-1]], axis=1)
         r, c = np.nonzero(is_min)
         owners.append(start + r)
-        los.append(xs[r, np.maximum(cols[c] - 1, 0)])
-        his.append(xs[r, np.minimum(cols[c] + 1, GRID_POINTS - 1)])
-    owners = np.concatenate(owners)
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
+        ks.append(cols[c])
+        e_grid.append(e[r, cols[c]])
+    owners, k, e_grid = map(np.concatenate, (owners, ks, e_grid))
+    # the grid point and its two neighbours, as the products xs holds
+    lo, x_grid, hi = (x_hi[owners] * grid[np.clip(k + s, 0, GRID_POINTS - 1)] for s in (-1, 0, 1))
 
-    # golden-section refinement, vectorized across all brackets
-    owner_omega = omega_eff[owners]
-    owner_couplings = couplings[owners]
-
-    def feval(points):
-        return _energies(owner_omega, energies, owner_couplings, points)
-
-    h = hi - lo
-    x_atol = 1e-12 * max(1.0, float(x_hi.max()))
-    n_iter = max(1, math.ceil(math.log(x_atol / max(h.max(), x_atol)) / math.log(_INVPHI)))
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1 = feval(x1)
-    f2 = feval(x2)
-    for _ in range(n_iter):
-        left = f1 < f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        h = hi - lo
-        x1n = lo + _INVPHI2 * h
-        x2n = lo + _INVPHI * h
-        # after a left shrink the old x1 lands on x2n (and mirrored), so one
-        # new evaluation per bracket per iteration is enough
-        probe = np.where(left, x1n, x2n)
-        fp = feval(probe)
-        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
-        x1, x2 = x1n, x2n
-
-    x_ref = np.where(f1 < f2, x1, x2)
-    e_ref = np.minimum(f1, f2)
+    x_ref = _refine(omega_eff, energies, couplings, owners, lo, hi, 1e-12 * np.maximum(1.0, x_hi))
+    e_ref = _energies(omega_eff[owners], energies, couplings[owners], x_ref)
+    x_ref, e_ref = np.where(e_ref > e_grid, [x_grid, e_grid], [x_ref, e_ref])
 
     # owners ascend, so parameter set b owns brackets bounds[b]:bounds[b + 1]
     bounds = np.searchsorted(owners, np.arange(B + 1))
@@ -201,15 +207,8 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     e_star = _energies(omega_eff, energies, couplings, x_star)
     occ = np.linalg.eigh(single_atom_matrices(energies, couplings, x_star))[1][:, :, 0] ** 2
     occ.flags.writeable = False
-    return [
-        MeanFieldSolution(
-            x_star=float(x_star[b]),
-            e_star=float(e_star[b]),
-            occupations=occ[b],
-            local_minima=minima[b],
-        )
-        for b in range(B)
-    ]
+    return [MeanFieldSolution(float(x_star[b]), float(e_star[b]), occ[b], minima[b])
+            for b in range(B)]
 
 
 def minimize(model: DickeModel) -> MeanFieldSolution:
@@ -283,18 +282,15 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
         C, omega_eff = _scan_arrays(model, which, np.array([lam]), tie)
         return _solve_batch(omega_eff, model.atom.energies, C)[0]
 
-    def superradiant(lam: float) -> bool:
-        return solve(lam).x_star > 0.0
-
-    if superradiant(lo):
+    if solve(lo).superradiant:
         raise BracketError(f"no transition in bracket: x* > 0 already at coupling {lo}")
-    if not superradiant(hi):
+    if not solve(hi).superradiant:
         raise BracketError(f"no transition in bracket: x* = 0 still at coupling {hi}")
 
     width = REL_WIDTH * (hi - lo)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if superradiant(mid):
+        if solve(mid).superradiant:
             hi = mid
         else:
             lo = mid
@@ -342,7 +338,7 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     for start in range(0, n_points, _NO_GO_BLOCK):
         block = slice(start, start + _NO_GO_BLOCK)
         sols = _solve_batch(omega_eff[block], model.atom.energies, C[block])
-        if any(s.x_star > 0.0 for s in sols):
+        if any(s.superradiant for s in sols):
             return False
     return True
 

@@ -226,6 +226,17 @@ class TestExitCodes:
         assert record["error_type"] == "ConvergenceError"
         assert record["trace"] == [list(exc.value.trace[0])]
 
+    def test_refinement_step_cap(self, tmp_path, monkeypatch):
+        # every bracket of this scan needs more than one Newton step
+        monkeypatch.setattr(meanfield, "_NEWTON_MAX", 1)
+        cfg = write_config(tmp_path, {"command": "meanfield-scan", "model": ladder_model(),
+                                      "scan": {"coupling": [1, 2], "values": [1.1, 1.3]}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "SolverError"
+        assert "1 steps hit for parameter set 0" in record["message"]
+
     def test_tolerances_block_rejected(self, tmp_path):
         # the solver tolerances are module constants; a block that spells out
         # their values is an unknown key like any other

@@ -520,6 +520,17 @@ class TestConvergeCutoff:
         steps = np.diff(scaled)
         assert np.all(np.abs(steps[1:]) <= 0.6 * np.abs(steps[:-1])), scaled
 
+    def test_superradiant_ladder_matches_mean_field(self):
+        # e0/N = e* + a/N + O(1/N^2), so the Richardson combination
+        # R(N) = 2 e0(2N)/(2N) - e0(N)/N - e* is O(1/N^2): 4.6e-6 at N = 10
+        # and 1.1e-6 at N = 20, a quarter of it
+        e_star = minimize(ladder(1.0, 1.0, 2.0, 0.1, 1.5)).e_star
+        e0 = {n: converge_cutoff(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=n)).e0 / n
+              for n in (10, 20, 40)}
+        r10 = 2.0 * e0[20] - e0[10] - e_star
+        r20 = 2.0 * e0[40] - e0[20] - e_star
+        assert abs(r20) < 2e-6 and abs(r20) < 0.35 * abs(r10), (r10, r20)
+
 
 class TestOutputHelpers:
     def test_csv_header_and_row(self):

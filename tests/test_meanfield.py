@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -21,7 +23,7 @@ from dickelab import (
     write_scan_csv,
 )
 from dickelab import meanfield
-from dickelab.meanfield import _scan_arrays, _solve_batch, _x_max
+from dickelab.meanfield import _refine, _scan_arrays, _solve_batch, _x_max
 
 
 def random_atom(rng, d):
@@ -246,6 +248,154 @@ class TestGridChunks:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+def _as_tuple(sol):
+    return (sol.x_star, sol.e_star, sol.occupations.tobytes(), sol.local_minima)
+
+
+def _tied_ladder_batch():
+    m = ladder(1.0, 1.0, 2.0, 0.1, 1.5)
+    C, omega_eff = _scan_arrays(m, (1, 2), np.array([1.5, 0.008, 0.3, 1.2]), tie={(0, 1): 0.05})
+    omega_eff[1] = 3e-4
+    return omega_eff, m.atom.energies, C
+
+
+def _degenerate_pairs_batch():
+    # two copies of a two-level atom, 0-2 and 1-3; when the copies are equal
+    # the ground level is degenerate at every x, e'' is nan, and the brackets
+    # converge by midpoints, so any change of tolerance or step count shows
+    # in x*
+    C = np.zeros((4, 4, 4))
+    for b, (lam02, lam13) in enumerate([(0.8, 0.8), (0.005, 0.005), (1.2, 1.2), (0.8, 0.3)]):
+        C[b, 0, 2] = C[b, 2, 0] = lam02
+        C[b, 1, 3] = C[b, 3, 1] = lam13
+    return np.array([1.0, 3e-4, 1.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]), C
+
+
+# set 1 of each batch is normal, with omega_eff 3e-4, and has a 30 times
+# larger scan range than set 0
+BATCHES = {"tied_ladder": _tied_ladder_batch, "degenerate_pairs": _degenerate_pairs_batch}
+
+
+class TestRefinement:
+    # the benchmark's two 1000-point scans
+    SCANS = {
+        "two_level": (two_level(1.0, 1.0, 0.1), (0, 1), np.linspace(0.3, 1.0, 1000),
+                      lambda v: oracles.two_level_x_star(1.0, 1.0, v),
+                      lambda v: oracles.two_level_e_star(1.0, 1.0, v)),
+        "ladder": (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), np.linspace(1.0, 1.5, 1000),
+                   lambda v: oracles.ladder_x_star(1.0, v),
+                   lambda v: oracles.ladder_e_star(1.0, v)),
+    }
+
+    @pytest.mark.parametrize("case", list(SCANS))
+    def test_scan_matches_closed_form(self, case):
+        model, which, values, x_star, e_star = self.SCANS[case]
+        sols = scan_order_parameter(model, which, values)
+        x_err = [abs(s.x_star - x_star(v)) for s, v in zip(sols, values)]
+        e_err = [abs(s.e_star - e_star(v)) for s, v in zip(sols, values)]
+        assert max(x_err) <= 1e-12 and max(e_err) <= 1e-12, (max(x_err), max(e_err))
+
+    @pytest.mark.parametrize("case", list(BATCHES))
+    def test_result_does_not_depend_on_the_batch(self, case):
+        omega_eff, energies, C = BATCHES[case]()
+        # each bracket stops on its own owner's tolerance and is then frozen,
+        # also next to set 1, a normal set whose scan range is 30 times larger
+        x_max = _x_max(omega_eff, energies, C)
+        assert x_max[1] > 30.0 * x_max[0]
+        batch = _solve_batch(omega_eff, energies, C)
+        assert batch[0].x_star > 0.0 and batch[1].x_star == 0.0
+        for b in range(4):
+            alone = _solve_batch(omega_eff[b:b + 1], energies, C[b:b + 1])[0]
+            assert _as_tuple(alone) == _as_tuple(batch[b])
+        reordered = _solve_batch(omega_eff[::-1], energies, C[::-1])[::-1]
+        assert [_as_tuple(s) for s in reordered] == [_as_tuple(s) for s in batch]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_never_above_the_dense_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        m = DickeModel(rng.uniform(0.2, 2.0), random_atom(rng, 3), kappa=rng.uniform(0.0, 0.3))
+        sol = minimize(m)
+        x_max = float(_x_max(np.array([m.omega_eff]), m.atom.energies, m.atom.couplings[None])[0])
+        _, e_grid = oracles.grid_minimum(m.atom.energies, m.atom.couplings, m.omega_eff, x_max,
+                                         n=20_001)
+        assert sol.e_star <= e_grid + 1e-12
+
+    def test_refinement_above_its_grid_point_keeps_the_grid_point(self, monkeypatch):
+        # a refinement that ends on its bracket's upper end, never below the
+        # grid point the bracket was built around
+        monkeypatch.setattr(meanfield, "_refine", lambda *args: args[-2].copy())
+        m = ladder(1.0, 1.0, 2.0, 0.0, 1.3)
+        sol = minimize(m)
+        x_max = float(_x_max(np.array([m.omega_eff]), m.atom.energies, m.atom.couplings[None])[0])
+        xs = x_max * np.linspace(0.0, 1.0, meanfield.GRID_POINTS)
+        e = energy_density(m, xs)
+        assert sol.x_star == xs[np.argmin(e)]
+        assert sol.e_star == e.min()
+
+    @pytest.mark.parametrize("model, n_minima, max_calls", [
+        (ladder(1.0, 1.0, 2.0, 0.0, 1.3), 2, 8),
+        (ladder(1.0, 1.0, 2.0, 0.13, 1.3, kappa=0.05), 2, 8),
+        (ladder(1.0, 1.0, 2.0, 0.1 * 1.3065086510032415, 1.3065086510032415, kappa=0.05), 2, 8),
+        # e ~ x^4 at lam_c: Newton shrinks x only by 2/3 a step (31 steps);
+        # a step that does not halve goes to the midpoint instead (23)
+        (two_level(1.0, 1.0, 0.5), 1, 26),
+    ], ids=["ladder", "tied_ladder", "tied_ladder_at_lam_c", "two_level_at_lam_c"])
+    def test_few_eigh_calls(self, model, n_minima, max_calls, monkeypatch):
+        # Newton from each bracket's midpoint, plus one call for the
+        # occupations; a Newton point on the x = 0 end of the bracket is
+        # taken, not bisected towards
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        sol = minimize(model)
+        assert sol.n_local_minima == n_minima
+        assert len(calls) <= max_calls, calls
+
+    def test_nonpositive_curvature_steps_to_the_midpoint(self, monkeypatch):
+        # two-level atom at lam = 1: e'' < 0 below x = 0.308, x* = sqrt(15)/4
+        points = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            points.append(a[:, 0, 1] / 2.0)       # 2 x lam_01 with lam_01 = 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        m = two_level(1.0, 1.0, 1.0)
+        lo, hi = np.array([-0.6]), np.array([1.1])
+        x = _refine(np.array([m.omega_eff]), m.atom.energies, m.atom.couplings[None],
+                    np.array([0]), lo, hi, np.array([1e-12]))
+        h = 1e-4
+        curvature = np.diff(oracles.two_level_energy(1.0, 1.0, 1.0, 0.25 + h * np.arange(-1, 2)), 2)
+        assert curvature[0] < 0.0
+        # e(x) is even, so the bracket [-0.6, 1.1] holds the one minimum
+        # x* and starts at 0.25, where e'' < 0 and e' < 0: the second point
+        # is the midpoint of [start, 1.1]
+        start = 0.5 * (-0.6 + 1.1)
+        assert points[0][0] == start and points[1][0] == 0.5 * (start + 1.1)
+        assert x[0] == pytest.approx(oracles.two_level_x_star(1.0, 1.0, 1.0), abs=1e-14)
+
+    def test_degenerate_ground_level_converges_by_midpoints(self, monkeypatch):
+        # e'' is nan (0/0) at every step, so every step is a midpoint; set 0
+        # of the degenerate pairs is two equal copies of a two-level atom
+        omega_eff, energies, C = _degenerate_pairs_batch()
+        sol = _solve_batch(omega_eff[:1], energies, C[:1])[0]
+        assert sol.x_star == pytest.approx(oracles.two_level_x_star(1.0, 1.0, 0.8), abs=1e-11)
+        assert sol.e_star == pytest.approx(oracles.two_level_e_star(1.0, 1.0, 0.8), abs=1e-14)
+        atom = AtomSpec([0.0, 0.0, 1.0], np.zeros((3, 3)))
+        sol = minimize(DickeModel(1.0, atom))
+        assert (sol.x_star, sol.e_star, sol.local_minima) == (0.0, 0.0, ((0.0, 0.0),))
+        monkeypatch.setattr(meanfield, "_NEWTON_MAX", 20)
+        with pytest.raises(SolverError, match="20 steps hit for parameter set 0"):
+            minimize(DickeModel(1.0, atom))
 
 
 class TestCriticalCoupling:
