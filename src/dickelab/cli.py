@@ -29,7 +29,7 @@ from typing import Mapping
 
 from . import __version__
 from .cpb import CpbSpec, write_cpb_csv
-from .errors import BracketError, ConfigError, ConvergenceError, ResourceLimitError, SolverError
+from .errors import ConfigError, ResourceLimitError, SolverError
 from .exactdiag import (
     MAX_DIM_DEFAULT,
     converge_cutoff,
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         return _fail(outdir, exc, 2)
     except ResourceLimitError as exc:
         return _fail(outdir, exc, 4)
-    except (ConvergenceError, BracketError, SolverError) as exc:
+    except SolverError as exc:
         return _fail(outdir, exc, 3)
 
 
@@ -370,7 +370,7 @@ def _fail(outdir: Path | None, exc: Exception, code: int) -> int:
     record = {"error_type": type(exc).__name__, "message": str(exc), "exit_code": code}
     if isinstance(exc, ConfigError):
         record["path"] = exc.path
-    if isinstance(exc, (ResourceLimitError, ConvergenceError)) and exc.trace:
+    if isinstance(exc, SolverError) and exc.trace:
         record["trace"] = [[n, e] for n, e in exc.trace]
     if outdir is not None:
         try:

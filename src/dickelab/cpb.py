@@ -71,12 +71,7 @@ def cpb_hamiltonian(spec: CpbSpec) -> np.ndarray:
 def _spectrum(spec: CpbSpec):
     import scipy.linalg as sla
 
-    diag, off = _tridiagonal(spec)
-    if spec.ej == 0.0:
-        # eigh_tridiagonal requires nonzero off-diagonals
-        order = np.argsort(diag, kind="stable")
-        return diag[order], np.eye(spec.dim)[:, order]
-    return sla.eigh_tridiagonal(diag, off)
+    return sla.eigh_tridiagonal(*_tridiagonal(spec))
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def verify_sweet_spot_states(spec: CpbSpec) -> SweetSpotReport:
     target_g[i_n] = target_g[i_n + 1] = 1.0 / math.sqrt(2.0)
     target_e[i_n] = 1.0 / math.sqrt(2.0)
     target_e[i_n + 1] = -1.0 / math.sqrt(2.0)
-    degenerate = (w[1] - w[0]) <= DEG_TOL * scale
+    degenerate = bool(w[1] - w[0] <= DEG_TOL * scale)
     if degenerate:
         # any basis of the 2d ground space works; project the targets on it
         sub = v[:, :2]
@@ -140,7 +135,7 @@ def two_level_reduction(spec: CpbSpec) -> TwoLevelReduction:
     w, v = _spectrum(spec)
     omega0 = float(w[1] - w[0])
     elem = float(abs(v[:, 1] @ (spec.charges * v[:, 0])))
-    near = (w[2] - w[1]) < SEPARATION_FACTOR * omega0
+    near = bool(w[2] - w[1] < SEPARATION_FACTOR * omega0)
     levels = tuple(float(x) for x in w[:4])
     return TwoLevelReduction(omega0_eff=omega0, charge_matrix_element=elem,
                              e_levels=levels, near_degenerate=near)

@@ -20,22 +20,28 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Base class for numerical failures."""
+    """Base class for numerical failures.
+
+    ``trace`` records the (n_max, e0) pairs a cutoff sweep measured before
+    the failure; converge_cutoff sets it on any SolverError that leaves one
+    of its steps.
+    """
+
+    def __init__(self, message: str, trace: list[tuple[int, float]] | None = None):
+        self.trace = trace or []
+        super().__init__(message)
 
 
 class ConvergenceError(SolverError):
     """An iterative solver stopped before reaching its tolerance.
 
-    ``best_residual`` is the eigensolver's residual when it gave up;
-    ``trace`` records the (n_max, e0) pairs of a cutoff sweep that never
-    stabilized, as on ResourceLimitError.
+    ``best_residual`` is the eigensolver's residual when it gave up.
     """
 
     def __init__(self, message: str, best_residual: float | None = None,
                  trace: list[tuple[int, float]] | None = None):
         self.best_residual = best_residual
-        self.trace = trace or []
-        super().__init__(message)
+        super().__init__(message, trace)
 
 
 class BracketError(SolverError):
@@ -43,12 +49,4 @@ class BracketError(SolverError):
 
 
 class ResourceLimitError(SolverError):
-    """A requested computation exceeds the configured size budget.
-
-    ``trace`` optionally records (n_max, e0) pairs seen before hitting the
-    limit, so a failed cutoff sweep still reports what it measured.
-    """
-
-    def __init__(self, message: str, trace: list[tuple[int, float]] | None = None):
-        self.trace = trace or []
-        super().__init__(message)
+    """A requested computation exceeds the configured size budget."""

@@ -10,11 +10,8 @@ Basis index convention: index = n_ph * A + atomic_rank where A is the number
 of occupation vectors; occupation vectors are ranked so the all-ground state
 (N, 0, ..., 0) comes first (descending lexicographic order of the tuple).
 
-Ground-state solves run on each connected component of the sparsity graph
-of H, so every conserved quantity splits them: the photon parity
-Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd k - j,
-which keeps |<Pi>| = 1 for the near-degenerate superradiant doublet, and a
-population sum when the couplings do not connect all levels.
+ed_ground solves at a fixed photon cutoff, and converge_cutoff grows the
+cutoff with one ed_ground call per step until e0 is stable.
 
 scipy is imported where it is called (build_hamiltonian, _blocks,
 ground_state), so importing this module loads numpy only and the
@@ -32,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import meanfield
-from .errors import ConvergenceError, ResourceLimitError
+from .errors import ConvergenceError, ResourceLimitError, SolverError
 from .model import AtomSpec, DickeModel, single_atom_matrices
 
 DENSE_CUTOFF = 256    # dense eigh and ARPACK take about equally long at this dim
@@ -247,13 +244,13 @@ def ground_state(H, seed: int = 0, v0: np.ndarray | None = None,
     ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
     which="SA"), whose workspace stays at dim x ncv vectors.  The start
     vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
-    so reruns are byte-identical.  ed_ground passes each block's part of the
-    mean-field product state or of the previous cutoff step's ground vectors
-    as v0.  ARPACK stops when the Ritz residual drops below TOL relative
-    to |e0|.  `iterations` counts matrix-vector products, and max_iter bounds
-    them: running out raises ConvergenceError carrying the Rayleigh-quotient
-    residual of the last Krylov vector (ARPACK returns no Ritz pair when k=1
-    fails).  Any other ARPACK failure is raised as ConvergenceError too.
+    so reruns are byte-identical.  ed_ground passes each block's part of its
+    start vector as v0.  ARPACK stops when the Ritz residual drops below TOL
+    relative to |e0|.  `iterations` counts matrix-vector products, and
+    max_iter bounds them: running out raises ConvergenceError carrying the
+    Rayleigh-quotient residual of the last Krylov vector (ARPACK returns no
+    Ritz pair when k=1 fails).  Any other ARPACK failure is raised as
+    ConvergenceError too.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -320,6 +317,7 @@ class EDResult:
     residual_norm: float = math.nan
     seed: int = 0
     method: str = ""
+    block_vectors: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def e0_per_atom(self) -> float:
@@ -364,36 +362,32 @@ def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
 
 
 def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
-              max_dim: int = MAX_DIM_DEFAULT) -> EDResult:
+              max_dim: int = MAX_DIM_DEFAULT, warm: np.ndarray | None = None,
+              x_star: float | None = None) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
 
     The result carries the normalized ground vector as psi0, over the full
-    basis and zero outside the winning block.
+    basis and zero outside the winning block, and the ground vectors of all
+    blocks as one full-basis vector, block_vectors.
 
-    H is split into the connected components of its sparsity graph (see the
-    module docstring), ordered by their lowest basis index, and block b is
-    solved with seed + b.  The lowest block wins, except that among the
+    H is split into the connected components of its sparsity graph, so
+    every conserved quantity splits it: the photon parity
+    Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd
+    k - j, which keeps |<Pi>| = 1 for the near-degenerate superradiant
+    doublet, and a population sum when the couplings do not connect all
+    levels.  The blocks are ordered by their lowest basis index, and block b
+    is solved with seed + b.  The lowest block wins, except that among the
     blocks whose e0 lies within r_b + r_low of the lowest one (r the
     residual norms) the first one whose lowest basis state is even under
     Pi wins; this pins the parity of a quasi-degenerate doublet to the even
     sector.  A block above DENSE_CUTOFF goes to ARPACK and starts from its
-    part of the mean-field product state (mean_field_state at the global
-    minimum x*), or from the seeded random vector where that part is zero.
-    """
-    return _ed_ground(model, n_max, seed, max_dim)[0]
-
-
-def _ed_ground(model: DickeModel, n_max: int, seed: int, max_dim: int,
-               warm: np.ndarray | None = None,
-               x_star: float | None = None) -> tuple[EDResult, np.ndarray]:
-    """ed_ground, plus the ground vectors of all blocks as one full-basis vector.
-
-    warm is that vector from a smaller cutoff.  The basis index is
-    n_ph * A + rank, so the old basis is a prefix of the new one and each old
-    block lies inside one new block: warm, zero-padded, replaces the
-    mean-field state as the vector whose restrictions start the solves.
-    The mean-field start uses x_star, the global mean-field minimum, which
-    is computed here when not given.
+    part of a start vector, or from the seeded random vector where that
+    part is zero.  The start vector is warm, the block_vectors of a smaller
+    cutoff, zero-padded: the basis index is n_ph * A + rank, so the old
+    basis is a prefix of the new one and each old block lies inside one new
+    block.  Without warm it is the mean-field product state
+    (mean_field_state) at x_star, the global mean-field minimum, which is
+    computed here when not given.
     """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
     H = build_hamiltonian(model, basis)
@@ -426,10 +420,9 @@ def _ed_ground(model: DickeModel, n_max: int, seed: int, max_dim: int,
     gs = solves[best]
     psi = np.zeros(basis.dim)
     psi[blocks[best]] = gs.vector
-    res = dataclasses.replace(
+    return dataclasses.replace(
         observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
-        residual_norm=gs.residual_norm, seed=seed, method=gs.method)
-    return res, vectors
+        residual_norm=gs.residual_norm, seed=seed, method=gs.method, block_vectors=vectors)
 
 
 def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
@@ -437,27 +430,29 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to TOL_E.
 
     The starting cutoff comes from the mean-field photon density:
-    n_max0 = max(8, ceil(4 N x*^2) + 16).  The first step starts its ARPACK
-    solves from the mean-field product state at that x* (see ed_ground for
-    when the seeded random vector is used instead); each later step starts
-    from the previous step's ground vectors.  The result is the last step's
-    ed_ground result, psi0 included; only the e0 of earlier steps is kept.
-    Failures carry the (n_max, e0) pairs measured so far as ``trace``.
-    x_star is that mean-field minimum, computed here when not given; it
-    does not depend on n_atoms, so a scan over N can compute it once.
+    n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step is one ed_ground call,
+    given x* and, after the first step, the previous step's block_vectors as
+    warm.  The result is the last step's ed_ground result; only the e0 of
+    earlier steps is kept.  Any SolverError that leaves a step, and the
+    ConvergenceError raised when e0 is still moving after max_steps, carries
+    the (n_max, e0) pairs measured so far as ``trace``.  x_star is that
+    mean-field minimum, computed here when not given; it does not depend on
+    n_atoms, so a scan over N can compute it once.
     """
     x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
     n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
-    warm: np.ndarray | None = None
+    warm = None
     for _ in range(max_steps):
         try:
-            res, warm = _ed_ground(model, n, seed, max_dim, warm, x_mf)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(str(exc), trace=trace) from exc
+            res = ed_ground(model, n, seed, max_dim, warm=warm, x_star=x_mf)
+        except SolverError as exc:
+            exc.trace = trace
+            raise
         trace.append((n, res.e0))
         if len(trace) > 1 and abs(res.e0 - trace[-2][1]) <= TOL_E:
             return res
+        warm = res.block_vectors
         del res  # free its psi0 before the next, larger step
         n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(

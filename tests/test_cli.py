@@ -18,6 +18,7 @@ from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 from dickelab.exactdiag import dump_state
 from dickelab.model import _ATOM_KEYS, _MODEL_KEYS
+from test_exactdiag import fail_first_solve_of_step_2
 
 LADDER_E_STAR = -7.0 / 9.0
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,6 +226,20 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ConvergenceError"
         assert record["trace"] == [list(exc.value.trace[0])]
+
+    def test_failed_cutoff_step_writes_trace(self, tmp_path, monkeypatch):
+        # a ConvergenceError in the second cutoff step, not only the
+        # sweep's own, records the steps measured before it
+        cfg = write_config(tmp_path, {"command": "ed-ground",
+                                      "model": {**ladder_model(1.5, 0.1), "n_atoms": 8}})
+        bases, _ = fail_first_solve_of_step_2(monkeypatch)
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 3
+        n0 = bases[0].n_max
+        monkeypatch.undo()
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "ConvergenceError"
+        assert record["trace"] == [[n0, ed_ground(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8), n0).e0]]
 
     def test_refinement_step_cap(self, tmp_path, monkeypatch):
         # every bracket of this scan needs more than one Newton step

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from dickelab import (
     parity_signs,
     two_level,
 )
+from dickelab import exactdiag
 from dickelab.exactdiag import _blocks, dump_state, ed_csv_header, ed_csv_row
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
@@ -508,6 +510,43 @@ class TestConvergeCutoff:
         n0, e0 = exc.value.trace[0]
         assert n0 >= 8 and e0 < 0.0
 
+    def test_cutoff_ladder_is_one_call_per_step(self, monkeypatch):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        calls = []
+        solve = exactdiag.ed_ground
+        sig = inspect.signature(solve)
+
+        def counting(*args, **kwargs):
+            calls.append(sig.bind(*args, **kwargs).arguments)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(exactdiag, "ed_ground", counting)
+        res = converge_cutoff(m)
+        assert len(calls) >= 2 and calls[-1]["n_max"] == res.n_max_used
+        assert calls[0].get("warm") is None
+        n_atomic = math.comb(8 + 2, 2)
+        for prev, cur in zip(calls, calls[1:]):
+            assert cur["warm"].size == (prev["n_max"] + 1) * n_atomic
+        nz = np.flatnonzero(res.psi0)
+        assert res.block_vectors.size == (res.n_max_used + 1) * n_atomic
+        assert np.array_equal(res.psi0[nz], res.block_vectors[nz])
+        # one step short of convergence: the trace lists the same cutoffs
+        steps = [c["n_max"] for c in calls[:-1]]
+        calls.clear()
+        with pytest.raises(ConvergenceError) as exc:
+            converge_cutoff(m, max_steps=len(steps))
+        assert [n for n, _ in exc.value.trace] == steps == [c["n_max"] for c in calls]
+
+    def test_solver_error_in_a_later_step_keeps_its_trace(self, monkeypatch):
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        bases, error = fail_first_solve_of_step_2(monkeypatch)
+        with pytest.raises(ConvergenceError) as exc:
+            converge_cutoff(m)
+        assert exc.value is error and error.best_residual == 0.125
+        n0 = bases[0].n_max
+        monkeypatch.undo()
+        assert exc.value.trace == [(n0, ed_ground(m, n0).e0)]
+
     @pytest.mark.parametrize("kappa", [0.0, 0.1])
     def test_normal_phase_matches_holstein_primakoff(self, kappa):
         # e0 - E_HP is a clean 1/N: N (e0 - E_HP) is positive, about 7e-3 at
@@ -530,6 +569,56 @@ class TestConvergeCutoff:
         r10 = 2.0 * e0[20] - e0[10] - e_star
         r20 = 2.0 * e0[40] - e0[20] - e_star
         assert abs(r20) < 2e-6 and abs(r20) < 0.35 * abs(r10), (r10, r20)
+
+
+
+class TestFirstOrderTransition:
+    """ED locates the mean-field first-order transition of the lam01 = 0 ladder.
+
+    At omega 1, eps 0/1/2 and kappa 0, mean field jumps at
+    lam12 = (1 + sqrt 2)/2.  At finite N the ground state leaves the
+    m_0 = N block, where pop_0 = 1 and e0 = 0 exactly, at lam_c(N); the
+    shift is a clean 1/N, with N (lam_c(N) - lam_c) about -0.003.
+    """
+
+    @staticmethod
+    def lam_c(n: int) -> float:
+        def normal(lam):
+            res = ed_ground(ladder(1.0, 1.0, 2.0, 0.0, lam, n_atoms=n), n_max=4 * n + 40)
+            return res.populations[0] >= 0.5
+
+        lo, hi = 1.0, 1.4
+        assert normal(lo) and not normal(hi)
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if normal(mid) else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def test_transition_shift_is_order_one_over_n(self):
+        shifts = {n: self.lam_c(n) - oracles.LADDER_LAMBDA_C for n in (5, 10)}
+        assert all(abs(n * s) < 0.01 for n, s in shifts.items()), shifts
+        assert abs(shifts[10]) < abs(shifts[5]), shifts
+
+
+def fail_first_solve_of_step_2(monkeypatch) -> tuple[list, ConvergenceError]:
+    """Make exactdiag.ground_state raise ConvergenceError(best_residual=0.125)
+    once a second basis is built.  Returns the list of bases built and the
+    error that is raised."""
+    bases, error = [], ConvergenceError("injected failure", best_residual=0.125)
+    build_basis, solve = exactdiag.build_basis, exactdiag.ground_state
+
+    def counting_basis(*args, **kwargs):
+        bases.append(build_basis(*args, **kwargs))
+        return bases[-1]
+
+    def failing_solve(*args, **kwargs):
+        if len(bases) == 2:
+            raise error
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(exactdiag, "build_basis", counting_basis)
+    monkeypatch.setattr(exactdiag, "ground_state", failing_solve)
+    return bases, error
 
 
 class TestOutputHelpers:
