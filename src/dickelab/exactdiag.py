@@ -10,8 +10,10 @@ Basis index convention: index = n_ph * A + atomic_rank where A is the number
 of occupation vectors; occupation vectors are ranked so the all-ground state
 (N, 0, ..., 0) comes first (descending lexicographic order of the tuple).
 
-ed_ground solves at a fixed photon cutoff, and converge_cutoff grows the
-cutoff with one ed_ground call per step until e0 is stable.
+ed_ground solves at a fixed photon cutoff and measures how far its ground
+vector leaks out of the truncated Fock space (truncation_residual).
+converge_cutoff grows the cutoff with one ed_ground call per step and stops
+at the first step whose truncation residual is at most TOL_E.
 
 scipy is imported where it is called (build_hamiltonian, _blocks,
 ground_state), so importing this module loads numpy only and the
@@ -35,7 +37,7 @@ from .model import AtomSpec, DickeModel, single_atom_matrices
 DENSE_CUTOFF = 256    # dense eigh and ARPACK take about equally long at this dim
 MAX_DIM_DEFAULT = 5_000_000
 TOL = 1e-10           # ARPACK stops at this Ritz residual relative to |e0|
-TOL_E = 1e-8          # converge_cutoff stops when e0 moves by at most this
+TOL_E = 1e-8          # converge_cutoff stops when the truncation residual is at most this
 _CUTOFF_GROWTH = 1.5
 
 
@@ -315,6 +317,7 @@ class EDResult:
     psi0: np.ndarray = field(repr=False)
     lanczos_iterations: int = 0
     residual_norm: float = math.nan
+    truncation_residual: float = math.nan
     seed: int = 0
     method: str = ""
     block_vectors: np.ndarray | None = field(default=None, repr=False)
@@ -361,14 +364,37 @@ def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
     return sorted(blocks, key=lambda idx: idx[0])
 
 
+def _truncation_residual(H, psi: np.ndarray, basis: SymmetricBasis, kappa: float) -> float:
+    """Norm of rows n_max+1 and n_max+2 of (H' - e0) psi~, where psi~ is psi
+    zero-padded to cutoff n_max + 2 and H' is the Hamiltonian there.
+
+    Only the photon hops out of psi's top two photon rows reach those rows:
+    row n_max+1 is sqrt(n_max+1) J psi_{n_max} + kappa sqrt(n_max (n_max+1))
+    psi_{n_max-1} and row n_max+2 is kappa sqrt((n_max+1)(n_max+2)) psi_{n_max},
+    with J the collective coupling.  H's photon block (n_max-1, n_max) is
+    sqrt(n_max) J, so no second Hamiltonian is built.  inf at n_max = 0,
+    where H holds no photon hop.
+    """
+    n, A = basis.n_max, basis.n_atomic
+    if n == 0:
+        return math.inf
+    top, below = psi[n * A:], psi[(n - 1) * A:n * A]
+    row1 = (math.sqrt((n + 1) / n) * (H[(n - 1) * A:n * A, n * A:] @ top)
+            + kappa * math.sqrt(n * (n + 1)) * below)
+    row2 = kappa * math.sqrt((n + 1) * (n + 2)) * top
+    return math.hypot(float(np.linalg.norm(row1)), float(np.linalg.norm(row2)))
+
+
 def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
               max_dim: int = MAX_DIM_DEFAULT, warm: np.ndarray | None = None,
               x_star: float | None = None) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
 
     The result carries the normalized ground vector as psi0, over the full
-    basis and zero outside the winning block, and the ground vectors of all
-    blocks as one full-basis vector, block_vectors.
+    basis and zero outside the winning block, the ground vectors of all
+    blocks as one full-basis vector, block_vectors, and the
+    truncation_residual of psi0 (_truncation_residual): by Temple's bound,
+    raising the cutoff lowers e0 by at most its square over the gap.
 
     H is split into the connected components of its sparsity graph, so
     every conserved quantity splits it: the photon parity
@@ -422,20 +448,27 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     psi[blocks[best]] = gs.vector
     return dataclasses.replace(
         observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
-        residual_norm=gs.residual_norm, seed=seed, method=gs.method, block_vectors=vectors)
+        residual_norm=gs.residual_norm,
+        truncation_residual=_truncation_residual(H, psi, basis, model.kappa),
+        seed=seed, method=gs.method, block_vectors=vectors)
 
 
 def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
                     max_steps: int = 16, x_star: float | None = None) -> EDResult:
-    """Grow n_max by a factor 1.5 (at least +8) until e0 is stable to TOL_E.
+    """Grow n_max by a factor 1.5 (at least +8) until the truncation residual
+    of the ground vector is at most TOL_E.
 
-    The starting cutoff comes from the mean-field photon density:
+    The truncation residual r is the part of (H - e0) psi that a larger
+    cutoff adds (ed_ground).  When r <= TOL_E, Temple's bound puts e0 within
+    r^2 / delta <= TOL_E of its infinite-cutoff value for any in-block gap
+    delta >= TOL_E, so a step is accepted after one solve.  The starting
+    cutoff comes from the mean-field photon density:
     n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as
-    warm.  The result is the last step's ed_ground result; only the e0 of
+    warm.  The result is the accepted step's ed_ground result; only the e0 of
     earlier steps is kept.  Any SolverError that leaves a step, and the
-    ConvergenceError raised when e0 is still moving after max_steps, carries
-    the (n_max, e0) pairs measured so far as ``trace``.  x_star is that
+    ConvergenceError raised when no step is accepted within max_steps,
+    carries the (n_max, e0) pairs measured so far as ``trace``.  x_star is that
     mean-field minimum, computed here when not given; it does not depend on
     n_atoms, so a scan over N can compute it once.
     """
@@ -443,6 +476,7 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
     trace: list[tuple[int, float]] = []
     warm = None
+    residual = math.inf
     for _ in range(max_steps):
         try:
             res = ed_ground(model, n, seed, max_dim, warm=warm, x_star=x_mf)
@@ -450,13 +484,15 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
             exc.trace = trace
             raise
         trace.append((n, res.e0))
-        if len(trace) > 1 and abs(res.e0 - trace[-2][1]) <= TOL_E:
+        residual = res.truncation_residual
+        if residual <= TOL_E:
             return res
         warm = res.block_vectors
         del res  # free its psi0 before the next, larger step
         n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(
-        f"e0 not stable to {TOL_E:g} after {max_steps} cutoff steps", trace=trace)
+        f"truncation residual {residual:.3g} still above {TOL_E:g} "
+        f"after {max_steps} cutoff steps", trace=trace)
 
 
 # ---------------------------------------------------------------------------

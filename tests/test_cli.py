@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickelab
-from dickelab import cli, converge_cutoff, ed_ground, ladder, meanfield, model_from_dict
+from dickelab import cli, converge_cutoff, ed_ground, meanfield, model_from_dict
 from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 from dickelab.exactdiag import dump_state
 from dickelab.model import _ATOM_KEYS, _MODEL_KEYS
-from test_exactdiag import fail_first_solve_of_step_2
+from test_exactdiag import TWO_STEP_MODEL, fail_first_solve_of_step_2
 
 LADDER_E_STAR = -7.0 / 9.0
 ROOT = Path(__file__).resolve().parents[1]
@@ -220,7 +220,7 @@ class TestExitCodes:
 
     def test_cutoff_trace_in_error_record(self, tmp_path):
         with pytest.raises(ConvergenceError) as exc:
-            converge_cutoff(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4), max_steps=1)
+            converge_cutoff(TWO_STEP_MODEL, max_steps=1)
         out = tmp_path / "out"
         assert _fail(out, exc.value, 3) == 3
         record = json.loads((out / "error.json").read_text())
@@ -230,8 +230,9 @@ class TestExitCodes:
     def test_failed_cutoff_step_writes_trace(self, tmp_path, monkeypatch):
         # a ConvergenceError in the second cutoff step, not only the
         # sweep's own, records the steps measured before it
-        cfg = write_config(tmp_path, {"command": "ed-ground",
-                                      "model": {**ladder_model(1.5, 0.1), "n_atoms": 8}})
+        cfg = write_config(tmp_path, {"command": "ed-ground", "model": {
+            "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.7], [0.7, 0.0]]},
+            "n_atoms": 8}})
         bases, _ = fail_first_solve_of_step_2(monkeypatch)
         out = tmp_path / "out"
         assert main([cfg, "-o", str(out)]) == 3
@@ -239,7 +240,7 @@ class TestExitCodes:
         monkeypatch.undo()
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ConvergenceError"
-        assert record["trace"] == [[n0, ed_ground(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8), n0).e0]]
+        assert record["trace"] == [[n0, ed_ground(TWO_STEP_MODEL, n0).e0]]
 
     def test_refinement_step_cap(self, tmp_path, monkeypatch):
         # every bracket of this scan needs more than one Newton step

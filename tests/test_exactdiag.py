@@ -29,9 +29,12 @@ from dickelab import (
     two_level,
 )
 from dickelab import exactdiag
-from dickelab.exactdiag import _blocks, dump_state, ed_csv_header, ed_csv_row
+from dickelab.exactdiag import TOL_E, _blocks, dump_state, ed_csv_header, ed_csv_row
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
+# converge_cutoff takes two steps here: n_max 28 (truncation residual 8.7e-8,
+# above TOL_E) and 42 (1.6e-14); dims 261 and 387 both go to ARPACK
+TWO_STEP_MODEL = two_level(1.0, 1.0, 0.7, n_atoms=8)
 
 
 def displacement_operator(basis) -> sp.csr_matrix:
@@ -496,22 +499,25 @@ class TestConvergeCutoff:
         assert b.method == "lanczos"
 
     def test_unstable_cutoff_carries_trace(self):
-        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4)
+        m = TWO_STEP_MODEL
         with pytest.raises(ConvergenceError) as exc:
             converge_cutoff(m, max_steps=1)
         [(n0, e0)] = exc.value.trace
         assert n0 >= 8 and e0 < 0.0
+        # the message names the rule and the last step's residual
+        residual = ed_ground(m, n0).truncation_residual
+        assert f"truncation residual {residual:.3g} still above {TOL_E:g}" in str(exc.value)
 
     def test_resource_limit_carries_trace(self):
-        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10)
+        m = TWO_STEP_MODEL
         with pytest.raises(ResourceLimitError) as exc:
-            converge_cutoff(m, max_dim=8000)
+            converge_cutoff(m, max_dim=300)       # dims 261 and 387
         assert len(exc.value.trace) == 1          # first cutoff fit, second did not
         n0, e0 = exc.value.trace[0]
         assert n0 >= 8 and e0 < 0.0
 
     def test_cutoff_ladder_is_one_call_per_step(self, monkeypatch):
-        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        m = TWO_STEP_MODEL
         calls = []
         solve = exactdiag.ed_ground
         sig = inspect.signature(solve)
@@ -524,7 +530,7 @@ class TestConvergeCutoff:
         res = converge_cutoff(m)
         assert len(calls) >= 2 and calls[-1]["n_max"] == res.n_max_used
         assert calls[0].get("warm") is None
-        n_atomic = math.comb(8 + 2, 2)
+        n_atomic = math.comb(8 + 1, 1)
         for prev, cur in zip(calls, calls[1:]):
             assert cur["warm"].size == (prev["n_max"] + 1) * n_atomic
         nz = np.flatnonzero(res.psi0)
@@ -538,7 +544,7 @@ class TestConvergeCutoff:
         assert [n for n, _ in exc.value.trace] == steps == [c["n_max"] for c in calls]
 
     def test_solver_error_in_a_later_step_keeps_its_trace(self, monkeypatch):
-        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        m = TWO_STEP_MODEL
         bases, error = fail_first_solve_of_step_2(monkeypatch)
         with pytest.raises(ConvergenceError) as exc:
             converge_cutoff(m)
@@ -546,6 +552,33 @@ class TestConvergeCutoff:
         n0 = bases[0].n_max
         monkeypatch.undo()
         assert exc.value.trace == [(n0, ed_ground(m, n0).e0)]
+
+    @pytest.mark.parametrize("n_atoms", [8, 20])
+    def test_superradiant_ladder_is_accepted_after_one_solve(self, monkeypatch, n_atoms):
+        calls = []
+        solve = exactdiag.ed_ground
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(exactdiag, "ed_ground", counting)
+        res = converge_cutoff(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=n_atoms))
+        assert len(calls) == 1 and res.truncation_residual <= TOL_E
+
+    @pytest.mark.parametrize("model", [
+        ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8),
+        ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=8),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.3, n_atoms=6),
+        two_level(1.0, 1.0, 0.45, n_atoms=8),
+        two_level(1.0, 1.0, 1.2, n_atoms=8),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=10),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20),
+    ], ids=lambda m: f"d{m.atom.d}-N{m.n_atoms}-lam{m.atom.couplings[-2, -1]:g}")
+    def test_accepted_cutoff_is_within_tol_e(self, model):
+        # the truncation residual bounds the e0 still to gain from photons
+        res = converge_cutoff(model)
+        assert abs(res.e0 - ed_ground(model, 2 * res.n_max_used).e0) <= TOL_E
 
     @pytest.mark.parametrize("kappa", [0.0, 0.1])
     def test_normal_phase_matches_holstein_primakoff(self, kappa):
@@ -570,6 +603,32 @@ class TestConvergeCutoff:
         r20 = 2.0 * e0[40] - e0[20] - e_star
         assert abs(r20) < 2e-6 and abs(r20) < 0.35 * abs(r10), (r10, r20)
 
+
+
+class TestTruncationResidual:
+    @pytest.mark.parametrize("kappa", [0.0, 0.15])
+    def test_matches_padded_hamiltonian(self, kappa):
+        # the rows beyond n_max of (H' - e0) psi~, with H' built at n_max + 2
+        # and psi~ the ground vector zero-padded to it
+        rng = np.random.default_rng(31)
+        models = [DickeModel(1.0, AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0],
+                                                             [0.3, 0.0, 0.0]]),
+                             n_atoms=3, kappa=kappa)]
+        for d in (2, 3, 4):
+            eps = np.sort(np.concatenate([[0.0], rng.uniform(0.3, 2.5, d - 1)]))
+            lam = np.triu(rng.uniform(-1.5, 1.5, (d, d)), 1)
+            models.append(DickeModel(float(rng.uniform(0.5, 2.0)), AtomSpec(eps, lam + lam.T),
+                                     n_atoms=int(rng.integers(1, 6)), kappa=kappa))
+        for m in models:
+            assert ed_ground(m, 0).truncation_residual == math.inf
+            for n_max in range(1, 13):
+                res = ed_ground(m, n_max)
+                basis = build_basis(m.n_atoms, m.atom.d, n_max + 2)
+                psi = np.zeros(basis.dim)
+                psi[:res.psi0.size] = res.psi0
+                tail = (build_hamiltonian(m, basis) @ psi - res.e0 * psi)[res.psi0.size:]
+                assert res.truncation_residual == pytest.approx(np.linalg.norm(tail),
+                                                                rel=1e-12, abs=0.0)
 
 
 class TestFirstOrderTransition:
