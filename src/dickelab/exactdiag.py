@@ -394,7 +394,8 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     basis and zero outside the winning block, the ground vectors of all
     blocks as one full-basis vector, block_vectors, and the
     truncation_residual of psi0 (_truncation_residual): by Temple's bound,
-    raising the cutoff lowers e0 by at most its square over the gap.
+    at every larger cutoff the winning block has an eigenvalue within its
+    square over that block's gap of e0.
 
     H is split into the connected components of its sparsity graph, so
     every conserved quantity splits it: the photon parity
@@ -459,9 +460,13 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     of the ground vector is at most TOL_E.
 
     The truncation residual r is the part of (H - e0) psi that a larger
-    cutoff adds (ed_ground).  When r <= TOL_E, Temple's bound puts e0 within
-    r^2 / delta <= TOL_E of its infinite-cutoff value for any in-block gap
-    delta >= TOL_E, so a step is accepted after one solve.  The starting
+    cutoff adds (ed_ground).  When r <= TOL_E, Temple's bound puts an
+    eigenvalue of the winning block at infinite cutoff within
+    r^2 / delta <= TOL_E of e0 for any in-block gap delta >= TOL_E, so a
+    step is accepted after one solve.  The rule certifies only that: not
+    that this eigenvalue is the block's lowest, and nothing about the
+    blocks that lost at this cutoff (with lambda_01 = 0, each
+    |n, all-ground> is a one-state block with r = 0).  The starting
     cutoff comes from the mean-field photon density:
     n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as

@@ -231,8 +231,8 @@ class TestExitCodes:
         # a ConvergenceError in the second cutoff step, not only the
         # sweep's own, records the steps measured before it
         cfg = write_config(tmp_path, {"command": "ed-ground", "model": {
-            "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.7], [0.7, 0.0]]},
-            "n_atoms": 8}})
+            "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.6], [0.6, 0.0]]},
+            "n_atoms": 20}})
         bases, _ = fail_first_solve_of_step_2(monkeypatch)
         out = tmp_path / "out"
         assert main([cfg, "-o", str(out)]) == 3

@@ -32,9 +32,10 @@ from dickelab import exactdiag
 from dickelab.exactdiag import TOL_E, _blocks, dump_state, ed_csv_header, ed_csv_row
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
-# converge_cutoff takes two steps here: n_max 28 (truncation residual 8.7e-8,
-# above TOL_E) and 42 (1.6e-14); dims 261 and 387 both go to ARPACK
-TWO_STEP_MODEL = two_level(1.0, 1.0, 0.7, n_atoms=8)
+# converge_cutoff takes two steps here: n_max 31 (truncation residual 1.0e-6,
+# above TOL_E) and 47 (5.6e-13); dims 672 and 1008, whose two parity blocks
+# (336 and 504 states) are above DENSE_CUTOFF and go to ARPACK
+TWO_STEP_MODEL = two_level(1.0, 1.0, 0.6, n_atoms=20)
 
 
 def displacement_operator(basis) -> sp.csr_matrix:
@@ -480,10 +481,30 @@ class TestConvergeCutoff:
             gaps.append(LADDER_E_STAR - res.e0_per_atom)
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
-    def test_warm_started_ladder_matches_cold_solve(self):
-        m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=8)
+    def test_warm_started_ladder_matches_cold_solve(self, monkeypatch):
+        # three cutoff steps (n_max 16, 24, 36); every block is above
+        # DENSE_CUTOFF, and after the first step ARPACK starts each block
+        # from the previous step's block vectors
+        m = ladder(1.0, 1.0, 2.0, 0.3, 1.0, n_atoms=8)
+        steps = []
+        solve, ground = exactdiag.ed_ground, exactdiag.ground_state
+
+        def counting(*args, **kwargs):
+            steps.append([])
+            return solve(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            gs = ground(*args, **kwargs)
+            steps[-1].append((gs.method, kwargs.get("v0") is not None))
+            return gs
+
+        monkeypatch.setattr(exactdiag, "ed_ground", counting)
+        monkeypatch.setattr(exactdiag, "ground_state", recording)
         res = converge_cutoff(m)
-        assert res.method == "lanczos"
+        monkeypatch.undo()
+        assert len(steps) >= 2
+        assert all(method == "lanczos" for step in steps for method, _ in step)
+        assert all(started for step in steps[1:] for _, started in step)
         cold = ed_ground(m, n_max=res.n_max_used)
         assert abs(res.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
 
@@ -511,7 +532,7 @@ class TestConvergeCutoff:
     def test_resource_limit_carries_trace(self):
         m = TWO_STEP_MODEL
         with pytest.raises(ResourceLimitError) as exc:
-            converge_cutoff(m, max_dim=300)       # dims 261 and 387
+            converge_cutoff(m, max_dim=800)       # dims 672 and 1008
         assert len(exc.value.trace) == 1          # first cutoff fit, second did not
         n0, e0 = exc.value.trace[0]
         assert n0 >= 8 and e0 < 0.0
@@ -529,8 +550,8 @@ class TestConvergeCutoff:
         monkeypatch.setattr(exactdiag, "ed_ground", counting)
         res = converge_cutoff(m)
         assert len(calls) >= 2 and calls[-1]["n_max"] == res.n_max_used
-        assert calls[0].get("warm") is None
-        n_atomic = math.comb(8 + 1, 1)
+        assert calls[0].get("warm") is None and res.method == "lanczos"
+        n_atomic = math.comb(20 + 1, 1)
         for prev, cur in zip(calls, calls[1:]):
             assert cur["warm"].size == (prev["n_max"] + 1) * n_atomic
         nz = np.flatnonzero(res.psi0)
