@@ -29,7 +29,7 @@ from typing import Mapping
 
 from . import __version__
 from .cpb import CpbSpec, write_cpb_csv
-from .errors import ConfigError, ResourceLimitError, SolverError
+from .errors import ConfigError, ConvergenceError, ResourceLimitError, SolverError
 from .exactdiag import (
     MAX_DIM_DEFAULT,
     converge_cutoff,
@@ -372,6 +372,8 @@ def _fail(outdir: Path | None, exc: Exception, code: int) -> int:
         record["path"] = exc.path
     if isinstance(exc, SolverError) and exc.trace:
         record["trace"] = [[n, e] for n, e in exc.trace]
+    if isinstance(exc, ConvergenceError) and exc.best_residual is not None:
+        record["best_residual"] = exc.best_residual
     if outdir is not None:
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -217,7 +217,8 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
         log_at = (np.where(states > 0, states * log_c, 0.0).sum(axis=1)
                   - 0.5 * log_fact[states].sum(axis=1))
     sign_at = 1.0 - 2.0 * ((states @ (c < 0)) % 2)
-    psi = np.outer(np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max()))
+    sign_ph = np.where((ns % 2 == 1) & (x_star < 0.0), -1.0, 1.0)   # <a> = sqrt(N) x* < 0
+    psi = np.outer(sign_ph * np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max()))
     return psi.ravel() / np.linalg.norm(psi)
 
 

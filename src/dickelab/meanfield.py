@@ -1,18 +1,21 @@
 """Thermodynamic-limit (mean-field) solver for the multilevel Dicke family.
 
-With a coherent photon state <a> = sqrt(N) x (x real, taken >= 0; the sign
-is a gauge choice) and all atoms in the same single-atom state, the energy
-per atom is
+With a coherent photon state <a> = sqrt(N) x (x real) and all atoms in the
+same single-atom state, the energy per atom is
 
     e(x) = (omega + 4 kappa) x^2 + min_spec[ diag(eps) + 2 x lam ]
 
-The global minimum over x decides the phase: x* = 0 is normal, x* > 0 is
-superradiant.  Minimization runs on a uniform grid (every grid-resolved
-local minimum is refined by a safeguarded Newton iteration on e'(x)), which
-is what makes first-order transitions with competing minima safe to
-classify.  A batch of parameter sets walks the grid a fixed number of
-single-atom matrices at a time, so the grid stage's memory does not grow
-with the batch size.
+The global minimum over x decides the phase: x* = 0 is normal, x* != 0 is
+superradiant.  The sign of x is a gauge choice only when the coupling graph
+(levels joined by nonzero lam_jk) is bipartite: then a diagonal signature S
+has S lam S = -lam, so e(-x) = e(x).  With an odd cycle e(-x; lam) =
+e(x; -lam) differs from e(x; lam), and x* may be negative.  Minimization
+runs on a uniform grid over x >= 0 (every grid-resolved local minimum is
+refined by a safeguarded Newton iteration on e'(x)), once more with -lam
+for a non-bipartite atom, which is what makes first-order transitions with
+competing minima safe to classify.  A batch of parameter sets walks the
+grid a fixed number of single-atom matrices at a time, so the grid stage's
+memory does not grow with the batch size.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ from .errors import BracketError, SolverError
 from .model import DickeModel, coupling_pair, single_atom_matrices, trk_kappa_min
 
 GRID_POINTS = 512           # uniform grid on [0, x_max] that brackets every local minimum
-X_TOL = 1e-6                # a refined x* at or below this is the normal phase, x* = 0
+X_TOL = 1e-6                # a refined |x*| at or below this is the normal phase, x* = 0
 JUMP_THRESHOLD = 0.05       # a jump in x* above this across lam_c is first order
-REL_WIDTH = 1e-8            # bisection stops at this fraction of the bracket width
+REL_WIDTH = 1e-8            # the certified bracket (Newton, bisection fallback) stops at
+                            # this fraction of the initial bracket width
 DELTA_REL = 1e-4            # the jump is measured at lam_c (1 +/- DELTA_REL)
 DEFAULT_N_POINTS = 200
 N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points d^2)
 
 _GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
-_NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* > 0
+_NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
 _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 
 
@@ -50,7 +54,7 @@ class MeanFieldSolution:
 
     @property
     def superradiant(self) -> bool:
-        return self.x_star > 0.0
+        return abs(self.x_star) > X_TOL
 
     @property
     def n_local_minima(self) -> int:
@@ -59,15 +63,19 @@ class MeanFieldSolution:
 
 @dataclass(frozen=True)
 class TransitionPoint:
-    """Critical coupling located by bisection, classified by the jump in x*.
+    """Critical coupling located in a certified bracket (Newton, bisection
+    fallback), classified by the jump in x*.
 
     x_jump and pop_jump are evaluated at coupling_value*(1 +/- delta_rel).
+    solves counts the full mean-field solves the search made, the two jump
+    solves included; it is deterministic.
     """
 
     coupling_value: float
     order: Literal["first", "second"]
     x_jump: float
     pop_jump: float
+    solves: int
     delta_rel: float = DELTA_REL
 
 
@@ -142,8 +150,58 @@ def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
     raise SolverError(f"Newton cap of {_NEWTON_MAX} steps hit for parameter set {owners[todo[0]]}")
 
 
+def _odd_cycle(couplings: np.ndarray) -> np.ndarray:
+    """For each (d, d) coupling matrix, whether its graph has an odd cycle.
+
+    A graph is bipartite iff it has no closed walk of odd length, and its
+    shortest odd cycle has at most d vertices, so the traces of the odd
+    powers 3, 5, ... <= d of the adjacency matrix decide it.
+    """
+    adj = couplings != 0.0      # boolean powers: walks exist or not, no overflow
+    power, odd = adj, np.zeros(adj.shape[0], dtype=bool)
+    for _ in range(3, adj.shape[-1] + 1, 2):
+        power = adj @ adj @ power
+        odd |= np.diagonal(power, axis1=1, axis2=2).any(axis=1)
+    return odd
+
+
+def _join_mirror(pos: MeanFieldSolution, neg: MeanFieldSolution) -> MeanFieldSolution:
+    """One solution on the whole x axis from the x >= 0 half (pos) and the
+    x >= 0 half of the mirrored set -lam (neg), whose x is -x here.
+
+    The lower e* wins and x* takes its sign; a tie keeps pos.  The minima of
+    both halves are listed in ascending x with one entry at x = 0.
+    """
+    (_, e0_pos), *right = pos.local_minima
+    (_, e0_neg), *left = neg.local_minima
+    minima = (*((-x, e) for x, e in reversed(left)), (0.0, min(e0_pos, e0_neg)), *right)
+    if neg.e_star < pos.e_star:
+        return MeanFieldSolution(-neg.x_star, neg.e_star, neg.occupations, minima)
+    return MeanFieldSolution(pos.x_star, pos.e_star, pos.occupations, minima)
+
+
 def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
                  ) -> list[MeanFieldSolution]:
+    """Minimize e(x) over all real x for B parameter sets.
+
+    A set whose coupling graph is bipartite has e(-x) = e(x) and is solved
+    on x >= 0 alone.  A set with an odd cycle is also solved as -lam, since
+    e(-x; lam) = e(x; -lam), in the same batch; _join_mirror keeps the lower
+    minimum.  Results do not depend on the batch, so a bipartite set's
+    result is the x >= 0 result bit for bit.  A SolverError from the
+    mirrored copy of set mirror[i] names it as parameter set B + i.
+    """
+    B = couplings.shape[0]
+    mirror = np.flatnonzero(_odd_cycle(couplings))
+    sols = _solve_nonneg(np.concatenate([omega_eff, omega_eff[mirror]]), energies,
+                         np.concatenate([couplings, -couplings[mirror]]))
+    for b, neg in zip(mirror, sols[B:]):
+        sols[b] = _join_mirror(sols[b], neg)
+    return sols[:B]
+
+
+def _solve_nonneg(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
+                  ) -> list[MeanFieldSolution]:
     """Minimize e(x) on [0, x_max] for B parameter sets.
 
     The grid stage streams over the parameter sets, _GRID_CHUNK //
@@ -212,9 +270,9 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
 
 
 def minimize(model: DickeModel) -> MeanFieldSolution:
-    """Global minimum of e(x) over x >= 0.
+    """Global minimum of e(x) over real x (x* < 0 only for a non-bipartite atom).
 
-    Any refined x* at or below X_TOL is snapped to exactly 0, so
+    Any refined |x*| at or below X_TOL is snapped to exactly 0, so
     x_star == 0 is equivalent to the normal phase.
     """
     return _solve_batch(
@@ -259,46 +317,135 @@ def scan_order_parameter(model: DickeModel, which: tuple[int, int],
     return _solve_batch(omega_eff, model.atom.energies, C)
 
 
+def _spinodal(omega_eff: float, energies: np.ndarray, C0: np.ndarray, D: np.ndarray,
+              lo: float, hi: float) -> float | None:
+    """Smallest lam in (lo, hi) where x = 0 stops being a local minimum, or None.
+
+    Second-order perturbation theory in x gives e''(0) = 2 omega_eff -
+    8 sum_{n>=1} C_0n^2 / eps_n, and C = C0 + lam D makes it a quadratic
+    a lam^2 + b lam + c in lam.  Its roots come from the closed form that
+    avoids cancellation.  eps_1 = 0 (a degenerate ground level) gives None.
+    """
+    if not energies[1] > 0.0:
+        return None
+    p, q, w = C0[0, 1:], D[0, 1:], 8.0 / energies[1:]
+    a, b, c = -(w * q * q).sum(), -2.0 * (w * p * q).sum(), 2.0 * omega_eff - (w * p * p).sum()
+    disc = b * b - 4.0 * a * c
+    if a == 0.0:
+        roots = [-c / b] if b != 0.0 else []
+    elif disc < 0.0:
+        roots = []
+    else:
+        s = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        roots = [s / a, c / s] if s != 0.0 else [0.0]
+    return min((float(r) for r in roots if lo < r < hi), default=None)
+
+
+def _newton_root(energies: np.ndarray, C0: np.ndarray, D: np.ndarray, lam: float,
+                 sol: MeanFieldSolution) -> float | None:
+    """Newton step lam - e_sr / e_sr' on the lowest local minimum at x != 0.
+
+    By the envelope theorem de_sr/dlam = 2 x c_0^T D c_0, with c_0 the
+    lowest eigenvector at that minimum.  None when there is no such minimum
+    or its energy does not fall with lam.
+    """
+    branch = [m for m in sol.local_minima if m[0] != 0.0]
+    if not branch:
+        return None
+    x, e = min(branch, key=lambda m: m[1])
+    c = np.linalg.eigh(single_atom_matrices(energies, C0 + lam * D, x))[1][:, 0]
+    slope = 2.0 * x * float(c @ D @ c)
+    return lam - e / slope if slope < 0.0 else None
+
+
+def _accept(proposal: float | None, lam: float, step: float, lo: float, hi: float) -> bool:
+    """rtsafe's rule: a proposal strictly inside (lo, hi) whose step from the
+    last solved point lam at most halves the previous step."""
+    return proposal is not None and lo < proposal < hi and abs(proposal - lam) <= 0.5 * step
+
+
 def critical_coupling(model: DickeModel, which: tuple[int, int],
                       bracket: tuple[float, float],
                       tie: Mapping[tuple[int, int], float] | None = None
                       ) -> TransitionPoint:
-    """Bisect the normal/superradiant indicator x*(lam) > 0 inside bracket.
-
-    x* is snapped to 0 at or below X_TOL, and bisection stops at REL_WIDTH
-    times the bracket width.
+    """Locate the normal/superradiant switch of |x*(lam)| > X_TOL in a
+    certified bracket (Newton, bisection fallback).
 
     The bracket must straddle the transition: normal at bracket[0],
-    superradiant at bracket[1].  The order is classified from the jump of
-    x* across lam_c +/- DELTA_REL*lam_c (first order above JUMP_THRESHOLD).
-    Each point is built by _scan_arrays, as in scan_order_parameter and
-    no_go_check, so a pair or tie is checked and applied the same way.
+    superradiant at bracket[1].  Every point the search visits is a full
+    mean-field solve, and its indicator moves the bracket, which stops at
+    REL_WIDTH times the initial width.  Each point is built by _scan_arrays,
+    as in scan_order_parameter and no_go_check, so a pair or tie is checked
+    and applied the same way; C(lam) = C0 + lam D is affine.
+
+    With tol = REL_WIDTH times the initial width, the points come from two
+    proposals, each taken only when _accept allows it, else the bracket is
+    bisected:
+    - second order: _spinodal's root lam2 of e''(0), confirmed by solves at
+      lam2 -/+ 0.4 tol;
+    - first order: Newton on e_sr(lam), the lowest local minimum at x != 0
+      (_newton_root).  e_sr is concave, so Newton from the superradiant side
+      moves monotonically to lam_c; once its step is below 0.4 tol, one
+      solve just across the root closes the bracket, and if it does not,
+      bisection alone finishes.
+    With every proposal refused the search is plain bisection.
+    coupling_value is the last accepted root if it lies in the final
+    bracket, else the bracket midpoint.  The order is classified from the
+    jump of x* across lam_c +/- DELTA_REL*lam_c (first order above
+    JUMP_THRESHOLD).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 <= lo < hi:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
+    energies = model.atom.energies
+    C0, C1 = (_scan_arrays(model, which, np.array([v]), tie)[0][0] for v in (0.0, 1.0))
+    D = C1 - C0
+    solves = 0
 
-    def solve(lam: float) -> MeanFieldSolution:
+    def probe(lam: float) -> MeanFieldSolution:
+        """Solve at lam and move the bracket end on its side to lam."""
+        nonlocal solves, lo, hi
+        solves += 1
         C, omega_eff = _scan_arrays(model, which, np.array([lam]), tie)
-        return _solve_batch(omega_eff, model.atom.energies, C)[0]
+        sol = _solve_batch(omega_eff, energies, C)[0]
+        if sol.superradiant:
+            hi = lam
+        else:
+            lo = lam
+        return sol
 
-    if solve(lo).superradiant:
-        raise BracketError(f"no transition in bracket: x* > 0 already at coupling {lo}")
-    if not solve(hi).superradiant:
+    if probe(lo).superradiant:
+        raise BracketError(f"no transition in bracket: x* != 0 already at coupling {lo}")
+    lam, sol = hi, probe(hi)
+    if not sol.superradiant:
         raise BracketError(f"no transition in bracket: x* = 0 still at coupling {hi}")
 
-    width = REL_WIDTH * (hi - lo)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if solve(mid).superradiant:
-            hi = mid
+    tol = REL_WIDTH * (hi - lo)
+    root, lam2 = None, _spinodal(model.omega_eff, energies, C0, D, lo, hi)
+    if lam2 is not None:
+        for p in (lam2 - 0.4 * tol, lam2 + 0.4 * tol):
+            if _accept(p, lam, np.inf, lo, hi):
+                root, lam, sol = lam2, p, probe(p)
+
+    step, newton = hi - lo, True
+    while hi - lo > tol:
+        p = _newton_root(energies, C0, D, lam, sol) if newton else None
+        if _accept(p, lam, step, lo, hi):
+            root = p
+            if abs(p - lam) < 0.4 * tol:
+                # converged: one solve just across the root closes the
+                # bracket, and if it does not, bisection alone finishes
+                p += -0.4 * tol if sol.superradiant else 0.4 * tol
+                newton = False
         else:
-            lo = mid
-    lam_c = 0.5 * (lo + hi)
+            p = 0.5 * (lo + hi)
+        step, lam = abs(p - lam), p
+        sol = probe(p)
+    lam_c = root if root is not None and lo <= root <= hi else 0.5 * (lo + hi)
 
     delta = DELTA_REL * lam_c
-    below = solve(lam_c - delta)
-    above = solve(lam_c + delta)
+    below = probe(lam_c - delta)
+    above = probe(lam_c + delta)
     x_jump = abs(above.x_star - below.x_star)
     pop_jump = float(np.max(np.abs(above.occupations - below.occupations)))
     return TransitionPoint(
@@ -306,6 +453,7 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
         order="first" if x_jump > JUMP_THRESHOLD else "second",
         x_jump=x_jump,
         pop_jump=pop_jump,
+        solves=solves,
     )
 
 

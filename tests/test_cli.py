@@ -226,6 +226,7 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ConvergenceError"
         assert record["trace"] == [list(exc.value.trace[0])]
+        assert exc.value.best_residual is None and "best_residual" not in record
 
     def test_failed_cutoff_step_writes_trace(self, tmp_path, monkeypatch):
         # a ConvergenceError in the second cutoff step, not only the
@@ -241,6 +242,7 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ConvergenceError"
         assert record["trace"] == [[n0, ed_ground(TWO_STEP_MODEL, n0).e0]]
+        assert record["best_residual"] == 0.125
 
     def test_refinement_step_cap(self, tmp_path, monkeypatch):
         # every bracket of this scan needs more than one Newton step
@@ -476,6 +478,10 @@ class TestArtifacts:
         doc = json.loads((out / "transition.json").read_text())
         assert doc["order"] == "first"
         assert doc["coupling_value"] == pytest.approx(1.2071067811865475, abs=1e-6)
+        # the Newton search: bisection would take 2 + 27 + 2 solves here
+        assert sorted(doc) == ["coupling_value", "delta_rel", "order", "pop_jump", "solves",
+                               "x_jump"]
+        assert doc["solves"] <= 12
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {

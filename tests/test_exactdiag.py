@@ -417,6 +417,19 @@ class TestMeanFieldStart:
         H = build_hamiltonian(m, basis)
         assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x) + kappa, abs=1e-9)
 
+    def test_energy_at_negative_x_star(self):
+        # a 0-1-2 triangle of couplings condenses at x* < 0, so <a> < 0 and
+        # the photon amplitudes alternate in sign: <H> = N e(x*) + kappa
+        kappa = 0.05
+        lam = [[0.0, 0.3, 0.55], [0.3, 0.0, 0.2], [0.55, 0.2, 0.0]]
+        m = DickeModel(1.0, AtomSpec([0.0, 0.559, 1.899], lam), kappa=kappa, n_atoms=6)
+        x = minimize(m).x_star
+        assert x < -0.1
+        basis = build_basis(6, 3, 80)
+        psi = mean_field_state(m, basis, x)
+        H = build_hamiltonian(m, basis)
+        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x) + kappa, abs=1e-9)
+
     def test_normal_phase_is_vacuum_ground(self):
         m = ladder(1.0, 1.0, 2.0, 0.1, 0.5, n_atoms=4)
         basis = build_basis(4, 3, 10)

@@ -35,6 +35,112 @@ def random_atom(rng, d):
     return AtomSpec(eps, lam)
 
 
+def odd_cycle_model(lam02: float = 0.40) -> DickeModel:
+    """Couplings 0-1, 1-2 and 0-2 form an odd cycle, so e(-x) != e(x).  At
+    lam02 = 0.40 the only minimum below e(0) = 0 is at x = -0.169."""
+    lam = [[0.0, 0.3, lam02], [0.3, 0.0, 0.2], [lam02, 0.2, 0.0]]
+    return DickeModel(1.0, AtomSpec([0.0, 0.559, 1.899], lam))
+
+
+def two_coloured(adj) -> bool:
+    """Reference bipartiteness test: two-colour each component by search."""
+    d = len(adj)
+    colour = [None] * d
+    for start in range(d):
+        if colour[start] is not None:
+            continue
+        colour[start], todo = 0, [start]
+        while todo:
+            u = todo.pop()
+            for v in range(d):
+                if adj[u][v] and colour[v] is None:
+                    colour[v] = 1 - colour[u]
+                    todo.append(v)
+                elif adj[u][v] and colour[v] == colour[u]:
+                    return False
+    return True
+
+
+def minimize_at(model, which, lam, tie=None):
+    """minimize with the scanned pair at lam and each tied pair at ratio * lam."""
+    pairs = {which: lam, **{pair: ratio * lam for pair, ratio in (tie or {}).items()}}
+    return minimize(model.with_couplings(pairs))
+
+
+def bisection_reference(model, which, bracket, tie=None):
+    """The plain bisection of the indicator that critical_coupling ran before
+    its Newton search: (couplings solved in order, final midpoint, order)."""
+    lo, hi = bracket
+    visited = [lo, hi]
+    width = meanfield.REL_WIDTH * (hi - lo)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        visited.append(mid)
+        if minimize_at(model, which, mid, tie).superradiant:
+            hi = mid
+        else:
+            lo = mid
+    lam_c = 0.5 * (lo + hi)
+    delta = meanfield.DELTA_REL * lam_c
+    below, above = (minimize_at(model, which, lam, tie).x_star
+                    for lam in (lam_c - delta, lam_c + delta))
+    order = "first" if abs(above - below) > meanfield.JUMP_THRESHOLD else "second"
+    return visited, lam_c, order
+
+
+def count_solves(monkeypatch) -> list:
+    """Record the first coupling matrix of every _solve_batch call."""
+    seen, solve_batch = [], meanfield._solve_batch
+
+    def spy(omega_eff, energies, couplings):
+        seen.append(couplings[0].copy())
+        return solve_batch(omega_eff, energies, couplings)
+
+    monkeypatch.setattr(meanfield, "_solve_batch", spy)
+    return seen
+
+
+
+
+def random_transitions(seed: int, n: int):
+    """n random d = 2-4 critical searches: (model, which, bracket, tie).
+
+    Level ties, kappa, omega, a tie between couplings and missing couplings
+    all vary, so both bipartite and odd-cycle atoms occur.  The bracket ends
+    are points of a coarse scan, normal below and superradiant above its
+    first superradiant point.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.linspace(0.0, 4.0, 41)
+    out = []
+    while len(out) < n:
+        d = int(rng.integers(2, 5))
+        eps = np.sort(np.concatenate([[0.0], rng.uniform(0.2, 3.0, d - 1)]))
+        if d > 2 and rng.random() < 0.2:
+            eps[2] = eps[1]
+        lam = np.zeros((d, d))
+        for j in range(d):
+            for k in range(j + 1, d):
+                if rng.random() < 0.7:
+                    lam[j, k] = lam[k, j] = rng.normal(0.0, 0.5)
+        which = tuple(int(i) for i in sorted(rng.choice(d, 2, replace=False)))
+        pairs = [(j, k) for j in range(d) for k in range(j + 1, d) if (j, k) != which]
+        tie = None
+        if pairs and rng.random() < 0.5:
+            tie = {pairs[int(rng.integers(len(pairs)))]: float(rng.uniform(-0.5, 0.5))}
+        kappa = float(rng.uniform(0.0, 0.3)) if rng.random() < 0.5 else 0.0
+        model = DickeModel(float(rng.uniform(0.3, 3.0)), AtomSpec(eps, lam), kappa=kappa)
+        sr = [s.superradiant for s in scan_order_parameter(model, which, values, tie=tie)]
+        if sr[0] or not any(sr):
+            continue
+        first = sr.index(True)
+        above = [i for i in range(first, first + 10) if i < values.size and sr[i]]
+        lo = values[int(rng.integers(0, first))]
+        hi = values[int(rng.choice(above))]
+        out.append((model, which, (float(lo), float(hi)), tie))
+    return out
+
+
 class TestEnergyDensity:
     def test_zero_field_is_ground_energy(self):
         m = two_level(1.0, 1.0, 0.5)
@@ -398,6 +504,77 @@ class TestRefinement:
             minimize(DickeModel(1.0, atom))
 
 
+class TestOddCycle:
+    def test_odd_cycle_matches_two_colouring(self):
+        rng = np.random.default_rng(7)
+        for d in range(2, 7):
+            C = np.zeros((300, d, d))
+            for b in range(300):
+                for j in range(d):
+                    for k in range(j + 1, d):
+                        if rng.random() < 0.4:
+                            C[b, j, k] = C[b, k, j] = rng.normal()
+            odd = meanfield._odd_cycle(C)
+            assert odd.tolist() == [not two_coloured(c != 0.0) for c in C]
+            assert odd.any() == (d > 2) and not odd.all()
+
+    def test_minimize_finds_the_negative_minimum(self):
+        m = odd_cycle_model()
+        sol = minimize(m)
+        x_max = float(_x_max(np.array([m.omega_eff]), m.atom.energies, m.atom.couplings[None])[0])
+        n = 200_001
+        x_pos, _ = oracles.grid_minimum(m.atom.energies, m.atom.couplings, m.omega_eff, x_max, n)
+        x_neg, e_neg = oracles.grid_minimum(m.atom.energies, -m.atom.couplings, m.omega_eff,
+                                            x_max, n)
+        assert x_pos == 0.0
+        assert sol.superradiant and sol.x_star == pytest.approx(-0.169, abs=1e-3)
+        assert abs(sol.x_star + x_neg) <= x_max / (n - 1)
+        assert sol.e_star <= e_neg and sol.e_star == pytest.approx(-1.674e-4, rel=1e-3)
+        assert sol.e_star == energy_density(m, sol.x_star)
+        xs = [x for x, _ in sol.local_minima]
+        assert xs == sorted(xs) and xs.count(0.0) == 1 and sol.x_star in xs
+
+    def test_scan_and_no_go(self):
+        m = odd_cycle_model()
+        values = np.linspace(0.3, 0.5, 21)
+        sols = scan_order_parameter(m, (0, 2), values)
+        for value, sol in zip(values, sols):
+            mv = m.with_couplings({(0, 2): value})
+            x_max = float(_x_max(np.array([m.omega_eff]), m.atom.energies,
+                                 mv.atom.couplings[None])[0])
+            e_grid = min(oracles.grid_minimum(m.atom.energies, sign * mv.atom.couplings,
+                                              m.omega_eff, x_max, 4001)[1] for sign in (1, -1))
+            assert sol.e_star <= e_grid + 1e-15
+            assert sol.e_star == energy_density(mv, sol.x_star)
+            assert sol.superradiant == (sol.x_star < 0.0) == (value >= 0.4 - 1e-12)
+        assert no_go_check(m, 0.41, which=(0, 2)) is False
+        assert no_go_check(m, 0.39, which=(0, 2)) is True
+
+    def test_critical_coupling(self):
+        m = odd_cycle_model()
+        bracket = (0.3, 0.45)
+        tp = critical_coupling(m, (0, 2), bracket)
+        _, lam_c, order = bisection_reference(m, (0, 2), bracket)
+        eps = 0.5 * meanfield.REL_WIDTH * (bracket[1] - bracket[0])
+        assert not minimize_at(m, (0, 2), tp.coupling_value - eps).superradiant
+        assert minimize_at(m, (0, 2), tp.coupling_value + eps).x_star < 0.0
+        assert abs(tp.coupling_value - lam_c) <= 1e-8 * (bracket[1] - bracket[0])
+        assert tp.order == order == "first"
+
+    def test_result_does_not_depend_on_the_batch(self):
+        # set 1 has lam02 = 0, a 0-1-2 chain, which is bipartite
+        m = odd_cycle_model()
+        C, omega_eff = _scan_arrays(m, (0, 2), np.array([0.45, 0.0, 0.40, 0.3]), tie=None)
+        assert meanfield._odd_cycle(C).tolist() == [True, False, True, True]
+        batch = _solve_batch(omega_eff, m.atom.energies, C)
+        assert [s.x_star < 0.0 for s in batch] == [True, False, True, False]
+        for b in range(4):
+            alone = _solve_batch(omega_eff[b:b + 1], m.atom.energies, C[b:b + 1])[0]
+            assert _as_tuple(alone) == _as_tuple(batch[b])
+        reordered = _solve_batch(omega_eff[::-1], m.atom.energies, C[::-1])[::-1]
+        assert [_as_tuple(s) for s in reordered] == [_as_tuple(s) for s in batch]
+
+
 class TestCriticalCoupling:
     def test_two_level_standard(self):
         tp = critical_coupling(two_level(1.0, 1.0, 0.1), (0, 1), (0.3, 0.8))
@@ -452,6 +629,90 @@ class TestCriticalCoupling:
             tp = critical_coupling(scaled, (1, 2), (s * 0.9, s * 1.6))
             assert tp.coupling_value == pytest.approx(s * tp0.coupling_value, rel=1e-7)
             assert tp.order == tp0.order
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.1, 0.3])
+    def test_closed_forms(self, kappa):
+        tp = critical_coupling(two_level(1.0, 1.0, 0.1, kappa=kappa), (0, 1), (0.1, 1.0))
+        assert abs(tp.coupling_value - oracles.two_level_critical(1.0, 1.0, kappa)) <= 1e-12
+        tp = critical_coupling(ladder(1.0, 1.0, 2.0, 0.0, 1.0, kappa=kappa), (1, 2), (0.5, 2.0))
+        assert abs(tp.coupling_value - oracles.ladder_critical(1.0 + 4.0 * kappa)) <= 1e-9
+        if kappa == 0.0:
+            assert abs(tp.coupling_value - (1.0 + np.sqrt(2.0)) / 2.0) <= 1e-9
+
+    # the benchmark's critical jobs: (model, pair, bracket, tie)
+    BENCH_JOBS = [
+        *[(ladder(1.0, 1.0, 2.0, 0.0, 1.0, kappa=kappa), (1, 2), (0.5, 2.0),
+           {(0, 1): tie} if tie else None)
+          for tie in (0.0, 0.05, 0.1, 0.2) for kappa in (0.0, 0.05, 0.1)],
+        *[(two_level(1.0, 1.0, 1.0, kappa=kappa), (0, 1), (0.1, 1.0), None)
+          for kappa in (0.0, 0.05, 0.1)],
+    ]
+
+    def test_benchmark_jobs_take_few_solves(self, monkeypatch):
+        # plain bisection takes 2 + 27 + 2 solves on each
+        seen = count_solves(monkeypatch)
+        for model, which, bracket, tie in self.BENCH_JOBS:
+            seen.clear()
+            tp = critical_coupling(model, which, bracket, tie=tie)
+            assert tp.solves == len(seen) <= 12
+
+    @pytest.mark.parametrize("case", ["ladder", "tied_ladder", "two_level", "odd_cycle"])
+    def test_rejecting_every_proposal_is_plain_bisection(self, case, monkeypatch):
+        model, which, bracket, tie = {
+            "ladder": (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), None),
+            "tied_ladder": (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), {(0, 1): 0.1}),
+            "two_level": (two_level(1.0, 1.0, 1.0, kappa=0.05), (0, 1), (0.1, 1.0), None),
+            "odd_cycle": (odd_cycle_model(), (0, 2), (0.3, 0.45), None),
+        }[case]
+        visited, lam_c, order = bisection_reference(model, which, bracket, tie)
+        monkeypatch.setattr(meanfield, "_accept", lambda *args: False)
+        seen = count_solves(monkeypatch)
+        tp = critical_coupling(model, which, bracket, tie=tie)
+        assert [c[which] for c in seen[:-2]] == visited
+        assert tp.solves == len(visited) + 2
+        assert (tp.coupling_value, tp.order) == (lam_c, order)
+
+    def test_failed_straddle_hands_over_to_bisection(self, monkeypatch):
+        # every Newton root 20 tol too high: the solve just below the last
+        # one is still superradiant, and bisection of the bracket finishes
+        m, which, bracket = ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0)
+        tol = meanfield.REL_WIDTH * (bracket[1] - bracket[0])
+        newton_root = meanfield._newton_root
+
+        def biased(*args):
+            root = newton_root(*args)
+            return None if root is None else root + 20.0 * tol
+
+        monkeypatch.setattr(meanfield, "_newton_root", biased)
+        seen = count_solves(monkeypatch)
+        tp = critical_coupling(m, which, bracket)
+        monkeypatch.undo()
+        lo, hi = bracket
+        midpoints = []
+        for lam in (c[which] for c in seen[2:-2]):
+            midpoints.append(lam == 0.5 * (lo + hi))
+            if minimize_at(m, which, lam).superradiant:
+                hi = lam
+            else:
+                lo = lam
+        assert hi - lo <= tol and lo <= tp.coupling_value <= hi
+        newton = midpoints.index(True)
+        assert 1 <= newton <= 6 and all(midpoints[newton:])
+        assert abs(tp.coupling_value - oracles.LADDER_LAMBDA_C) <= tol
+
+    def test_certified_on_random_models(self):
+        odd = []
+        for model, which, bracket, tie in random_transitions(seed=11, n=16):
+            tp = critical_coupling(model, which, bracket, tie=tie)
+            width = bracket[1] - bracket[0]
+            eps = 0.5 * meanfield.REL_WIDTH * width
+            assert not minimize_at(model, which, tp.coupling_value - eps, tie).superradiant
+            assert minimize_at(model, which, tp.coupling_value + eps, tie).superradiant
+            _, lam_c, order = bisection_reference(model, which, bracket, tie)
+            assert abs(tp.coupling_value - lam_c) <= 1e-8 * width and tp.order == order
+            C, _ = _scan_arrays(model, which, np.array([1.0]), tie)
+            odd.append(bool(meanfield._odd_cycle(C)[0]))
+        assert 3 <= sum(odd) <= 13
 
 
 class TestNoGo:
