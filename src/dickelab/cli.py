@@ -6,6 +6,10 @@ override.  Every run writes its result artifacts (CSV for grids, JSON for
 scalar results) plus manifest.json recording the config echo, package
 version, effective seed, wall time, and sha256 checksums of the artifacts.
 
+Each config rule has one owner: model.config_keys checks the allowed and
+required keys that _COMMANDS states, and a rule on a value is checked by
+the library function that owns it, whose message _library reports.
+
 Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence,
 bad bracket), 4 resource limit.  Failures leave a machine-readable
 error.json in the output directory when it is writable.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from . import __version__
+from . import __version__, meanfield
 from .cpb import CpbSpec, write_cpb_csv
 from .errors import ConfigError, ConvergenceError, ResourceLimitError, SolverError
 from .exactdiag import (
@@ -40,7 +44,6 @@ from .exactdiag import (
 )
 from .meanfield import (
     DEFAULT_N_POINTS,
-    N_POINTS_MAX,
     critical_coupling,
     minimize,
     no_go_check,
@@ -55,22 +58,25 @@ from .model import (
     config_numbers,
     coupling_pair,
     model_from_dict,
+    trk_kappa_min,
     trk_report,
 )
 
 DEFAULT_SEED = 1234
 
-# Each command's top-level blocks and, for scan, ed and cpb, the keys each
-# block allows (model keys are model_from_dict's).  A listed block is
-# required, except ed, whose keys are all optional; any other block is
-# "not used by command".
+# Each command's top-level blocks.  model's keys are model_from_dict's; for
+# scan, ed and cpb the entry is (allowed keys, required keys).  A block is
+# required unless it has keys and none of them is required (ed-ground's
+# ed); any other block is "not used by command".
 _COMMANDS = {
-    "meanfield-scan": {"model": None, "scan": {"coupling", "values", "tie"}},
-    "critical": {"model": None, "scan": {"coupling", "bracket", "tie"}},
-    "no-go": {"model": None, "scan": {"coupling", "lambda_max", "n_points", "kappa_rule"}},
-    "ed-ground": {"model": None, "ed": {"n_max", "max_dim", "dump_state"}},
-    "ed-nscan": {"model": None, "ed": {"n_list", "max_dim"}},
-    "cpb-sweet-spot": {"cpb": {"ec", "ej", "ng", "n_cut"}},
+    "meanfield-scan": {"model": None, "scan": ({"coupling", "values", "tie"},
+                                               ("coupling", "values"))},
+    "critical": {"model": None, "scan": ({"coupling", "bracket", "tie"}, ("coupling", "bracket"))},
+    "no-go": {"model": None, "scan": ({"coupling", "lambda_max", "n_points", "kappa_rule"},
+                                      ("coupling", "lambda_max"))},
+    "ed-ground": {"model": None, "ed": ({"n_max", "max_dim", "dump_state"}, ())},
+    "ed-nscan": {"model": None, "ed": ({"n_list", "max_dim"}, ("n_list",))},
+    "cpb-sweet-spot": {"cpb": ({"ec", "ej", "ng", "n_cut"}, ("ec", "ej", "ng"))},
     "trk-check": {"model": None},
 }
 COMMANDS = tuple(_COMMANDS)
@@ -99,14 +105,20 @@ class RunConfig:
     cpb_specs: tuple[CpbSpec, ...] = ()
 
 
+def _library(path: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), a library function that owns a rule on a config
+    field; its ValueError becomes a ConfigError at path, message unchanged."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _pair(value, path, d) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a pair of level indices [j, k]")
     pair = [config_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    try:
-        return coupling_pair(pair, d)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _library(path, coupling_pair, pair, d)
 
 
 def _parse_tie(doc, path, d, scanned):
@@ -118,75 +130,50 @@ def _parse_tie(doc, path, d, scanned):
             j, k = (int(part) for part in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
-        pair = _pair([j, k], f"{path}.{key}", d)
-        if pair == scanned:
-            raise ConfigError(f"{path}.{key}", "cannot tie the scanned coupling to itself")
+        pair = _library(f"{path}.{key}", meanfield.tie_pair, (j, k), scanned, d)
         tie[pair] = config_number(ratio, f"{path}.{key}")
     return tie
 
 
-def _parse_scan(doc, path, command, d) -> dict:
+# scan key: (its RunConfig field, its JSON type check, the library rule on
+# its value); the command's keys are _COMMANDS', and an absent optional key
+# keeps the RunConfig default
+_SCAN_FIELDS = {
+    "values": ("scan_values", lambda v, path: tuple(config_numbers(v, path)),
+               meanfield.check_scan_values),
+    "bracket": ("bracket", lambda v, path: tuple(config_numbers(v, path)), meanfield.check_bracket),
+    "lambda_max": ("lambda_max", config_number, meanfield.check_lambda_max),
+    "n_points": ("n_points", config_int, meanfield.check_n_points),
+    "kappa_rule": ("kappa_rule", lambda v, path: v, meanfield.check_kappa_rule),
+}
+
+
+def _parse_scan(doc, path, d) -> dict:
     """The RunConfig fields set by a scan block."""
-    if "coupling" not in doc:
-        raise ConfigError(f"{path}.coupling", "missing required key")
     out: dict = {"scan_coupling": _pair(doc["coupling"], f"{path}.coupling", d)}
     if "tie" in doc:
         out["scan_tie"] = _parse_tie(doc["tie"], f"{path}.tie", d, out["scan_coupling"])
-    if command == "meanfield-scan":
-        vals = config_numbers(doc.get("values"), f"{path}.values")
-        if len(vals) < 2:
-            raise ConfigError(f"{path}.values", "expected a list of at least 2 values")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"{path}.values", "values must be strictly ascending")
-        out["scan_values"] = tuple(vals)
-    elif command == "critical":
-        br = config_numbers(doc.get("bracket"), f"{path}.bracket")
-        if len(br) != 2:
-            raise ConfigError(f"{path}.bracket", "expected [lo, hi]")
-        if not 0 <= br[0] < br[1]:
-            raise ConfigError(f"{path}.bracket", "need 0 <= lo < hi")
-        out["bracket"] = tuple(br)
-    else:  # no-go
-        if "lambda_max" not in doc:
-            raise ConfigError(f"{path}.lambda_max", "missing required key")
-        out["lambda_max"] = config_number(doc["lambda_max"], f"{path}.lambda_max")
-        if out["lambda_max"] <= 0:
-            raise ConfigError(f"{path}.lambda_max", "must be positive")
-        out["n_points"] = config_int(doc.get("n_points", DEFAULT_N_POINTS),
-                                     f"{path}.n_points", minimum=100, maximum=N_POINTS_MAX)
-        out["kappa_rule"] = doc.get("kappa_rule", "fixed")
-        if out["kappa_rule"] not in ("fixed", "trk-ground"):
-            raise ConfigError(f"{path}.kappa_rule", "expected 'fixed' or 'trk-ground'")
+    for key, (field, parse, rule) in _SCAN_FIELDS.items():
+        if key in doc:
+            out[field] = parse(doc[key], f"{path}.{key}")
+            _library(f"{path}.{key}", rule, out[field])
     return out
 
 
 def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
-    lists = {}
-    scalars = {}
-    for key in ("ec", "ej", "ng"):
-        if key not in doc:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        if isinstance(doc[key], (list, tuple)):
-            lists[key] = config_numbers(doc[key], f"{path}.{key}")
-            if not lists[key]:
-                raise ConfigError(f"{path}.{key}", "sweep list must not be empty")
-        else:
-            scalars[key] = config_number(doc[key], f"{path}.{key}")
-    if len(lists) > 1:
-        raise ConfigError(f"{path}.{sorted(lists)[1]}",
-                          "at most one of ec/ej/ng may be a sweep list")
-    kw = {"n_cut": config_int(doc["n_cut"], f"{path}.n_cut")} if "n_cut" in doc else {}
-    specs = []
-    sweep_key, sweep_vals = (next(iter(lists.items())) if lists else (None, [None]))
-    for v in sweep_vals:
-        params = dict(scalars)
-        if sweep_key is not None:
-            params[sweep_key] = v
-        try:
-            specs.append(CpbSpec(ec=params["ec"], ej=params["ej"], ng=params["ng"], **kw))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    return tuple(specs)
+    params = {key: (config_numbers if isinstance(doc[key], (list, tuple)) else config_number)(
+        doc[key], f"{path}.{key}") for key in ("ec", "ej", "ng")}
+    if "n_cut" in doc:
+        params["n_cut"] = config_int(doc["n_cut"], f"{path}.n_cut")
+    sweeps = sorted(key for key, value in params.items() if isinstance(value, list))
+    if len(sweeps) > 1:
+        raise ConfigError(f"{path}.{sweeps[1]}", "at most one of ec/ej/ng may be a sweep list")
+    if not sweeps:
+        return (_library(path, CpbSpec, **params),)
+    key = sweeps[0]
+    if not params[key]:
+        raise ConfigError(f"{path}.{key}", "sweep list must not be empty")
+    return tuple(_library(path, CpbSpec, **{**params, key: value}) for value in params[key])
 
 
 def parse_config(doc: Mapping) -> RunConfig:
@@ -197,14 +184,13 @@ def parse_config(doc: Mapping) -> RunConfig:
         raise ConfigError("$.command", f"expected one of {', '.join(COMMANDS)}")
     blocks = _COMMANDS[command]
     for block in _BLOCKS:
-        if block not in blocks:
-            if block in doc:
-                raise ConfigError(f"$.{block}", f"not used by command {command!r}")
-        elif block in doc:
-            if blocks[block] is not None:
-                config_keys(doc[block], blocks[block], f"$.{block}")
-        elif block != "ed":
-            raise ConfigError(f"$.{block}", "missing required key")
+        if block in doc and block not in blocks:
+            raise ConfigError(f"$.{block}", f"not used by command {command!r}")
+    config_keys(doc, _TOP_KEYS, "$",
+                required=[block for block, keys in blocks.items() if keys is None or keys[1]])
+    for block, keys in blocks.items():
+        if keys is not None and block in doc:
+            config_keys(doc[block], keys[0], f"$.{block}", required=keys[1])
     seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed", minimum=0)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -214,27 +200,29 @@ def parse_config(doc: Mapping) -> RunConfig:
     if "model" in blocks:
         kwargs["model"] = model_from_dict(doc["model"], path="$.model")
     if "scan" in blocks:
-        kwargs.update(_parse_scan(doc["scan"], "$.scan", command, kwargs["model"].atom.d))
+        kwargs.update(_parse_scan(doc["scan"], "$.scan", kwargs["model"].atom.d))
     if "ed" in blocks:
         ed = doc.get("ed", {})
         if "n_max" in ed:
             kwargs["ed_n_max"] = config_int(ed["n_max"], "$.ed.n_max", minimum=0)
         if "max_dim" in ed:
-            kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim", minimum=1)
+            # the key can only lower the guard
+            kwargs["ed_max_dim"] = config_int(ed["max_dim"], "$.ed.max_dim", minimum=1,
+                                              maximum=MAX_DIM_DEFAULT)
         kwargs["ed_dump_state"] = ed.get("dump_state", False)
         if not isinstance(kwargs["ed_dump_state"], bool):
             raise ConfigError("$.ed.dump_state", "expected a boolean")
-        if "n_list" in blocks["ed"]:
-            n_list = ed.get("n_list")
+        if "n_list" in ed:
+            n_list = ed["n_list"]
             if not isinstance(n_list, (list, tuple)) or not n_list:
                 raise ConfigError("$.ed.n_list", "expected a nonempty list of positive integers")
             kwargs["ed_n_list"] = tuple(config_int(n, f"$.ed.n_list[{i}]", minimum=1)
                                         for i, n in enumerate(n_list))
     if "cpb" in blocks:
         kwargs["cpb_specs"] = _parse_cpb(doc["cpb"], "$.cpb")
-    if ((command == "trk-check" or kwargs.get("kappa_rule") == "trk-ground")
-            and kwargs["model"].atom.energies[1] == 0.0):
-        raise ConfigError("$.model.atom.energies", "degenerate ground transition")
+    if command == "trk-check" or kwargs.get("kappa_rule") == "trk-ground":
+        atom = kwargs["model"].atom
+        _library("$.model.atom.energies", trk_kappa_min, atom.coupling(0, 1), atom.energies[1])
 
     return RunConfig(command=command, seed=seed, output=output,
                      echo=json.loads(json.dumps(doc)), **kwargs)
@@ -349,7 +337,7 @@ def main(argv=None) -> int:
             raise ConfigError("$", f"cannot read config: {exc}") from exc
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
         cfg = parse_config(doc)
         outdir = Path(args.output_dir or cfg.output or ".")

@@ -39,6 +39,7 @@ MAX_DIM_DEFAULT = 5_000_000
 TOL = 1e-10           # ARPACK stops at this Ritz residual relative to |e0|
 TOL_E = 1e-8          # converge_cutoff stops when the truncation residual is at most this
 _CUTOFF_GROWTH = 1.5
+_CUTOFF_STEPS = 16    # converge_cutoff raises ConvergenceError after this many steps
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +240,40 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
     return float(np.linalg.norm(H @ psi - e0 * psi))
 
 
-def ground_state(H, seed: int = 0, v0: np.ndarray | None = None,
-                 max_iter: int | None = None, force_lanczos: bool = False) -> GroundState:
-    """Lowest eigenpair of a real symmetric matrix (sparse or dense).
-
-    Dimensions at or below DENSE_CUTOFF go to a dense eigensolver.  Larger
-    ones run ARPACK's implicitly restarted Lanczos (scipy's eigsh with
-    which="SA"), whose workspace stays at dim x ncv vectors.  The start
-    vector is v0 when given, otherwise default_rng(seed).standard_normal(dim),
-    so reruns are byte-identical.  ed_ground passes each block's part of its
-    start vector as v0.  ARPACK stops when the Ritz residual drops below TOL
-    relative to |e0|.  `iterations` counts matrix-vector products, and
-    max_iter bounds them: running out raises ConvergenceError carrying the
-    Rayleigh-quotient residual of the last Krylov vector (ARPACK returns no
-    Ritz pair when k=1 fails).  Any other ARPACK failure is raised as
-    ConvergenceError too.
-    """
+def ground_state(H, seed: int = 0, v0: np.ndarray | None = None) -> GroundState:
+    """Lowest eigenpair of a real symmetric matrix (sparse or dense): dense
+    eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos)."""
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    dim = H.shape[0]
-    if dim <= DENSE_CUTOFF and not force_lanczos:
-        dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        w, v = sla.eigh(dense, subset_by_index=(0, 0))
-        psi = v[:, 0]
-        e0 = float(w[0])
-        return GroundState(e0=e0, vector=psi, iterations=0,
-                           residual_norm=_true_residual(H, psi, e0), method="dense")
+    if H.shape[0] > DENSE_CUTOFF:
+        return _lanczos(H, seed, v0)
+    dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+    w, v = sla.eigh(dense, subset_by_index=(0, 0))
+    psi = v[:, 0]
+    e0 = float(w[0])
+    return GroundState(e0=e0, vector=psi, iterations=0,
+                       residual_norm=_true_residual(H, psi, e0), method="dense")
+
+
+def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
+             max_iter: int | None = None) -> GroundState:
+    """ARPACK's implicitly restarted Lanczos (scipy's eigsh with which="SA"),
+    whose workspace stays at dim x ncv vectors, at any dimension.
+
+    The start vector is v0 when given (ed_ground passes each block's part of
+    its start vector), otherwise default_rng(seed).standard_normal(dim), so
+    reruns are byte-identical.  ARPACK stops when the Ritz residual drops
+    below TOL relative to |e0|.  `iterations` counts matrix-vector products,
+    and max_iter (default 10 sqrt(dim) + 200) bounds them: running out
+    raises ConvergenceError carrying the Rayleigh-quotient residual of the
+    last Krylov vector (ARPACK returns no Ritz pair when k=1 fails).  Any
+    other ARPACK failure is raised as ConvergenceError too.
+    """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    if max_iter is None:
-        max_iter = int(10 * math.sqrt(dim)) + 200
+    dim = H.shape[0]
+    max_iter = max_iter or int(10 * math.sqrt(dim)) + 200
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
     if not np.any(start):
@@ -456,7 +460,7 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
 
 
 def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
-                    max_steps: int = 16, x_star: float | None = None) -> EDResult:
+                    x_star: float | None = None) -> EDResult:
     """Grow n_max by a factor 1.5 (at least +8) until the truncation residual
     of the ground vector is at most TOL_E.
 
@@ -473,7 +477,7 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     given x* and, after the first step, the previous step's block_vectors as
     warm.  The result is the accepted step's ed_ground result; only the e0 of
     earlier steps is kept.  Any SolverError that leaves a step, and the
-    ConvergenceError raised when no step is accepted within max_steps,
+    ConvergenceError raised when no step is accepted within _CUTOFF_STEPS,
     carries the (n_max, e0) pairs measured so far as ``trace``.  x_star is that
     mean-field minimum, computed here when not given; it does not depend on
     n_atoms, so a scan over N can compute it once.
@@ -483,7 +487,7 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     trace: list[tuple[int, float]] = []
     warm = None
     residual = math.inf
-    for _ in range(max_steps):
+    for _ in range(_CUTOFF_STEPS):
         try:
             res = ed_ground(model, n, seed, max_dim, warm=warm, x_star=x_mf)
         except SolverError as exc:
@@ -498,7 +502,7 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
         n = max(n + 8, math.ceil(_CUTOFF_GROWTH * n))
     raise ConvergenceError(
         f"truncation residual {residual:.3g} still above {TOL_E:g} "
-        f"after {max_steps} cutoff steps", trace=trace)
+        f"after {_CUTOFF_STEPS} cutoff steps", trace=trace)
 
 
 # ---------------------------------------------------------------------------

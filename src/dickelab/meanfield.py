@@ -36,7 +36,8 @@ REL_WIDTH = 1e-8            # the certified bracket (Newton, bisection fallback)
                             # this fraction of the initial bracket width
 DELTA_REL = 1e-4            # the jump is measured at lam_c (1 +/- DELTA_REL)
 DEFAULT_N_POINTS = 200
-N_POINTS_MAX = 100_000      # no-go scan points; the batch arrays are O(n_points d^2)
+N_POINTS_MIN = 100          # no-go scan points, at least
+N_POINTS_MAX = 100_000      # and at most; the batch arrays are O(n_points d^2)
 
 _GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
@@ -282,21 +283,54 @@ def minimize(model: DickeModel) -> MeanFieldSolution:
     )[0]
 
 
+# The rules on the arguments of the scans below, one function each; the CLI
+# calls them on a config's fields.
+
+def tie_pair(pair, scanned: tuple[int, int], d: int) -> tuple[int, int]:
+    """coupling_pair(pair, d), unless it is scanned (as coupling_pair gives it)."""
+    tied = coupling_pair(pair, d)
+    if tied == scanned:
+        raise ValueError(f"tie {pair}: cannot tie the scanned coupling to itself")
+    return tied
+
+
+def check_scan_values(values: Sequence[float]) -> None:
+    if len(values) < 2 or np.any(np.diff(values) <= 0):
+        raise ValueError("values must be strictly ascending with at least 2 entries")
+
+
+def check_bracket(bracket: Sequence[float]) -> None:
+    if len(bracket) != 2 or not 0.0 <= bracket[0] < bracket[1]:
+        raise ValueError("bracket must be [lo, hi] with 0 <= lo < hi")
+
+
+def check_lambda_max(lambda_max: float) -> None:
+    if not lambda_max > 0:
+        raise ValueError("lambda_max must be positive")
+
+
+def check_n_points(n_points: int) -> None:
+    if not N_POINTS_MIN <= n_points <= N_POINTS_MAX:
+        raise ValueError(f"n_points must be at least {N_POINTS_MIN} and at most {N_POINTS_MAX}")
+
+
+def check_kappa_rule(kappa_rule: str) -> None:
+    if kappa_rule not in ("fixed", "trk-ground"):
+        raise ValueError(f"unknown kappa_rule {kappa_rule!r}, expected 'fixed' or 'trk-ground'")
+
+
 def _scan_arrays(model: DickeModel, which: tuple[int, int], values: np.ndarray,
                  tie: Mapping[tuple[int, int], float] | None):
     """Coupling matrices and omega_eff for each scanned value.
 
-    This is the one place a tie is applied: each tied pair is set to
-    ratio * value.  Every pair goes through coupling_pair of the model
-    module, and a tie on the scanned pair, in either order, is rejected.
+    This is the one place a tie is applied: each tied pair (tie_pair) is set
+    to ratio * value.
     """
     j, k = coupling_pair(which, model.atom.d)
     C = np.repeat(model.atom.couplings[None], values.size, axis=0)
     C[:, j, k] = C[:, k, j] = values
     for pair, ratio in (tie or {}).items():
-        tj, tk = coupling_pair(pair, model.atom.d)
-        if (tj, tk) == (j, k):
-            raise ValueError(f"tie {pair}: cannot tie the scanned coupling to itself")
+        tj, tk = tie_pair(pair, (j, k), model.atom.d)
         C[:, tj, tk] = C[:, tk, tj] = ratio * values
     return C, np.full(values.size, model.omega_eff)
 
@@ -311,8 +345,7 @@ def scan_order_parameter(model: DickeModel, which: tuple[int, int],
     e.g. tie={(0, 1): 0.05} co-scales lam_01 = 0.05 * lam_12.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.size < 2 or np.any(np.diff(vals) <= 0):
-        raise ValueError("values must be strictly ascending with at least 2 entries")
+    check_scan_values(vals)
     C, omega_eff = _scan_arrays(model, which, vals, tie)
     return _solve_batch(omega_eff, model.atom.energies, C)
 
@@ -394,9 +427,8 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     jump of x* across lam_c +/- DELTA_REL*lam_c (first order above
     JUMP_THRESHOLD).
     """
+    check_bracket(bracket)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 <= lo < hi:
-        raise ValueError("bracket must satisfy 0 <= lo < hi")
     energies = model.atom.energies
     C0, C1 = (_scan_arrays(model, which, np.array([v]), tie)[0][0] for v in (0.0, 1.0))
     D = C1 - C0
@@ -471,17 +503,14 @@ def no_go_check(model: DickeModel, lambda_max: float, n_points: int = DEFAULT_N_
     first block with a superradiant point answers False; an input whose
     scan range overflows raises SolverError before any block is solved.
     """
-    if not lambda_max > 0:
-        raise ValueError("lambda_max must be positive")
-    if not 100 <= n_points <= N_POINTS_MAX:
-        raise ValueError(f"n_points must be between 100 and {N_POINTS_MAX}")
+    check_lambda_max(lambda_max)
+    check_n_points(n_points)
+    check_kappa_rule(kappa_rule)
     vals = np.linspace(0.0, lambda_max, n_points)
     C, omega_eff = _scan_arrays(model, which, vals, tie=None)
     if kappa_rule == "trk-ground":
         kappa = trk_kappa_min(C[:, 0, 1], float(model.atom.energies[1]))
         omega_eff = model.omega + 4.0 * kappa
-    elif kappa_rule != "fixed":
-        raise ValueError(f"unknown kappa_rule {kappa_rule!r}")
     _x_max(omega_eff, model.atom.energies, C)
     for start in range(0, n_points, _NO_GO_BLOCK):
         block = slice(start, start + _NO_GO_BLOCK)

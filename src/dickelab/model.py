@@ -185,7 +185,7 @@ class TrkReport:
 
 def trk_kappa_min(lam01, eps1: float):
     """The TRK bound kappa_min = lam01^2 / eps1 of the 0 <-> 1 transition;
-    lam01 may be a scalar or an array."""
+    lam01 may be a scalar or an array.  ValueError when eps1 == 0."""
     if eps1 == 0.0:
         raise ValueError("degenerate ground transition")
     return lam01 ** 2 / eps1
@@ -216,7 +216,8 @@ def trk_report(model: DickeModel) -> TrkReport:
 #  "atom": {"energies": [0, 1, 2], "couplings": [[...], ...]}}
 #
 # couplings are nested rows, d rows of d values.  config_keys is the one
-# key check of every config mapping, here and in the CLI.
+# key check of every config mapping, here and in the CLI: unknown keys and
+# absent required ones alike.
 # ---------------------------------------------------------------------------
 
 _MODEL_KEYS = {"omega", "kappa", "n_atoms", "atom", "ladder"}
@@ -251,10 +252,11 @@ def config_number(value, path: str) -> float:
 
 def config_int(value, path: str, *, minimum: int | None = None,
                maximum: int | None = None) -> int:
-    """A JSON integer (bool excluded) within [minimum, maximum] where given,
-    else ConfigError at path."""
+    """A JSON integer (bool excluded) inside the float range (config_number)
+    and within [minimum, maximum] where given, else ConfigError at path."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+    config_number(value, path)
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be at least {minimum}")
     if maximum is not None and value > maximum:

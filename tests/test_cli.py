@@ -13,7 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickelab
-from dickelab import cli, converge_cutoff, ed_ground, meanfield, model_from_dict
+from dickelab import (
+    cli,
+    converge_cutoff,
+    critical_coupling,
+    ed_ground,
+    exactdiag,
+    meanfield,
+    model_from_dict,
+    no_go_check,
+    scan_order_parameter,
+    trk_report,
+)
 from dickelab.cli import _fail, main, parse_config
 from dickelab.errors import ConfigError, ConvergenceError
 from dickelab.exactdiag import dump_state
@@ -36,6 +47,11 @@ def ladder_model(lam12=1.0, lam01=0.0, kappa=0.0):
                                [lam01, 0.0, lam12],
                                [0.0, lam12, 0.0]]},
     }
+
+
+# eps_1 = 0: the TRK bound lam_01^2 / eps_1 is undefined
+DEGENERATE_MODEL = {"atom": {"energies": [0.0, 0.0, 1.0],
+                             "couplings": [[0.0, 0.1, 0.0], [0.1, 0.0, 0.5], [0.0, 0.5, 0.0]]}}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -88,8 +104,14 @@ class TestParseConfig:
         assert set(doc["model"]) == _MODEL_KEYS
         assert set(doc["model"]["atom"]) == set(_ATOM_KEYS)
         for block in ("scan", "ed", "cpb"):
-            accepted = set().union(*(c[block] for c in cli._COMMANDS.values() if block in c))
+            accepted = set().union(*(c[block][0] for c in cli._COMMANDS.values() if block in c))
             assert set(doc[block]) == accepted, block
+        # and its comments say which keys a command requires
+        lines = example.splitlines()
+        for blocks in cli._COMMANDS.values():
+            for block, keys in blocks.items():
+                for key in [block, *(keys[1] if keys else ())]:
+                    assert "required" in next(ln for ln in lines if f'"{key}":' in ln), key
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match=r"\$\.unknown"):
@@ -158,11 +180,7 @@ class TestParseConfig:
                                            "kappa_rule": "sometimes"}})
 
     def test_trk_requires_nondegenerate_gap(self):
-        doc = {"command": "trk-check",
-               "model": {"atom": {"energies": [0.0, 0.0, 1.0],
-                                  "couplings": [[0.0, 0.1, 0.0],
-                                                [0.1, 0.0, 0.5],
-                                                [0.0, 0.5, 0.0]]}}}
+        doc = {"command": "trk-check", "model": DEGENERATE_MODEL}
         with pytest.raises(ConfigError, match="degenerate ground transition"):
             parse_config(doc)
 
@@ -170,6 +188,70 @@ class TestParseConfig:
         doc = {"command": "ed-nscan", "model": ladder_model(), "ed": {}}
         with pytest.raises(ConfigError, match=r"\$\.ed\.n_list"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("name, block, key", [
+        ("scan", "scan", "coupling"),
+        ("scan", "scan", "values"),
+        ("crit", "scan", "bracket"),
+        ("nogo", "scan", "lambda_max"),
+        ("cpb", "cpb", "ng"),
+        ("nscan", "ed", "n_list"),
+        ("crit", None, "model"),
+        ("crit", None, "scan"),
+    ])
+    def test_missing_required_key(self, name, block, key):
+        # every presence check is config_keys's, on the keys _COMMANDS requires
+        doc = copy.deepcopy(DOCS[name])
+        del (doc[block] if block else doc)[key]
+        path = f"$.{block}.{key}" if block else f"$.{key}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == path and str(exc.value) == f"{path}: missing required key"
+
+    @pytest.mark.parametrize("doc, path, library", [
+        ({"command": "meanfield-scan", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "values": [1.2, 1.1]}}, "$.scan.values",
+         lambda m: scan_order_parameter(m, (1, 2), [1.2, 1.1])),
+        ({"command": "meanfield-scan", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "values": [1.2]}}, "$.scan.values",
+         lambda m: scan_order_parameter(m, (1, 2), [1.2])),
+        ({"command": "critical", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "bracket": [1.4, 1.0]}}, "$.scan.bracket",
+         lambda m: critical_coupling(m, (1, 2), (1.4, 1.0))),
+        ({"command": "critical", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "bracket": [1.0]}}, "$.scan.bracket",
+         lambda m: critical_coupling(m, (1, 2), (1.0,))),
+        ({"command": "no-go", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "lambda_max": 0.0}}, "$.scan.lambda_max",
+         lambda m: no_go_check(m, 0.0, which=(1, 2))),
+        ({"command": "no-go", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "lambda_max": 2.0, "n_points": 10}}, "$.scan.n_points",
+         lambda m: no_go_check(m, 2.0, n_points=10, which=(1, 2))),
+        ({"command": "no-go", "model": ladder_model(),
+          "scan": {"coupling": [1, 2], "lambda_max": 2.0, "kappa_rule": "sometimes"}},
+         "$.scan.kappa_rule",
+         lambda m: no_go_check(m, 2.0, which=(1, 2), kappa_rule="sometimes")),
+        ({"command": "critical", "model": ladder_model(lam01=0.1),
+          "scan": {"coupling": [1, 2], "bracket": [0.8, 1.6], "tie": {"2,1": 0.5}}},
+         "$.scan.tie.2,1",
+         lambda m: critical_coupling(m, (1, 2), (0.8, 1.6), tie={(2, 1): 0.5})),
+        ({"command": "trk-check", "model": DEGENERATE_MODEL}, "$.model.atom.energies",
+         trk_report),
+        ({"command": "no-go", "model": DEGENERATE_MODEL,
+          "scan": {"coupling": [1, 2], "lambda_max": 1.0, "kappa_rule": "trk-ground"}},
+         "$.model.atom.energies",
+         lambda m: no_go_check(m, 1.0, which=(1, 2), kappa_rule="trk-ground")),
+    ], ids=["values-descending", "values-short", "bracket-reversed", "bracket-short",
+            "lambda_max", "n_points", "kappa_rule", "tie-on-scanned", "trk-check-degenerate",
+            "trk-ground-degenerate"])
+    def test_library_rule_message(self, doc, path, library):
+        # a rule the library owns is checked once, by the library; the CLI
+        # reports the library's own message at the field path
+        with pytest.raises(ValueError) as lib:
+            library(model_from_dict(doc["model"]))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == path and str(exc.value) == f"{path}: {lib.value}"
 
 
 class TestExitCodes:
@@ -195,6 +277,17 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main([str(path), "-o", str(tmp_path / "out")]) == 2
 
+    def test_integer_too_long_for_json(self, tmp_path):
+        # Python's json refuses to convert an integer of more than 4300
+        # digits (3.10.7 on); an interpreter without that limit parses it,
+        # and the float-range rule rejects the seed
+        path = tmp_path / "long.json"
+        path.write_text('{"command": "trk-check", "seed": ' + "1" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main([str(path), "-o", str(out)]) == 2
+        expected = "$" if hasattr(sys, "get_int_max_str_digits") else "$.seed"
+        assert json.loads((out / "error.json").read_text())["path"] == expected
+
     def test_missing_file(self, tmp_path):
         assert main([str(tmp_path / "absent.json")]) == 2
 
@@ -218,9 +311,10 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ResourceLimitError"
 
-    def test_cutoff_trace_in_error_record(self, tmp_path):
+    def test_cutoff_trace_in_error_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            converge_cutoff(TWO_STEP_MODEL, max_steps=1)
+            converge_cutoff(TWO_STEP_MODEL)
         out = tmp_path / "out"
         assert _fail(out, exc.value, 3) == 3
         record = json.loads((out / "error.json").read_text())
@@ -349,6 +443,23 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["path"] == path and limit in record["message"]
 
+    def test_max_dim_only_lowers_the_guard(self, tmp_path, monkeypatch):
+        # with max_dim 10**12 the 3-atom basis at n_max 10**9 would pass the
+        # size check, and assembling H would ask for a 7.45 GiB arange; the
+        # stub fails fast should the bound ever stop holding
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver was reached")
+
+        monkeypatch.setattr(cli, "ed_ground", no_solve)
+        cfg = write_config(tmp_path, {"command": "ed-ground", "model": {
+            "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.5], [0.5, 0.0]]},
+            "n_atoms": 3}, "ed": {"n_max": 10**9, "max_dim": 10**12}})
+        out = tmp_path / "out"
+        assert main([cfg, "-o", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["path"] == "$.ed.max_dim"
+        assert f"at most {exactdiag.MAX_DIM_DEFAULT}" in record["message"]
+
     @pytest.mark.parametrize("model, values", [
         (ladder_model(lam01=0.1), [1.0, 1e300]),
         ({**ladder_model(lam01=0.1), "omega": 1e-320}, [1.0, 1.3]),
@@ -388,6 +499,13 @@ class TestExitCodes:
          "$.cpb.ng"),
         ({"command": "cpb-sweet-spot", "cpb": {"ec": 1.0, "ej": NAN, "ng": 0.5}},
          "$.cpb.ej"),
+        # integers beyond the float range, which the first-cutoff formula of
+        # converge_cutoff cannot take
+        ({"command": "ed-ground", "model": {**ladder_model(lam12=1.5), "n_atoms": 10**400}},
+         "$.model.n_atoms"),
+        ({"command": "ed-nscan", "model": ladder_model(lam12=1.5), "ed": {"n_list": [10**400]}},
+         "$.ed.n_list[0]"),
+        ({"command": "trk-check", "model": ladder_model(lam01=0.1), "seed": 10**400}, "$.seed"),
     ])
     def test_non_finite_number(self, tmp_path, doc, path):
         cfg = write_config(tmp_path, doc)

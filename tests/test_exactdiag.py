@@ -29,7 +29,8 @@ from dickelab import (
     two_level,
 )
 from dickelab import exactdiag
-from dickelab.exactdiag import TOL_E, _blocks, dump_state, ed_csv_header, ed_csv_row
+from dickelab.exactdiag import (TOL_E, _blocks, _lanczos, dump_state, ed_csv_header,
+                                 ed_csv_row)
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
 # converge_cutoff takes two steps here: n_max 31 (truncation residual 1.0e-6,
@@ -227,7 +228,7 @@ class TestGroundState:
         a = rng.standard_normal((200, 200))
         H = (a + a.T) / 2.0
         dense = ground_state(H)
-        lanc = ground_state(H, force_lanczos=True, seed=3)
+        lanc = _lanczos(H, seed=3)
         assert lanc.method == "lanczos"
         assert abs(lanc.e0 - dense.e0) <= 1e-10 * max(1.0, abs(dense.e0))
 
@@ -242,7 +243,7 @@ class TestGroundState:
                 continue
             H = build_hamiltonian(m, build_basis(m.n_atoms, m.atom.d, n_max))
             dense = sla.eigh(H.toarray(), subset_by_index=(0, 0))[0][0]
-            lanc = ground_state(H, force_lanczos=True, seed=done)
+            lanc = _lanczos(H, seed=done)
             assert abs(lanc.e0 - dense) <= 1e-10 * max(1.0, abs(dense))
             done += 1
 
@@ -256,7 +257,7 @@ class TestGroundState:
         a = rng.standard_normal((300, 300))
         H = (a + a.T) / 2.0
         with pytest.raises(ConvergenceError) as exc:
-            ground_state(H, force_lanczos=True, max_iter=3)
+            _lanczos(H, max_iter=3)
         assert exc.value.best_residual is not None
         assert exc.value.best_residual > 0.0
 
@@ -277,13 +278,13 @@ class TestGroundState:
         v0 = np.zeros(2500)
         v0[0] = 1.0
         with pytest.raises(ConvergenceError, match="ARPACK"):
-            ground_state(H, force_lanczos=True, v0=v0)
+            _lanczos(H, v0=v0)
 
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
         H = build_hamiltonian(m, basis)
-        gs = ground_state(H, force_lanczos=True, seed=0)
+        gs = _lanczos(H, seed=0)
         h_scale = float(np.max(np.abs(H.diagonal())))
         assert gs.residual_norm <= 1e-8 * h_scale
 
@@ -449,7 +450,7 @@ class TestMeanFieldStart:
             idx = np.flatnonzero(parity_signs(basis) == sign)
             Hs = H[idx][:, idx]
             v0 = start[idx] if start[idx].any() else None
-            lanc = ground_state(Hs, force_lanczos=True, v0=v0)
+            lanc = _lanczos(Hs, v0=v0)
             dense = sla.eigh(Hs.toarray(), subset_by_index=(0, 0))[0][0]
             assert abs(lanc.e0 - dense) <= 1e-8
 
@@ -532,10 +533,11 @@ class TestConvergeCutoff:
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
         assert b.method == "lanczos"
 
-    def test_unstable_cutoff_carries_trace(self):
+    def test_unstable_cutoff_carries_trace(self, monkeypatch):
         m = TWO_STEP_MODEL
+        monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            converge_cutoff(m, max_steps=1)
+            converge_cutoff(m)
         [(n0, e0)] = exc.value.trace
         assert n0 >= 8 and e0 < 0.0
         # the message names the rule and the last step's residual
@@ -573,8 +575,9 @@ class TestConvergeCutoff:
         # one step short of convergence: the trace lists the same cutoffs
         steps = [c["n_max"] for c in calls[:-1]]
         calls.clear()
+        monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", len(steps))
         with pytest.raises(ConvergenceError) as exc:
-            converge_cutoff(m, max_steps=len(steps))
+            converge_cutoff(m)
         assert [n for n, _ in exc.value.trace] == steps == [c["n_max"] for c in calls]
 
     def test_solver_error_in_a_later_step_keeps_its_trace(self, monkeypatch):
