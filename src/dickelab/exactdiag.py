@@ -10,14 +10,20 @@ Basis index convention: index = n_ph * A + atomic_rank where A is the number
 of occupation vectors; occupation vectors are ranked so the all-ground state
 (N, 0, ..., 0) comes first (descending lexicographic order of the tuple).
 
+In that index H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1, with D
+diagonal and J the A x A collective coupling (_coupling).  ed_ground finds
+the connected components of H from J alone (_sectors) and builds each
+one's CSR matrix directly from these factors (build_hamiltonian), one at a
+time; the full-basis H is built only when a caller asks for it.
+
 ed_ground solves at a fixed photon cutoff and measures how far its ground
 vector leaks out of the truncated Fock space (truncation_residual).
 converge_cutoff grows the cutoff with one ed_ground call per step and stops
 at the first step whose truncation residual is at most TOL_E.
 
-scipy is imported where it is called (build_hamiltonian, _blocks,
-ground_state), so importing this module loads numpy only and the
-mean-field commands never load scipy.
+scipy is imported where it is called (_coupling, _sectors,
+build_hamiltonian, ground_state), so importing this module loads numpy only
+and the mean-field commands never load scipy.
 """
 
 from __future__ import annotations
@@ -128,58 +134,238 @@ def build_basis(n_atoms: int, d: int, n_max: int,
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
-def build_hamiltonian(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
-    """Sparse symmetric H in the basis above (both triangles stored)."""
+def _coupling(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
+    """J, the A x A collective coupling in H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1.
+
+    The collective move k -> j takes occupation vector m to m' with
+    amplitude lam_jk sqrt((m_j + 1) m_k) / sqrt(N); J holds it at (m', m)
+    and at (m, m'), as canonical CSR.
+    """
+    import scipy.sparse as sp
+
+    atom = model.atom
+    states = basis.atomic_states
+    coef = 1.0 / math.sqrt(model.n_atoms)
+    src, moved, amp = [np.empty(0, np.int64)], [np.empty((0, atom.d), np.int64)], [np.empty(0)]
+    for j, k in coupling_pairs(atom.d):
+        lam = atom.couplings[j, k]
+        if lam == 0.0:
+            continue
+        have_k = np.nonzero(states[:, k])[0]
+        to_j = states[have_k]
+        to_j[:, j] += 1
+        to_j[:, k] -= 1
+        src.append(have_k)
+        moved.append(to_j)
+        amp.append((lam * coef) * np.sqrt(to_j[:, j] * states[have_k, k]))    # (m_j + 1) m_k
+    src, amp = np.concatenate(src), np.concatenate(amp)
+    dst = _rank(np.concatenate(moved))         # one rank table for every pair
+    rows, cols = np.concatenate([dst, src]), np.concatenate([src, dst])
+    A = basis.n_atomic
+    order = np.argsort(rows * A + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=A))])
+    return sp.csr_matrix((np.concatenate([amp, amp])[order], cols[order].astype(np.int32),
+                          indptr.astype(np.int32)), shape=(A, A))
+
+
+@dataclass(frozen=True)
+class Sector:
+    """The basis states n * A + r with lo <= n <= hi and r in atoms[n % 2].
+
+    atoms holds two ascending arrays of atomic ranks, one for the even and
+    one for the odd photon rows; unless lo = hi, J maps each into the other.
+    The states keep the basis order, so the photon rows of one parity start
+    evenly spaced, atoms[0].size + atoms[1].size states apart.
+    """
+    atoms: tuple[np.ndarray, np.ndarray]
+    lo: int
+    hi: int
+
+    def rows(self, p: int) -> tuple[int, int, int]:
+        """The photon rows of parity p: the first one, their count, and where
+        the first one starts inside the sector."""
+        first = self.lo + (p - self.lo) % 2
+        count = max(0, (self.hi - first) // 2 + 1)
+        return first, count, (first - self.lo) * self.atoms[self.lo % 2].size
+
+    def first(self, n_atomic: int) -> int:
+        """The lowest basis index of the sector."""
+        n = self.lo if self.atoms[self.lo % 2].size else self.lo + 1
+        return n * n_atomic + int(self.atoms[n % 2][0])
+
+    def indices(self, n_atomic: int) -> np.ndarray:
+        """The sector's basis indices, ascending."""
+        step = self.atoms[0].size + self.atoms[1].size
+        idx = np.empty(sum(a.size * self.rows(p)[1] for p, a in enumerate(self.atoms)), np.int64)
+        for p, atoms in enumerate(self.atoms):
+            first, count, start = self.rows(p)
+            if atoms.size and count:
+                ns = np.arange(first, first + 2 * count, 2)
+                _rows_view(idx, start, step, count, atoms.size)[:] = ns[:, None] * n_atomic + atoms
+        return idx
+
+
+def _rows_view(arr: np.ndarray, start: int, step: int, count: int, width: int) -> np.ndarray:
+    """arr[start + j * step:][:width] for j < count, as one 2-D view."""
+    return np.ndarray((count, width), arr.dtype, arr, int(start) * arr.itemsize,
+                      (int(step) * arr.itemsize, arr.itemsize))
+
+
+def _sectors(J: sp.csr_matrix, n_max: int, kappa: float) -> list[Sector]:
+    """The connected components of H's sparsity graph, ordered by lowest basis index.
+
+    They come from a graph on the 2A vertices (n mod 2, r), in which J joins
+    (p, r) to (1 - p, r').  For n_max >= 1 each such edge is a photon hop of
+    H, and a J neighbour of r links every photon row of r to the rows two
+    above and below it, so a component with an edge is one sector over all
+    photon rows.  A vertex without one (r has no J neighbour, or n_max = 0)
+    stands for one state per photon row of its parity, which only
+    kappa a'^2 links: it is one sector when kappa != 0 and n_max >= 2, else
+    one sector per state.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    A = J.shape[0]
+    if n_max == 0:
+        labels = np.arange(2 * A)
+    else:
+        # symmetric, so its strong components are its components
+        graph = sp.csr_matrix((np.ones(2 * J.nnz), np.concatenate([J.indices + A, J.indices]),
+                               np.concatenate([J.indptr, J.indptr[1:] + J.nnz])),
+                              shape=(2 * A, 2 * A))
+        labels = connected_components(graph, directed=True, connection="strong")[1]
+    order, sizes = labels.argsort(kind="stable"), np.bincount(labels)
+    sectors = []
+    for start, end in zip(sizes.cumsum() - sizes, sizes.cumsum()):
+        verts = order[start:end]
+        cut = int(verts.searchsorted(A))
+        atoms = (verts[:cut], verts[cut:] - A)
+        if verts.size > 1 or (kappa != 0.0 and n_max >= 2):
+            sectors.append(Sector(atoms, 0, n_max))
+        else:
+            sectors += [Sector(atoms, n, n) for n in range(int(cut == 0), n_max + 1, 2)]
+    return sorted(sectors, key=lambda s: s.first(A))
+
+
+def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector | None = None,
+                      J: sp.csr_matrix | None = None) -> sp.csr_matrix:
+    """Sparse symmetric H on one sector, or on the whole basis when sector is
+    None, as canonical CSR in ascending basis index (both triangles stored).
+
+    H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1, with the diagonal
+    D = omega n + sum_j eps_j m_j + kappa (2n + 1) and J = _coupling(model,
+    basis), which is built here when not given.  Row (n, r) holds, in
+    column order, up to five bands: kappa sqrt((n-1) n) at (n-2, r),
+    sqrt(n) J[r] on photon row n-1, D, sqrt(n+1) J[r] on row n+1 and
+    kappa sqrt((n+1)(n+2)) at (n+2, r), each as far as that photon row lies
+    in the sector.  indptr follows from these counts.  The photon rows of
+    one parity that have the same bands share one layout and lie evenly
+    spaced in the CSR arrays, so indices and data are written through one
+    2-D view per such run of rows, a bounded number of rows at a time:
+    nothing of the matrix's size is allocated besides the matrix.
+    """
     import scipy.sparse as sp
 
     atom = model.atom
     if atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
     A = basis.n_atomic
-    states = basis.atomic_states
-    ns = np.arange(basis.n_max + 1)
+    if J is None:
+        J = _coupling(model, basis)
+    if sector is None:
+        every = np.arange(A)
+        sector = Sector((every, every), 0, basis.n_max)
+    lo, hi, kappa = sector.lo, sector.hi, model.kappa
+    k2 = kappa != 0.0
+    step = sector.atoms[0].size + sector.atoms[1].size
 
-    # diagonal: omega n + sum_j eps_j m_j + kappa (2n + 1)
-    e_atom = states @ atom.energies
-    diag = (model.omega * ns[:, None] + e_atom[None, :]
-            + model.kappa * (2.0 * ns[:, None] + 1.0)).ravel()
+    # One template row per atom of atoms[0] + atoms[1]: its state's entries
+    # in a photon row n that has every band, in column order: kappa at n-2,
+    # its J row at n-1, D, its J row at n+1, kappa at n+2, with the J rows
+    # padded to the longest one.  Each entry has a band (0-4 for n-2 .. n+2),
+    # a column counted from the first state of row n, and val and plus that
+    # make it factor[n, band] * val + plus (plus is sum_j eps_j m_j on the
+    # diagonal, whose factor holds the rest of D).  The real entries, row by
+    # row, are the photon row's entries in CSR order.
+    a = [atoms.size for atoms in sector.atoms]
+    atoms = np.concatenate(sector.atoms)
+    odd = np.arange(step) >= a[0]
+    own = (np.arange(step) - a[0] * odd)[:, None]         # position among its parity's atoms
+    starts = J.indptr[atoms]
+    counts = J.indptr[atoms + 1] - starts if hi > lo else np.zeros(step, int)
+    slot = np.arange(int(counts.max(initial=0)))
+    hop = slot < counts[:, None]
+    ent = np.where(hop, starts[:, None] + slot, 0)
+    inv = np.empty(2 * A, dtype=np.int64)                 # (parity, r) -> own
+    inv[atoms + A * odd] = own[:, 0]
+    other = inv[J.indices[ent] + A * ~odd[:, None]]
+    other_size = np.where(odd, a[0], a[1])[:, None]       # states in photon rows n -+ 1
+    one = np.ones((step, 1))
+    band = np.repeat([0, 1, 2, 3, 4], [1, slot.size, 1, slot.size, 1])
+    col = np.concatenate([own - step, other - other_size, own, other + step - other_size,
+                          own + step], axis=1)
+    val = np.concatenate([one, J.data[ent], one, J.data[ent], one], axis=1)
+    plus = np.zeros(val.shape)
+    plus[:, slot.size + 1] = basis.atomic_states[atoms] @ atom.energies
+    real = np.concatenate([one * k2, hop, one, hop, one * k2], axis=1) > 0
 
-    # each off-diagonal entry once; its transpose is added at the end
-    rows, cols, vals = [], [], []
-    coef = 1.0 / math.sqrt(model.n_atoms)
-    ph1 = np.sqrt(ns[:-1] + 1.0)    # photon n -> n+1 transitions
-    lo = ns[:-1, None] * A          # photon row offsets, n side
-    hi = lo + A                     # n+1 side
-    for j, k in coupling_pairs(atom.d):
-        lam = atom.couplings[j, k]
-        if lam == 0.0:
+    # Runs of photon rows of one parity that have the same bands: the rows
+    # within 1 (2 with kappa) of lo or hi one by one, the other rows of each
+    # parity together.  A run's rows lie evenly spaced in the CSR arrays, so
+    # each run is written through one 2-D view.
+    edge = 1 + k2
+    runs = [(m, 1) for m in sorted({*range(lo, min(lo + edge, hi + 1)),
+                                    *range(max(hi - edge + 1, lo), hi + 1)})]
+    for p in (0, 1):
+        first = lo + edge + (p - lo - edge) % 2
+        if first <= hi - edge:
+            runs.append((first, (hi - edge - first) // 2 + 1))
+    length = np.zeros(hi - lo + 1, dtype=np.int64)         # entries per photon row
+    for i, (m, count) in enumerate(runs):
+        rows = slice(0, a[0]) if m % 2 == 0 else slice(a[0], step)
+        keep = real[rows]
+        if m - edge < lo or m + edge > hi:               # drop bands to rows outside [lo, hi]
+            keep = keep & np.array([k2 and m - 2 >= lo, m - 1 >= lo, True, m + 1 <= hi,
+                                    k2 and m + 2 <= hi])[band]
+        length[m - lo:m - lo + 2 * count:2] = np.count_nonzero(keep)
+        runs[i] = m - lo, count, rows, keep
+    row_start = np.concatenate([[0], np.cumsum(length)])
+    n = np.arange(lo, hi + 1, dtype=float)
+    factor = np.zeros((n.size, 5))                         # each band's factor per photon row
+    root = np.sqrt(np.arange(lo, hi + 2, dtype=float))
+    factor[:, 1], factor[:, 2], factor[:, 3] = root[:-1], model.omega * n, root[1:]
+    if k2:
+        factor[:, 0] = kappa * np.sqrt((n - 1.0) * n)
+        factor[:, 4] = kappa * np.sqrt((n + 1.0) * (n + 2.0))
+        factor[:, 2] += kappa * (2.0 * n + 1.0)
+
+    nnz = int(row_start[-1])
+    dim = sum(a[p] * sector.rows(p)[1] for p in (0, 1))
+    index = np.int32 if max(nnz, dim) < 2**31 else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    indptr = np.zeros(dim + 1, dtype=index)               # the row lengths, summed at the end
+    for r, count, rows, keep in runs:
+        width = int(length[r])
+        if not width:
             continue
-        # collective move k -> j with amplitude sqrt((m_j + 1) m_k)
-        src = np.flatnonzero(states[:, k] >= 1)
-        moved = states[src]
-        moved[:, j] += 1
-        moved[:, k] -= 1
-        dst = _rank(moved)
-        amp = np.sqrt(moved[:, j] * states[src, k])    # moved[:, j] = m_j + 1
-        v = ((lam * coef) * ph1[:, None] * amp[None, :]).ravel()
-        # a' (k->j) and a (k->j)
-        rows += [(hi + dst).ravel(), (lo + dst).ravel()]
-        cols += [(lo + src).ravel(), (hi + src).ravel()]
-        vals += [v, v]
-
-    if model.kappa != 0.0:
-        # kappa a'^2: photon n -> n+2 at fixed atoms
-        lo2 = (ns[:-2, None] * A + np.arange(A)).ravel()
-        rows.append(lo2 + 2 * A)
-        cols.append(lo2)
-        vals.append(np.repeat(model.kappa * np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0)), A))
-
-    idx = np.arange(basis.dim)
-    return sp.coo_matrix(
-        (np.concatenate([diag, *vals, *vals]),
-         (np.concatenate([idx, *rows, *cols]), np.concatenate([idx, *cols, *rows]))),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
+        gap = int(row_start[r + 2] - row_start[r]) if count > 1 else 0
+        state = (r // 2) * step + (r % 2) * a[lo % 2]
+        _rows_view(indptr, state + 1, step, count, keep.shape[0])[:] = keep.sum(axis=1)
+        np.add(np.arange(state, state + step * count, step, dtype=index)[:, None],
+               col[rows][keep].astype(index),
+               out=_rows_view(indices, row_start[r], gap, count, width))
+        out = _rows_view(data, row_start[r], gap, count, width)
+        b, v, c = band[keep.nonzero()[1]], val[rows][keep], plus[rows][keep]
+        chunk = 2**16 // width + 1              # bounds the temporary of a long run
+        for j in range(0, count, chunk):
+            values = np.take(factor[r + 2 * j:r + 2 * min(count, j + chunk) - 1:2], b, axis=1)
+            values *= v
+            values += c
+            out[j:j + chunk] = values
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def parity_compatible(atom: AtomSpec) -> bool:
@@ -358,34 +544,21 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
                     parity=parity, n_max_used=basis.n_max, n_atoms=N, psi0=psi.ravel())
 
 
-def _blocks(H: sp.csr_matrix) -> list[np.ndarray]:
-    """Connected components of the sparsity graph of H, ordered by lowest index."""
-    from scipy.sparse.csgraph import connected_components
-
-    # H stores both triangles, so its strongly connected components are its
-    # connected components; the undirected search would first copy H^T
-    labels = connected_components(H, directed=True, connection="strong")[1]
-    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    return sorted(blocks, key=lambda idx: idx[0])
-
-
-def _truncation_residual(H, psi: np.ndarray, basis: SymmetricBasis, kappa: float) -> float:
+def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis, kappa: float) -> float:
     """Norm of rows n_max+1 and n_max+2 of (H' - e0) psi~, where psi~ is psi
     zero-padded to cutoff n_max + 2 and H' is the Hamiltonian there.
 
     Only the photon hops out of psi's top two photon rows reach those rows:
     row n_max+1 is sqrt(n_max+1) J psi_{n_max} + kappa sqrt(n_max (n_max+1))
     psi_{n_max-1} and row n_max+2 is kappa sqrt((n_max+1)(n_max+2)) psi_{n_max},
-    with J the collective coupling.  H's photon block (n_max-1, n_max) is
-    sqrt(n_max) J, so no second Hamiltonian is built.  inf at n_max = 0,
-    where H holds no photon hop.
+    with J the collective coupling (_coupling), so no second Hamiltonian is
+    built.  inf at n_max = 0, a cutoff that keeps no photon.
     """
     n, A = basis.n_max, basis.n_atomic
     if n == 0:
         return math.inf
     top, below = psi[n * A:], psi[(n - 1) * A:n * A]
-    row1 = (math.sqrt((n + 1) / n) * (H[(n - 1) * A:n * A, n * A:] @ top)
-            + kappa * math.sqrt(n * (n + 1)) * below)
+    row1 = math.sqrt(n + 1) * (J @ top) + kappa * math.sqrt(n * (n + 1)) * below
     row2 = kappa * math.sqrt((n + 1) * (n + 2)) * top
     return math.hypot(float(np.linalg.norm(row1)), float(np.linalg.norm(row2)))
 
@@ -402,12 +575,14 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     at every larger cutoff the winning block has an eigenvalue within its
     square over that block's gap of e0.
 
-    H is split into the connected components of its sparsity graph, so
-    every conserved quantity splits it: the photon parity
+    The blocks are the connected components of H's sparsity graph
+    (_sectors), so every conserved quantity splits H: the photon parity
     Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd
     k - j, which keeps |<Pi>| = 1 for the near-degenerate superradiant
     doublet, and a population sum when the couplings do not connect all
-    levels.  The blocks are ordered by their lowest basis index, and block b
+    levels.  They come from J alone, and each block's matrix is built
+    (build_hamiltonian) and freed in turn, so the full-basis H is never
+    formed.  The blocks are ordered by their lowest basis index, and block b
     is solved with seed + b.  The lowest block wins, except that among the
     blocks whose e0 lies within r_b + r_low of the lowest one (r the
     residual norms) the first one whose lowest basis state is even under
@@ -422,15 +597,16 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     computed here when not given.
     """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
-    H = build_hamiltonian(model, basis)
-    blocks = _blocks(H)
+    J = _coupling(model, basis)
+    sectors = _sectors(J, n_max, model.kappa)
     start = None
     if warm is not None:
         start = np.zeros(basis.dim)
         start[:warm.size] = warm
-    solves = []
+    solves, firsts = [], []
     vectors = np.zeros(basis.dim)
-    for b, idx in enumerate(blocks):
+    for b, sector in enumerate(sectors):
+        idx = sector.indices(basis.n_atomic)
         v0 = None
         if idx.size > DENSE_CUTOFF:
             if start is None:
@@ -439,23 +615,25 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
                 start = mean_field_state(model, basis, x_star)
             if start[idx].any():
                 v0 = start[idx]
-        Hs = H if idx.size == basis.dim else H[idx][:, idx]
-        gs = ground_state(Hs, seed=seed + b, v0=v0)
+        gs = ground_state(build_hamiltonian(model, basis, sector, J), seed=seed + b, v0=v0)
         vectors[idx] = gs.vector
-        solves.append(gs)
+        solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
+        firsts.append(idx[0])
+        del idx, v0, gs     # nothing of this block stays alive while the next is built
     e0 = np.array([gs.e0 for gs in solves])
     resid = np.array([gs.residual_norm for gs in solves])
     low = int(np.argmin(e0))
     tied = e0 - (resid + resid[low]) <= e0[low]
-    even = parity_signs(basis)[[idx[0] for idx in blocks]] > 0
+    even = parity_signs(basis)[firsts] > 0
     best = next((int(b) for b in np.flatnonzero(tied & even)), low)
     gs = solves[best]
     psi = np.zeros(basis.dim)
-    psi[blocks[best]] = gs.vector
+    idx = sectors[best].indices(basis.n_atomic)
+    psi[idx] = vectors[idx]
     return dataclasses.replace(
         observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
         residual_norm=gs.residual_norm,
-        truncation_residual=_truncation_residual(H, psi, basis, model.kappa),
+        truncation_residual=_truncation_residual(J, psi, basis, model.kappa),
         seed=seed, method=gs.method, block_vectors=vectors)
 
 
@@ -483,7 +661,8 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     n_atoms, so a scan over N can compute it once.
     """
     x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
-    n = max(8, math.ceil(4.0 * model.n_atoms * x_mf**2) + 16)
+    # 4 (N x*^2) rounds like 4 N x*^2; a cutoff above max_dim fails build_basis
+    n = max(8, math.ceil(min(4.0 * (model.n_atoms * x_mf**2), max_dim)) + 16)
     trace: list[tuple[int, float]] = []
     warm = None
     residual = math.inf

@@ -311,6 +311,19 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("command, model, ed", [
+        ("ed-ground", {"n_atoms": int(1.5e308)}, {}),
+        ("ed-nscan", {}, {"ed": {"n_list": [int(1.5e308)]}}),
+    ], ids=["ed-ground", "ed-nscan"])
+    def test_first_cutoff_overflow(self, tmp_path, command, model, ed):
+        # 4 N x*^2 overflows to inf at this N; the first cutoff must still
+        # reach the basis size check
+        doc = {"command": command, "model": {**ladder_model(lam12=1.5, lam01=0.1), **model}, **ed}
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, doc), "-o", str(out)]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "ResourceLimitError" and "max_dim" in record["message"]
+
     def test_cutoff_trace_in_error_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc:

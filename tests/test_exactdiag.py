@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from dickelab import (
     two_level,
 )
 from dickelab import exactdiag
-from dickelab.exactdiag import (TOL_E, _blocks, _lanczos, dump_state, ed_csv_header,
-                                 ed_csv_row)
+from dickelab.exactdiag import (TOL_E, _coupling, _lanczos, _sectors, dump_state,
+                                 ed_csv_header, ed_csv_row)
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
 # converge_cutoff takes two steps here: n_max 31 (truncation residual 1.0e-6,
@@ -49,6 +50,22 @@ def displacement_operator(basis) -> sp.csr_matrix:
     vals = np.broadcast_to(np.sqrt(n + 1.0)[:, None], (basis.n_max, A)).ravel()
     X = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     return (X + X.T).tocsr()
+
+
+def blocks(model, basis) -> list[np.ndarray]:
+    """Basis indices of ed_ground's sectors, in its order."""
+    sectors = _sectors(_coupling(model, basis), basis.n_max, model.kappa)
+    return [sector.indices(basis.n_atomic) for sector in sectors]
+
+
+VTYPE = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
+# models whose sectors cover parity, m_0 and V-type splits, isolated atomic
+# states (lambda_01 = 0) and kappa
+SECTOR_MODELS = [ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=5),
+                 ladder(1.0, 1.0, 2.0, 0.1, 1.2, kappa=0.05, n_atoms=4),
+                 DickeModel(1.0, VTYPE, n_atoms=4),
+                 DickeModel(1.0, VTYPE, n_atoms=3, kappa=0.1),
+                 two_level(1.0, 1.0, 0.7, kappa=0.2, n_atoms=6)]
 
 
 def random_model(rng) -> DickeModel:
@@ -167,44 +184,64 @@ class TestHamiltonian:
     def test_blocks_follow_conserved_quantities(self):
         basis = build_basis(4, 3, 8)
         signs = parity_signs(basis)
-        blocks = _blocks(build_hamiltonian(ladder(1.0, 1.0, 2.0, 0.1, 1.2, n_atoms=4), basis))
-        assert len(blocks) == 2
-        for block, sign in zip(blocks, (1.0, -1.0)):     # block 0 is the even sector
+        got = blocks(ladder(1.0, 1.0, 2.0, 0.1, 1.2, n_atoms=4), basis)
+        assert len(got) == 2
+        for block, sign in zip(got, (1.0, -1.0)):     # block 0 is the even sector
             np.testing.assert_array_equal(block, np.flatnonzero(signs == sign))
         # V-type: (-1)^(n + number of excited atoms) is conserved, Pi is not
-        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
-        blocks = _blocks(build_hamiltonian(DickeModel(1.0, vtype, n_atoms=4), basis))
+        got = blocks(DickeModel(1.0, VTYPE, n_atoms=4), basis)
         n_ph, rank = np.divmod(np.arange(basis.dim), basis.n_atomic)
         excited_parity = (n_ph + 4 - basis.atomic_states[rank, 0]) % 2
-        assert len(blocks) == 2
-        assert all(np.unique(excited_parity[block]).size == 1 for block in blocks)
+        assert len(got) == 2
+        assert all(np.unique(excited_parity[block]).size == 1 for block in got)
         # lam01 = 0: m_0 is conserved
-        blocks = _blocks(build_hamiltonian(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4), basis))
+        got = blocks(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=4), basis)
         m0 = basis.atomic_states[rank, 0]
-        assert all(np.unique(m0[block]).size == 1 for block in blocks)
-        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.dim))
+        assert all(np.unique(m0[block]).size == 1 for block in got)
+        np.testing.assert_array_equal(np.sort(np.concatenate(got)), np.arange(basis.dim))
 
     def test_blocks_are_undirected_components(self):
-        # _blocks takes the strong components of H; with both triangles
-        # stored they are the components of the undirected graph
+        # the sectors come from J alone; they must be the connected
+        # components of the full H's sparsity graph, in order of lowest index
         from scipy.sparse.csgraph import connected_components
 
-        vtype = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
-        models = [ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=5),
-                  ladder(1.0, 1.0, 2.0, 0.1, 1.2, kappa=0.05, n_atoms=4),
-                  DickeModel(1.0, vtype, n_atoms=4),
-                  DickeModel(1.0, vtype, n_atoms=3, kappa=0.1),
-                  two_level(1.0, 1.0, 0.7, kappa=0.2, n_atoms=6)]
-        for model in models:
+        for model in SECTOR_MODELS:
             for n_max in (0, 1, 6, 17):
-                H = build_hamiltonian(model, build_basis(model.n_atoms, model.atom.d, n_max))
-                labels = connected_components(H, directed=False)[1]
+                basis = build_basis(model.n_atoms, model.atom.d, n_max)
+                labels = connected_components(build_hamiltonian(model, basis), directed=False)[1]
                 expected = sorted((np.flatnonzero(labels == c) for c in np.unique(labels)),
                                   key=lambda idx: idx[0])
-                got = _blocks(H)
+                got = blocks(model, basis)
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     np.testing.assert_array_equal(a, b)
+
+    def test_sector_matrix_is_slice_of_full_h(self):
+        for model in SECTOR_MODELS:
+            for n_max in (0, 1, 6, 17):
+                basis = build_basis(model.n_atoms, model.atom.d, n_max)
+                J = _coupling(model, basis)
+                H = build_hamiltonian(model, basis)
+                for sector in _sectors(J, n_max, model.kappa):
+                    idx = sector.indices(basis.n_atomic)
+                    got = build_hamiltonian(model, basis, sector, J)
+                    ref = H[idx][:, idx]
+                    ref.sort_indices()
+                    for name in ("indptr", "indices", "data"):
+                        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_full_hamiltonian_is_canonical_csr(self):
+        rng = np.random.default_rng(8)
+        models = SECTOR_MODELS + [random_model(rng) for _ in range(10)]
+        for model in models:
+            for n_max in (0, 1, 2, 7):
+                H = build_hamiltonian(model, build_basis(model.n_atoms, model.atom.d, n_max))
+                rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+                steps = np.diff(H.indices)
+                # column indices strictly increase inside every row
+                assert np.all(steps[rows[1:] == rows[:-1]] > 0)
+                assert H.has_canonical_format
+                assert (H != H.T).nnz == 0
 
     def test_parity_incompatible_when_even_hop_coupled(self):
         atom = AtomSpec([0.0, 1.0, 2.0],
@@ -214,6 +251,49 @@ class TestHamiltonian:
     def test_basis_model_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
             build_hamiltonian(two_level(1.0, 1.0, 0.5), build_basis(2, 3, 4))
+
+
+def csr_bytes(H) -> int:
+    return H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+
+
+class TestAssemblyMemory:
+    # tracemalloc counts numpy's allocations, so these peaks repeat exactly;
+    # n_max 195 is converge_cutoff's first cutoff for this model
+    MODEL = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20)
+    N_MAX = 195
+
+    def test_build_allocates_little_beyond_the_matrix(self):
+        basis = build_basis(20, 3, self.N_MAX)
+        tracemalloc.start()
+        try:
+            H = build_hamiltonian(self.MODEL, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # room for bounded work buffers, not for a second copy of the entries
+        assert peak <= 1.5 * csr_bytes(H)
+
+    def test_ed_ground_holds_no_full_hamiltonian(self, monkeypatch):
+        basis = build_basis(20, 3, self.N_MAX)
+        full = csr_bytes(build_hamiltonian(self.MODEL, basis))
+        solve, held = exactdiag.ground_state, []
+
+        def spy(H, *args, **kwargs):
+            held.append((H.shape[0], tracemalloc.get_traced_memory()[0] - csr_bytes(H)))
+            return solve(H, *args, **kwargs)
+
+        ed_ground(self.MODEL, 8)        # imports and caches stay out of the count
+        monkeypatch.setattr(exactdiag, "ground_state", spy)
+        tracemalloc.start()
+        try:
+            ed_ground(self.MODEL, self.N_MAX)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2 and all(dim < basis.dim for dim, _ in held)
+        # besides the block it solves, ed_ground holds a few basis-sized
+        # vectors (about 1.2 MB here), never the full H (4.4 MB)
+        assert all(other < full / 2 for _, other in held), (full, held)
 
 
 class TestGroundState:
