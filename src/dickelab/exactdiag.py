@@ -29,6 +29,7 @@ and the mean-field commands never load scipy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -115,6 +116,15 @@ class SymmetricBasis:
         return n_ph * self.n_atomic + self.rank(m)
 
 
+def _digits(n: int) -> str:
+    """n in full up to 15 digits, else rounded to 4 significant ones (~1.500e+308)."""
+    if abs(n) < 10**15:
+        return str(n)
+    import decimal      # exact for any int, where float(n) overflows past 1e308
+
+    return f"~{decimal.Decimal(n):.3e}"
+
+
 def build_basis(n_atoms: int, d: int, n_max: int,
                 max_dim: int = MAX_DIM_DEFAULT) -> SymmetricBasis:
     if n_atoms < 1 or d < 2 or n_max < 0:
@@ -123,8 +133,8 @@ def build_basis(n_atoms: int, d: int, n_max: int,
     dim = (n_max + 1) * n_atomic
     if dim > max_dim:
         raise ResourceLimitError(
-            f"basis dimension {dim} exceeds max_dim {max_dim} "
-            f"(N={n_atoms}, d={d}, n_max={n_max})")
+            f"basis dimension {_digits(dim)} exceeds max_dim {_digits(max_dim)} "
+            f"(N={_digits(n_atoms)}, d={d}, n_max={_digits(n_max)})")
     states = _enumerate_occupations(n_atoms, d)
     states.flags.writeable = False
     return SymmetricBasis(n_atoms=n_atoms, d=d, n_max=n_max, atomic_states=states)
@@ -428,18 +438,35 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
 
 def ground_state(H, seed: int = 0, v0: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense): dense
-    eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos)."""
+    eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos).  A 1 x 1
+    matrix is its own eigenpair: its entry, vector [1.0] and residual 0."""
     import scipy.linalg as sla
     import scipy.sparse as sp
 
     if H.shape[0] > DENSE_CUTOFF:
         return _lanczos(H, seed, v0)
     dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+    if dense.shape[0] == 1:
+        return GroundState(e0=float(dense[0, 0]), vector=np.ones(1), iterations=0,
+                           residual_norm=0.0, method="dense")
     w, v = sla.eigh(dense, subset_by_index=(0, 0))
     psi = v[:, 0]
     e0 = float(w[0])
     return GroundState(e0=e0, vector=psi, iterations=0,
                        residual_norm=_true_residual(H, psi, e0), method="dense")
+
+
+@functools.cache
+def _eigsh_takes_rng() -> bool:
+    """Whether scipy's eigsh has an `rng` argument, decided once per process.
+
+    ARPACK draws a fresh vector after a Lanczos breakdown.  scipy >= 1.16
+    takes it from `rng` (OS entropy if omitted); older releases have no
+    such argument and use ARPACK's own fixed-seed generator.
+    """
+    from scipy.sparse.linalg import eigsh
+
+    return "rng" in inspect.signature(eigsh).parameters
 
 
 def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
@@ -478,10 +505,7 @@ def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
         return H @ x
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    # ARPACK draws a fresh vector after a Lanczos breakdown.  scipy >= 1.16
-    # takes it from `rng` (OS entropy if omitted); older releases have no
-    # such argument and use ARPACK's own fixed-seed generator.
-    seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
+    seeded = {"rng": rng} if _eigsh_takes_rng() else {}
     try:
         w, v = eigsh(op, k=1, which="SA", v0=start, tol=TOL, maxiter=max_iter, **seeded)
     except ArpackError as exc:

@@ -14,8 +14,11 @@ runs on a uniform grid over x >= 0 (every grid-resolved local minimum is
 refined by a safeguarded Newton iteration on e'(x)), once more with -lam
 for a non-bipartite atom, which is what makes first-order transitions with
 competing minima safe to classify.  A batch of parameter sets walks the
-grid a fixed number of single-atom matrices at a time, so the grid stage's
-memory does not grow with the batch size.
+grid a fixed number of grid points at a time, so the grid stage's memory
+does not grow with the batch size.  The grid values only place the
+brackets; for d <= 3 they come from a closed form for the lowest
+eigenvalue (_grid_lowest), and every number a solution reports comes from
+LAPACK.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ DEFAULT_N_POINTS = 200
 N_POINTS_MIN = 100          # no-go scan points, at least
 N_POINTS_MAX = 100_000      # and at most; the batch arrays are O(n_points d^2)
 
-_GRID_CHUNK = 1 << 14   # single-atom matrices per grid eigvalsh call
+_GRID_CHUNK = 1 << 14   # grid points (single-atom matrices) per _grid_lowest call
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
 _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 
@@ -201,41 +204,94 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     return sols[:B]
 
 
-def _solve_nonneg(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
-                  ) -> list[MeanFieldSolution]:
-    """Minimize e(x) on [0, x_max] for B parameter sets.
+def _grid_lowest(energies: np.ndarray, couplings: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """min_spec[diag(eps) + 2 x lam] for couplings (rows, d, d) and xs (rows, n).
 
-    The grid stage streams over the parameter sets, _GRID_CHUNK //
-    GRID_POINTS rows per eigvalsh call, so its memory is bounded by the chunk
-    and not by B.  _refine then runs on every bracket of the batch at once,
-    and a bracket whose refinement ends above its grid point keeps it.  e* is
-    _energies at x*, the formula energy_density uses, and one batched eigh
-    gives each x*'s occupations.  LAPACK solves each matrix on its own and
-    _refine freezes each bracket at its owner's tolerance, so neither the
-    chunk size nor the other sets of the batch change any set's result.
+    d = 2 is the exact form (eps_0 + eps_1)/2 - hypot((eps_1 - eps_0)/2,
+    2 x lam_01).  d = 3 is the trigonometric (Smith) form on C = (A - q 1) / s,
+    q = tr A / 3 and s the largest entry magnitude of A - q 1, so no power
+    of an entry under- or overflows at any finite scale of the model.  It
+    is accurate to a few ulps of s except near a degenerate lowest pair,
+    where a gap g costs about s^2 eps / g.  d >= 4 calls eigvalsh.  For
+    d <= 3 no stack of (rows, n, d, d) matrices is built.
     """
-    B = couplings.shape[0]
-    x_hi = _x_max(omega_eff, energies, couplings)
+    d = energies.size
+    if d > 3:
+        return np.linalg.eigvalsh(single_atom_matrices(energies, couplings[:, None], xs))[..., 0]
+    lmax = np.abs(couplings).max(axis=(1, 2))
+    z = 2.0 * xs * lmax[:, None]    # the largest |2 x lam_jk|, up to sign
+    if d == 2:
+        half_gap = 0.5 * (energies[1] - energies[0])
+        return (0.5 * energies[0] + 0.5 * energies[1]) - np.hypot(half_gap, z)
+    # C = t diag(alpha) + y beta, with alpha = (eps - q) / max|eps - q| and
+    # beta = lam / max|lam| fixed per row, and |t|, |y| <= 1 varying with x
+    q = (energies / 3.0).sum()      # lam has a zero diagonal
+    dmax = np.abs(energies - q).max()
+    alpha = (energies - q) / dmax if dmax > 0.0 else np.zeros(3)
+    beta = couplings / np.where(lmax > 0.0, lmax, 1.0)[:, None, None]
+    b01, b02, b12 = (beta[:, j, k, None] for j, k in ((0, 1), (0, 2), (1, 2)))
+    s = np.maximum(dmax, np.abs(z))
+    s = np.where(s > 0.0, s, 1.0)   # A = q 1, so t = y = 0
+    t, y = dmax / s, z / s
+    t2, y2 = t * t, y * y
+    p2 = (alpha @ alpha / 6.0) * t2 + ((b01**2 + b02**2 + b12**2) / 3.0) * y2     # tr C^2 / 6
+    det = (t * (alpha.prod() * t2 - (alpha[0] * b12**2 + alpha[1] * b02**2 + alpha[2] * b01**2) * y2)
+           + (2.0 * b01 * b02 * b12) * (y * y2))
+    p = np.sqrt(p2)
+    r = np.divide(det, 2.0 * p2 * p, out=np.zeros_like(det), where=p > 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    return q + (2.0 * s * p) * np.cos(phi + 2.0 * np.pi / 3.0)
+
+
+def _grid_brackets(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
+                   x_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid-resolved local minimum of e on [0, x_hi], boundaries
+    included, as (owners, k): parameter set owners[i] (ascending) has one
+    at its grid point k[i], x_hi * linspace(0, 1, GRID_POINTS)[k[i]].
+
+    The grid values come from _grid_lowest, and only decide where the
+    minima are.  The stage streams over the parameter sets, _GRID_CHUNK //
+    GRID_POINTS rows at a time, so its memory is bounded by the chunk and
+    not by B.
+    """
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     rows = _GRID_CHUNK // GRID_POINTS
-
-    # bracket every grid-resolved local minimum, boundaries included; the
-    # mask's columns are the interior points, then the two ends
+    # the mask's columns are the interior points, then the two ends
     cols = np.r_[1:GRID_POINTS - 1, 0, GRID_POINTS - 1]
-    owners, ks, e_grid = [], [], []
-    for start in range(0, B, rows):
+    owners, ks = [], []
+    for start in range(0, couplings.shape[0], rows):
         chunk = slice(start, start + rows)
         xs = x_hi[chunk, None] * grid[None, :]
-        e = _energies(omega_eff[chunk, None], energies, couplings[chunk, None], xs)
+        e = omega_eff[chunk, None] * xs**2 + _grid_lowest(energies, couplings[chunk], xs)
         is_min = np.concatenate([(e[:, 1:-1] <= e[:, :-2]) & (e[:, 1:-1] <= e[:, 2:]),
                                  e[:, :1] <= e[:, 1:2], e[:, -1:] <= e[:, -2:-1]], axis=1)
         r, c = np.nonzero(is_min)
         owners.append(start + r)
         ks.append(cols[c])
-        e_grid.append(e[r, cols[c]])
-    owners, k, e_grid = map(np.concatenate, (owners, ks, e_grid))
-    # the grid point and its two neighbours, as the products xs holds
+    return np.concatenate(owners), np.concatenate(ks)
+
+
+def _solve_nonneg(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
+                  ) -> list[MeanFieldSolution]:
+    """Minimize e(x) on [0, x_max] for B parameter sets.
+
+    _grid_brackets places a bracket around every grid-resolved local
+    minimum.  Every number that leaves here comes from LAPACK: e at each
+    chosen grid point is _energies there, _refine runs on every bracket of
+    the batch at once, and a bracket whose refinement ends above its grid
+    point keeps it.  e* is _energies at x*, the formula energy_density
+    uses, and one batched eigh gives each x*'s occupations.  LAPACK solves
+    each matrix on its own and _refine freezes each bracket at its owner's
+    tolerance, so neither the chunk size nor the other sets of the batch
+    change any set's result.
+    """
+    B = couplings.shape[0]
+    x_hi = _x_max(omega_eff, energies, couplings)
+    owners, k = _grid_brackets(omega_eff, energies, couplings, x_hi)
+    # the grid point and its two neighbours, as the products _grid_brackets forms
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
     lo, x_grid, hi = (x_hi[owners] * grid[np.clip(k + s, 0, GRID_POINTS - 1)] for s in (-1, 0, 1))
+    e_grid = _energies(omega_eff[owners], energies, couplings[owners], x_grid)
 
     x_ref = _refine(omega_eff, energies, couplings, owners, lo, hi, 1e-12 * np.maximum(1.0, x_hi))
     e_ref = _energies(omega_eff[owners], energies, couplings[owners], x_ref)

@@ -323,6 +323,8 @@ class TestExitCodes:
         assert main([write_config(tmp_path, doc), "-o", str(out)]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error_type"] == "ResourceLimitError" and "max_dim" in record["message"]
+        # the 600-digit dimension and the 309-digit N are abbreviated
+        assert len(record["message"]) < 300 and "~1.500e+308" in record["message"]
 
     def test_cutoff_trace_in_error_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)

@@ -360,6 +360,24 @@ class TestGroundState:
         with pytest.raises(ConvergenceError, match="ARPACK"):
             _lanczos(H, v0=v0)
 
+    @pytest.mark.parametrize("H", [sp.csr_matrix([[2.5]]), sp.csr_matrix((1, 1)), np.array([[-0.75]])],
+                             ids=["csr", "csr_no_entry", "dense"])
+    def test_one_state_matrix_is_its_own_eigenpair(self, H, monkeypatch):
+        monkeypatch.setattr(sla, "eigh", None)     # no eigensolver runs
+        gs = ground_state(H)
+        assert gs.e0 == float(H[0, 0]) and gs.vector.tolist() == [1.0]
+        assert gs.residual_norm == 0.0 and gs.iterations == 0 and gs.method == "dense"
+
+    def test_arpack_rng_argument_decided_once(self, monkeypatch):
+        H = np.diag(np.arange(300.0))
+        _lanczos(H, seed=1)
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda f: calls.append(f) or signature(f))
+        _lanczos(H, seed=2)
+        _lanczos(H, seed=3)
+        assert calls == []
+
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
@@ -468,6 +486,31 @@ class TestEdGround:
         assert res.e0 == 0.0 and res.method == "dense"
         assert res.parity == 1.0 and res.residual_norm == 0.0
         np.testing.assert_array_equal(res.populations, [1.0, 0.0, 0.0])
+
+
+    def test_one_state_blocks_match_dense_eigh(self, monkeypatch):
+        # lam01 = 0: 101 of the 141 blocks are the single states |n, (N, 0, 0)>,
+        # and the n = 0 one wins; results are those of a dense eigh of each
+        m = ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=20)
+        fast = ed_ground(m, n_max=100)
+        sizes, solve = [], exactdiag.ground_state
+
+        def dense_one_state(H, seed=0, v0=None):
+            sizes.append(H.shape[0])
+            if H.shape[0] > 1:
+                return solve(H, seed, v0)
+            w, v = sla.eigh(H.toarray(), subset_by_index=(0, 0))
+            e0 = float(w[0])
+            return exactdiag.GroundState(e0=e0, vector=v[:, 0], iterations=0, method="dense",
+                                         residual_norm=exactdiag._true_residual(H, v[:, 0], e0))
+
+        monkeypatch.setattr(exactdiag, "ground_state", dense_one_state)
+        slow = ed_ground(m, n_max=100)
+        assert (len(sizes), sizes.count(1)) == (141, 101)
+        for f in dataclasses.fields(fast):
+            a, b = getattr(fast, f.name), getattr(slow, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        assert fast.e0 == 0.0 and fast.method == "dense"
 
 
 class TestMeanFieldStart:

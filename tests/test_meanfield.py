@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -24,6 +25,7 @@ from dickelab import (
 )
 from dickelab import meanfield
 from dickelab.meanfield import _refine, _scan_arrays, _solve_batch, _x_max
+from dickelab.model import single_atom_matrices
 
 
 def random_atom(rng, d):
@@ -354,6 +356,111 @@ class TestGridChunks:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+def eigvalsh_lowest(energies, couplings, xs):
+    """The grid's lowest eigenvalues from LAPACK: the reference that
+    _grid_lowest must reproduce."""
+    return np.linalg.eigvalsh(single_atom_matrices(energies, couplings[:, None], xs))[..., 0]
+
+
+def random_grid_batch(rng, d, rows):
+    """omega_eff, energies and couplings of rows random d-level sets sharing
+    their energies: a degenerate eps_0 = eps_1 (and eps_1 = eps_2) in a
+    quarter of the batches each, and every coupling zero with probability 0.3."""
+    eps = np.sort(np.concatenate([[0.0], rng.uniform(0.05, 3.0, d - 1)]))
+    if rng.random() < 0.25:
+        eps[1] = 0.0
+    if d == 3 and rng.random() < 0.25:
+        eps[2] = eps[1]
+    lam = np.triu(rng.normal(0.0, 1.0, (rows, d, d)), 1)
+    lam[rng.random(lam.shape) < 0.3] = 0.0
+    return rng.uniform(0.1, 2.0, rows), eps, lam + lam.transpose(0, 2, 1)
+
+
+class TestGridKernel:
+    def test_values_match_eigvalsh(self):
+        # d = 2: a few ulps of the matrix norm.  d = 3: the trigonometric
+        # form's error grows as eps |A|^2 / gap near a degenerate lowest
+        # pair, about 1e-11 |A| at gap 1e-6 |A|, and is far below 1e-12 |A|
+        # at gaps of 1e-3 |A| and more
+        rng = np.random.default_rng(7)
+        ulp = np.finfo(float).eps
+        for d in (2, 3):
+            for _ in range(100):
+                _, eps, lam = random_grid_batch(rng, d, 8)
+                xs = rng.uniform(0.0, 3.0, (8, 64))
+                w = np.linalg.eigvalsh(single_atom_matrices(eps, lam[:, None], xs))
+                norm = np.abs(w).max(axis=-1)
+                err = np.abs(meanfield._grid_lowest(eps, lam, xs) - w[..., 0])
+                if d == 2:
+                    assert np.all(err <= 4.0 * ulp * norm)
+                    continue
+                gap = w[..., 1] - w[..., 0]
+                away = gap >= 1e-6 * norm
+                assert np.all(err[away] <= 1e-12 * norm[away] + ulp * norm[away] ** 2 / gap[away])
+                wide = gap >= 1e-3 * norm
+                assert np.all(err[wide] <= 1e-12 * norm[wide])
+
+    def test_brackets_match_eigvalsh_grid(self, monkeypatch):
+        # 1200 random two- and three-level sets, plus a lam01 = 0 ladder
+        # scanned across its first-order level crossing
+        rng = np.random.default_rng(11)
+        batches = [random_grid_batch(rng, 2 + i % 2, 10) for i in range(120)]
+        m = ladder(1.0, 1.0, 2.0, 0.0, 1.0)
+        C, omega_eff = _scan_arrays(m, (1, 2), np.linspace(0.0, 3.0, 200), tie=None)
+        batches.append((omega_eff, m.atom.energies, C))
+
+        def brackets(omega_eff, eps, lam):
+            x_hi = _x_max(omega_eff, eps, lam)
+            return [a.tolist() for a in meanfield._grid_brackets(omega_eff, eps, lam, x_hi)]
+
+        kernel = [brackets(*b) for b in batches]
+        monkeypatch.setattr(meanfield, "_grid_lowest", eigvalsh_lowest)
+        assert kernel == [brackets(*b) for b in batches]
+
+    def test_no_grid_stack_for_small_atoms(self, monkeypatch):
+        # LAPACK sees only the brackets' grid points, the refinement and x*
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for model in (two_level(1.0, 1.0, 0.8), ladder(1.0, 1.0, 2.0, 0.1, 1.5)):
+            minimize(model)
+        assert calls and all(math.prod(shape[:-2]) < meanfield.GRID_POINTS for shape in calls), calls
+
+    @pytest.mark.parametrize("model", [
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5),
+        ladder(1.0, 1.0, 2.0, 0.0, 1.5, kappa=0.05),
+        two_level(1.0, 1.0, 0.8),
+    ], ids=["ladder", "ladder_lam01_0", "two_level"])
+    def test_scaled_models_keep_x_star(self, model, monkeypatch):
+        # omega, eps, lam and kappa times 2^k: the powers of the matrix
+        # entries under- or overflow unless the closed form rescales first
+        def scaled(k):
+            s = 2.0 ** k
+            atom = AtomSpec(s * model.atom.energies, s * model.atom.couplings)
+            return DickeModel(s * model.omega, atom, kappa=s * model.kappa)
+
+        ks = (-600, -300, 0, 300)
+        kernel = [minimize(scaled(k)).x_star for k in ks]
+        monkeypatch.setattr(meanfield, "_grid_lowest", eigvalsh_lowest)
+        assert kernel == [minimize(scaled(k)).x_star for k in ks]
+        assert min(kernel) > 0.1     # superradiant at every scale, not a trivial x* = 0
+        with pytest.raises(SolverError, match="scan range overflows"):
+            minimize(scaled(600))
+
+    def test_four_levels_take_eigvalsh(self):
+        rng = np.random.default_rng(3)
+        eps = np.array([0.0, 0.7, 1.1, 2.4])
+        lam = np.triu(rng.normal(0.0, 1.0, (5, 4, 4)), 1)
+        lam = lam + lam.transpose(0, 2, 1)
+        xs = rng.uniform(0.0, 2.0, (5, 40))
+        assert np.array_equal(meanfield._grid_lowest(eps, lam, xs), eigvalsh_lowest(eps, lam, xs))
 
 
 def _as_tuple(sol):
