@@ -22,8 +22,8 @@ converge_cutoff grows the cutoff with one ed_ground call per step and stops
 at the first step whose truncation residual is at most TOL_E.
 
 scipy is imported where it is called (_coupling, _sectors,
-build_hamiltonian, ground_state), so importing this module loads numpy only
-and the mean-field commands never load scipy.
+build_hamiltonian, _parity_flip, ground_state), so importing this module
+loads numpy only and the mean-field commands never load scipy.
 """
 
 from __future__ import annotations
@@ -419,6 +419,47 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
     return psi.ravel() / np.linalg.norm(psi)
 
 
+def _parity_flip(n_max: int) -> np.ndarray:
+    """S[even rows, odd rows] for S = sign(a + a') on photon rows 0..n_max.
+
+    a + a' is the zero-diagonal tridiagonal with off-diagonal sqrt(n).  It is
+    odd under photon parity, and so is S, which therefore has no entry
+    between two rows of one parity; S[odd rows, even rows] is the transpose.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    w, v = eigh_tridiagonal(np.zeros(n_max + 1), np.sqrt(np.arange(1.0, n_max + 1)))
+    return (v[::2] * np.sign(w)) @ v[1::2].T
+
+
+def _partner_image(vectors: np.ndarray, sector: Sector,
+                   basis: SymmetricBasis) -> np.ndarray | None:
+    """The sector's part of (S (x) 1) vectors, in the sector's state order,
+    with S = sign(a + a') (_parity_flip); None where that part is zero.
+
+    The sector spans every photon row, as each sector of more than one state
+    does.  Flipping n mod 2 permutes the components of _sectors' graph, so
+    the state (n, r) of the sector reads only the states (m, r) with m of
+    the other parity, which form its photon-parity partner: the part is zero
+    unless that partner's vector is in vectors.  Each parity's rows come
+    from one product of S with the partner's rows, so no basis-sized
+    temporary is made.
+    """
+    rows = vectors.reshape(basis.n_max + 1, basis.n_atomic)
+    partner = [rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms)]
+    if not any(part.any() for part in partner):
+        return None
+    flip = _parity_flip(basis.n_max)
+    step = sector.atoms[0].size + sector.atoms[1].size
+    image = np.empty(sum(a.size * sector.rows(p)[1] for p, a in enumerate(sector.atoms)))
+    for p, part in enumerate(partner):
+        if part.size:
+            _, count, start = sector.rows(p)
+            s = flip if p == 0 else flip.T
+            _rows_view(image, start, step, count, part.shape[1])[:] = s @ part
+    return image
+
+
 # ---------------------------------------------------------------------------
 # ground-state solvers
 # ---------------------------------------------------------------------------
@@ -475,13 +516,14 @@ def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
     whose workspace stays at dim x ncv vectors, at any dimension.
 
     The start vector is v0 when given (ed_ground passes each block's part of
-    its start vector), otherwise default_rng(seed).standard_normal(dim), so
-    reruns are byte-identical.  ARPACK stops when the Ritz residual drops
-    below TOL relative to |e0|.  `iterations` counts matrix-vector products,
-    and max_iter (default 10 sqrt(dim) + 200) bounds them: running out
-    raises ConvergenceError carrying the Rayleigh-quotient residual of the
-    last Krylov vector (ARPACK returns no Ritz pair when k=1 fails).  Any
-    other ARPACK failure is raised as ConvergenceError too.
+    its warm, partner-image or mean-field start vector), otherwise
+    default_rng(seed).standard_normal(dim), so reruns are byte-identical.
+    ARPACK stops when the Ritz residual drops below TOL relative to |e0|.
+    `iterations` counts matrix-vector products, and max_iter (default
+    10 sqrt(dim) + 200) bounds them: running out raises ConvergenceError
+    carrying the Rayleigh-quotient residual of the last Krylov vector
+    (ARPACK returns no Ritz pair when k=1 fails).  Any other ARPACK failure
+    is raised as ConvergenceError too.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -616,9 +658,17 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     part is zero.  The start vector is warm, the block_vectors of a smaller
     cutoff, zero-padded: the basis index is n_ph * A + rank, so the old
     basis is a prefix of the new one and each old block lies inside one new
-    block.  Without warm it is the mean-field product state
-    (mean_field_state) at x_star, the global mean-field minimum, which is
-    computed here when not given.
+    block.  Without warm, a block whose photon-parity partner was solved
+    earlier in this call starts from its part of (S (x) 1) applied to the
+    ground vectors solved so far (_partner_image), with S = sign(a + a').  S
+    commutes with the coupling (a + a') (x) J and flips photon parity, so it
+    takes the even member (L + R)/sqrt(2) of a superradiant doublet to the
+    odd one (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  S has
+    (n_max + 1)^2 entries and is made only when that is at most max_dim,
+    the bound on the basis and so on every vector made here.  Other cold
+    blocks start from the mean-field product state (mean_field_state)
+    at x_star, the global mean-field minimum, which is computed here when
+    not given.
     """
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
     J = _coupling(model, basis)
@@ -633,12 +683,14 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
         idx = sector.indices(basis.n_atomic)
         v0 = None
         if idx.size > DENSE_CUTOFF:
-            if start is None:
-                if x_star is None:
-                    x_star = meanfield.minimize(model).x_star
-                start = mean_field_state(model, basis, x_star)
-            if start[idx].any():
-                v0 = start[idx]
+            if warm is None and (n_max + 1) ** 2 <= max_dim:
+                v0 = _partner_image(vectors, sector, basis)
+            if v0 is None:
+                if start is None:
+                    if x_star is None:
+                        x_star = meanfield.minimize(model).x_star
+                    start = mean_field_state(model, basis, x_star)
+                v0 = start[idx] if start[idx].any() else None
         gs = ground_state(build_hamiltonian(model, basis, sector, J), seed=seed + b, v0=v0)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors

@@ -593,6 +593,91 @@ class TestMeanFieldStart:
             assert abs(warm.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
 
 
+def photon_sign(n_max: int) -> np.ndarray:
+    """sign(a + a') on photon rows 0..n_max by a dense eigh, with sign(0) = 0:
+    an odd number of rows leaves one zero eigenvalue, whose eigenvector is
+    even under photon parity."""
+    X = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    w, v = np.linalg.eigh(X + X.T)
+    return (v * np.where(np.abs(w) > 1e-12, np.sign(w), 0.0)) @ v.T
+
+
+class TestPartnerStart:
+    # cold ed_ground starts a block whose photon-parity partner it has
+    # already solved from sign(a + a') applied to that partner's vector
+    LADDER = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=10)     # superradiant
+    N_MAX = 106                                               # its first cutoff
+
+    def test_odd_block_starts_from_the_even_ones_image(self, monkeypatch):
+        m, n_max, seed = self.LADDER, self.N_MAX, 1234
+        solves, solve = [], exactdiag.ground_state
+
+        def counting(H, *args, **kwargs):
+            gs = solve(H, *args, **kwargs)
+            solves.append(gs)
+            return gs
+
+        monkeypatch.setattr(exactdiag, "ground_state", counting)
+        res = ed_ground(m, n_max, seed=seed)
+        assert [gs.method for gs in solves] == ["lanczos", "lanczos"]
+        # from its mean-field part it took 91
+        assert solves[1].iterations <= 30
+        assert round(res.parity) == 1
+        # the even block is solved exactly as from its mean-field part alone
+        basis = build_basis(10, 3, n_max)
+        J = _coupling(m, basis)
+        sector = _sectors(J, n_max, m.kappa)[0]
+        idx = sector.indices(basis.n_atomic)
+        start = mean_field_state(m, basis, minimize(m).x_star)[idx]
+        ref = _lanczos(build_hamiltonian(m, basis, sector, J), seed, start)
+        assert solves[0].e0 == ref.e0 == res.e0
+        assert np.array_equal(res.block_vectors[idx], ref.vector)
+
+    @pytest.mark.parametrize("model, n_max", [
+        (two_level(1.0, 1.0, 0.3, n_atoms=40), 16),   # x* = 0: no mean-field weight on odd
+        (DickeModel(1.0, VTYPE, n_atoms=16), 16),
+    ], ids=["two-level-normal", "vtype"])
+    def test_block_vectors_independent_of_seed(self, model, n_max):
+        runs = [ed_ground(model, n_max, seed=seed) for seed in (1, 2, 3)]
+        assert all(run.method == "lanczos" for run in runs)
+        assert all(np.array_equal(runs[0].block_vectors, run.block_vectors) for run in runs[1:])
+
+    def test_warm_steps_keep_their_warm_start(self, monkeypatch):
+        flips, flip = [], exactdiag._parity_flip
+
+        def counting(n_max):
+            flips.append(n_max)
+            return flip(n_max)
+
+        monkeypatch.setattr(exactdiag, "_parity_flip", counting)
+        res = converge_cutoff(TWO_STEP_MODEL)
+        # two steps, and only the cold first one makes S
+        assert len(flips) == 1 and flips[0] < res.n_max_used
+
+    def test_stiff_odd_block_converges(self):
+        # TRK-saturated normal phase (kappa = lam^2 / eps_1), x* = 0: from the
+        # seeded random vector the odd block hit the cap of 472 matvecs
+        res = ed_ground(two_level(1.0, 1.0, 3.0, kappa=9.0, n_atoms=20), 70)
+        assert res.method == "lanczos" and round(res.parity) == 1
+
+    @pytest.mark.parametrize("model, n_max", [
+        (LADDER, N_MAX), (DickeModel(1.0, VTYPE, n_atoms=16), 16),
+    ], ids=["ladder", "vtype"])
+    def test_image_lies_in_the_partner_block(self, model, n_max):
+        basis = build_basis(model.n_atoms, model.atom.d, n_max)
+        J = _coupling(model, basis)
+        sectors = _sectors(J, n_max, model.kappa)
+        even, odd = (s.indices(basis.n_atomic) for s in sectors)
+        psi = np.zeros(basis.dim)
+        psi[even] = ed_ground(model, n_max).block_vectors[even]
+        image = (photon_sign(n_max) @ psi.reshape(n_max + 1, -1)).ravel()
+        outside = np.delete(image, odd)
+        assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(image)
+        np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis), image[odd],
+                                   atol=1e-12)
+        assert exactdiag._partner_image(psi, sectors[0], basis) is None
+
+
 class TestConvergeCutoff:
     def test_decoupled_converges_immediately(self):
         m = two_level(1.0, 1.0, 0.0, n_atoms=4)
