@@ -10,11 +10,21 @@ Basis index convention: index = n_ph * A + atomic_rank where A is the number
 of occupation vectors; occupation vectors are ranked so the all-ground state
 (N, 0, ..., 0) comes first (descending lexicographic order of the tuple).
 
-In that index H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1, with D
-diagonal and J the A x A collective coupling (_coupling).  ed_ground finds
-the connected components of H from J alone (_sectors) and builds each
-one's CSR matrix directly from these factors (build_hamiltonian), one at a
-time; the full-basis H is built only when a caller asks for it.
+The core works on kappa = 0 models only.  In the index above
+H = D + (a + a') (x) J, with D diagonal and J the A x A collective coupling
+(_coupling).  ed_ground finds the connected components of H from J alone
+(_sectors) and builds each one's CSR matrix directly from these factors
+(build_hamiltonian), one at a time; the full-basis H is built only when a
+caller asks for it.
+
+A model with kappa > 0 is solved in its Bogoliubov photon basis
+(_bogoliubov; Emary and Brandes, PRE 67, 066203 (2003)):
+omega a'a + kappa (a + a')^2 = omega' b'b + (omega' - omega)/2 with
+omega' = sqrt(omega (omega + 4 kappa)) and a + a' = s (b + b'),
+s^2 = omega / omega'.  So H is the kappa = 0 model with photon frequency
+omega' and couplings s lam, plus a constant; ed_ground adds the constant
+to e0, observables maps the photon moments back to a, and the photon
+index of psi0, n_max and n_max_used count b quanta.
 
 ed_ground solves at a fixed photon cutoff and measures how far its ground
 vector leaks out of the truncated Fock space (truncation_residual).
@@ -144,8 +154,29 @@ def build_basis(n_atoms: int, d: int, n_max: int,
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
+def _bogoliubov(model: DickeModel) -> tuple[DickeModel, float]:
+    """The kappa = 0 model that H equals in the Bogoliubov photon basis, and s.
+
+    omega a'a + kappa (a + a')^2 = omega' b'b + (omega' - omega)/2 with
+    omega' = sqrt(omega (omega + 4 kappa)) and a + a' = s (b + b'),
+    s^2 = omega / omega', so H is the returned model (photon frequency
+    omega', couplings s lam, same atoms) plus (omega' - omega)/2.  A
+    kappa = 0 model comes back unchanged with s = 1.  omega' is formed as
+    sqrt(omega) sqrt(omega + 4 kappa), which stays finite wherever
+    omega + 4 kappa does; a non-finite omega' or s raises SolverError.
+    """
+    if model.kappa == 0.0:
+        return model, 1.0
+    omega = math.sqrt(model.omega) * math.sqrt(model.omega + 4.0 * model.kappa)
+    s = math.sqrt(model.omega / omega)
+    if not (math.isfinite(omega) and math.isfinite(s)):
+        raise SolverError(f"Bogoliubov transform not finite: omega' {omega:g}, s {s:g}")
+    atom = AtomSpec(model.atom.energies, s * model.atom.couplings)
+    return DickeModel(omega, atom, n_atoms=model.n_atoms), s
+
+
 def _coupling(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
-    """J, the A x A collective coupling in H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1.
+    """J, the A x A collective coupling in H = D + (a + a') (x) J.
 
     The collective move k -> j takes occupation vector m to m' with
     amplitude lam_jk sqrt((m_j + 1) m_k) / sqrt(N); J holds it at (m', m)
@@ -199,9 +230,9 @@ class Sector:
         return first, count, (first - self.lo) * self.atoms[self.lo % 2].size
 
     def first(self, n_atomic: int) -> int:
-        """The lowest basis index of the sector."""
-        n = self.lo if self.atoms[self.lo % 2].size else self.lo + 1
-        return n * n_atomic + int(self.atoms[n % 2][0])
+        """The lowest basis index of the sector: the first state of row lo,
+        which every sector has (_sectors)."""
+        return self.lo * n_atomic + int(self.atoms[self.lo % 2][0])
 
     def indices(self, n_atomic: int) -> np.ndarray:
         """The sector's basis indices, ascending."""
@@ -221,7 +252,7 @@ def _rows_view(arr: np.ndarray, start: int, step: int, count: int, width: int) -
                       (int(step) * arr.itemsize, arr.itemsize))
 
 
-def _sectors(J: sp.csr_matrix, n_max: int, kappa: float) -> list[Sector]:
+def _sectors(J: sp.csr_matrix, n_max: int) -> list[Sector]:
     """The connected components of H's sparsity graph, ordered by lowest basis index.
 
     They come from a graph on the 2A vertices (n mod 2, r), in which J joins
@@ -229,9 +260,8 @@ def _sectors(J: sp.csr_matrix, n_max: int, kappa: float) -> list[Sector]:
     H, and a J neighbour of r links every photon row of r to the rows two
     above and below it, so a component with an edge is one sector over all
     photon rows.  A vertex without one (r has no J neighbour, or n_max = 0)
-    stands for one state per photon row of its parity, which only
-    kappa a'^2 links: it is one sector when kappa != 0 and n_max >= 2, else
-    one sector per state.
+    stands for one state per photon row of its parity, which nothing links:
+    each is a sector of its own.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
@@ -251,7 +281,7 @@ def _sectors(J: sp.csr_matrix, n_max: int, kappa: float) -> list[Sector]:
         verts = order[start:end]
         cut = int(verts.searchsorted(A))
         atoms = (verts[:cut], verts[cut:] - A)
-        if verts.size > 1 or (kappa != 0.0 and n_max >= 2):
+        if verts.size > 1:
             sectors.append(Sector(atoms, 0, n_max))
         else:
             sectors += [Sector(atoms, n, n) for n in range(int(cut == 0), n_max + 1, 2)]
@@ -263,41 +293,42 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     """Sparse symmetric H on one sector, or on the whole basis when sector is
     None, as canonical CSR in ascending basis index (both triangles stored).
 
-    H = D + (a + a') (x) J + kappa (a^2 + a'^2) (x) 1, with the diagonal
-    D = omega n + sum_j eps_j m_j + kappa (2n + 1) and J = _coupling(model,
-    basis), which is built here when not given.  Row (n, r) holds, in
-    column order, up to five bands: kappa sqrt((n-1) n) at (n-2, r),
-    sqrt(n) J[r] on photon row n-1, D, sqrt(n+1) J[r] on row n+1 and
-    kappa sqrt((n+1)(n+2)) at (n+2, r), each as far as that photon row lies
-    in the sector.  indptr follows from these counts.  The photon rows of
-    one parity that have the same bands share one layout and lie evenly
-    spaced in the CSR arrays, so indices and data are written through one
-    2-D view per such run of rows, a bounded number of rows at a time:
-    nothing of the matrix's size is allocated besides the matrix.
+    H = D + (a + a') (x) J, with the diagonal D = omega n + sum_j eps_j m_j
+    and J = _coupling(model, basis), which is built here when not given.
+    The model must have kappa = 0 (ValueError otherwise); ed_ground maps
+    kappa > 0 onto such a model (_bogoliubov).  Row (n, r) holds, in column
+    order, up to three bands: sqrt(n) J[r] on photon row n-1, D and
+    sqrt(n+1) J[r] on row n+1, each as far as that photon row lies in the
+    sector.  indptr follows from these counts.  The photon rows of one
+    parity that have the same bands share one layout and lie evenly spaced
+    in the CSR arrays, so indices and data are written through one 2-D view
+    per such run of rows, a bounded number of rows at a time: nothing of
+    the matrix's size is allocated besides the matrix.
     """
     import scipy.sparse as sp
 
     atom = model.atom
     if atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
+    if model.kappa != 0.0:
+        raise ValueError("build_hamiltonian takes kappa = 0 models; map others with _bogoliubov")
     A = basis.n_atomic
     if J is None:
         J = _coupling(model, basis)
     if sector is None:
         every = np.arange(A)
         sector = Sector((every, every), 0, basis.n_max)
-    lo, hi, kappa = sector.lo, sector.hi, model.kappa
-    k2 = kappa != 0.0
+    lo, hi = sector.lo, sector.hi
     step = sector.atoms[0].size + sector.atoms[1].size
 
     # One template row per atom of atoms[0] + atoms[1]: its state's entries
-    # in a photon row n that has every band, in column order: kappa at n-2,
-    # its J row at n-1, D, its J row at n+1, kappa at n+2, with the J rows
-    # padded to the longest one.  Each entry has a band (0-4 for n-2 .. n+2),
-    # a column counted from the first state of row n, and val and plus that
-    # make it factor[n, band] * val + plus (plus is sum_j eps_j m_j on the
-    # diagonal, whose factor holds the rest of D).  The real entries, row by
-    # row, are the photon row's entries in CSR order.
+    # in a photon row n that has every band, in column order: its J row at
+    # n-1, D, its J row at n+1, with the J rows padded to the longest one.
+    # Each entry has a band (0-2 for n-1 .. n+1), a column counted from the
+    # first state of row n, and val and plus that make it
+    # factor[n, band] * val + plus (plus is sum_j eps_j m_j on the diagonal,
+    # whose factor holds the rest of D).  The real entries, row by row, are
+    # the photon row's entries in CSR order.
     a = [atoms.size for atoms in sector.atoms]
     atoms = np.concatenate(sector.atoms)
     odd = np.arange(step) >= a[0]
@@ -312,43 +343,32 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     other = inv[J.indices[ent] + A * ~odd[:, None]]
     other_size = np.where(odd, a[0], a[1])[:, None]       # states in photon rows n -+ 1
     one = np.ones((step, 1))
-    band = np.repeat([0, 1, 2, 3, 4], [1, slot.size, 1, slot.size, 1])
-    col = np.concatenate([own - step, other - other_size, own, other + step - other_size,
-                          own + step], axis=1)
-    val = np.concatenate([one, J.data[ent], one, J.data[ent], one], axis=1)
-    plus = np.zeros(val.shape)
-    plus[:, slot.size + 1] = basis.atomic_states[atoms] @ atom.energies
-    real = np.concatenate([one * k2, hop, one, hop, one * k2], axis=1) > 0
+    band = np.repeat([0, 1, 2], [slot.size, 1, slot.size])
+    col = np.concatenate([other - other_size, own, other + step - other_size], axis=1)
+    val = np.concatenate([J.data[ent], one, J.data[ent]], axis=1)
+    plus = np.where(band == 1, (basis.atomic_states[atoms] @ atom.energies)[:, None], 0.0)
+    real = np.concatenate([hop, one > 0, hop], axis=1)
 
-    # Runs of photon rows of one parity that have the same bands: the rows
-    # within 1 (2 with kappa) of lo or hi one by one, the other rows of each
-    # parity together.  A run's rows lie evenly spaced in the CSR arrays, so
-    # each run is written through one 2-D view.
-    edge = 1 + k2
-    runs = [(m, 1) for m in sorted({*range(lo, min(lo + edge, hi + 1)),
-                                    *range(max(hi - edge + 1, lo), hi + 1)})]
+    # Runs of photon rows of one parity that have the same bands: rows lo
+    # and hi one by one, the other rows of each parity together.  A run's
+    # rows lie evenly spaced in the CSR arrays, so each run is written
+    # through one 2-D view.
+    runs = [(m, 1) for m in sorted({lo, hi})]
     for p in (0, 1):
-        first = lo + edge + (p - lo - edge) % 2
-        if first <= hi - edge:
-            runs.append((first, (hi - edge - first) // 2 + 1))
+        first = lo + 1 + (p - lo - 1) % 2
+        if first <= hi - 1:
+            runs.append((first, (hi - 1 - first) // 2 + 1))
     length = np.zeros(hi - lo + 1, dtype=np.int64)         # entries per photon row
     for i, (m, count) in enumerate(runs):
         rows = slice(0, a[0]) if m % 2 == 0 else slice(a[0], step)
-        keep = real[rows]
-        if m - edge < lo or m + edge > hi:               # drop bands to rows outside [lo, hi]
-            keep = keep & np.array([k2 and m - 2 >= lo, m - 1 >= lo, True, m + 1 <= hi,
-                                    k2 and m + 2 <= hi])[band]
+        keep = real[rows] & np.array([m - 1 >= lo, True, m + 1 <= hi])[band]   # inside [lo, hi]
         length[m - lo:m - lo + 2 * count:2] = np.count_nonzero(keep)
         runs[i] = m - lo, count, rows, keep
     row_start = np.concatenate([[0], np.cumsum(length)])
-    n = np.arange(lo, hi + 1, dtype=float)
-    factor = np.zeros((n.size, 5))                         # each band's factor per photon row
     root = np.sqrt(np.arange(lo, hi + 2, dtype=float))
-    factor[:, 1], factor[:, 2], factor[:, 3] = root[:-1], model.omega * n, root[1:]
-    if k2:
-        factor[:, 0] = kappa * np.sqrt((n - 1.0) * n)
-        factor[:, 4] = kappa * np.sqrt((n + 1.0) * (n + 2.0))
-        factor[:, 2] += kappa * (2.0 * n + 1.0)
+    # each band's factor per photon row
+    factor = np.column_stack([root[:-1], model.omega * np.arange(lo, hi + 1, dtype=float),
+                              root[1:]])
 
     nnz = int(row_start[-1])
     dim = sum(a[p] * sector.rows(p)[1] for p in (0, 1))
@@ -474,7 +494,14 @@ class GroundState:
 
 
 def _true_residual(H, psi: np.ndarray, e0: float) -> float:
-    return float(np.linalg.norm(H @ psi - e0 * psi))
+    """||H psi - e0 psi||.  Where its sum of squares overflows (entries
+    above ~1e154, as for omega near 1e200), the norm is taken of the vector
+    scaled by 2^-600, a power of two that rounds none of the entries that
+    count, and scaled back."""
+    r = H @ psi - e0 * psi
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(r))
+    return norm if norm < math.inf else float(np.linalg.norm(r * 2.0**-600)) * 2.0**600
 
 
 def ground_state(H, seed: int = 0, v0: np.ndarray | None = None) -> GroundState:
@@ -585,23 +612,34 @@ class EDResult:
 
 
 def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> EDResult:
-    """Per-atom densities of a normalized state: photon number, quadrature
-    (a + a')^2, level populations, and photon parity.  The state itself is
-    kept as psi0."""
+    """Per-atom densities of a normalized state: photon number a'a,
+    quadrature (a + a')^2, level populations, and photon parity.  The state
+    itself is kept as psi0.
+
+    psi0's photon index counts the quanta of b, the Bogoliubov mode of model
+    (_bogoliubov; b = a when kappa = 0).  With a + a' = s (b + b') and
+    a - a' = (b - b') / s, and from <b'b> and <b^2 + b'^2>:
+    quad = s^2 <(b + b')^2> / N and
+    photon_density = (<b'b> + ((s - 1/s)^2 (2 <b'b> + 1)
+                      + (s^2 - s^-2) <b^2 + b'^2>) / 4) / N,
+    which is <b'b> / N exactly at s = 1.  Parity and populations are the
+    same in either basis.
+    """
     if model.atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
+    s = _bogoliubov(model)[1]
     N = basis.n_atoms
     psi = np.asarray(psi0, dtype=float).reshape(basis.n_max + 1, basis.n_atomic)
     w = psi**2
     p_n = w.sum(axis=1)
     p_r = w.sum(axis=0)
     ns = np.arange(basis.n_max + 1)
-    photon = float(ns @ p_n) / N
-    quad = float((2.0 * ns + 1.0) @ p_n)
-    if basis.n_max >= 2:
-        cross = np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))
-        quad += 2.0 * float(cross @ (psi[:-2] * psi[2:]).sum(axis=1))
-    quad /= N
+    number = float(ns @ p_n)
+    cross = np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))      # empty below n_max 2
+    pairs = 2.0 * float(cross @ (psi[:-2] * psi[2:]).sum(axis=1))     # <b^2 + b'^2>
+    photon = (number + ((s - 1.0 / s)**2 * (2.0 * number + 1.0)
+                        + (s * s - 1.0 / (s * s)) * pairs) / 4.0) / N
+    quad = s * s * (float((2.0 * ns + 1.0) @ p_n) + pairs) / N
     populations = (p_r @ basis.atomic_states) / N
     populations.flags.writeable = False
     signs = parity_signs(basis)
@@ -610,23 +648,19 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
                     parity=parity, n_max_used=basis.n_max, n_atoms=N, psi0=psi.ravel())
 
 
-def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis, kappa: float) -> float:
-    """Norm of rows n_max+1 and n_max+2 of (H' - e0) psi~, where psi~ is psi
-    zero-padded to cutoff n_max + 2 and H' is the Hamiltonian there.
+def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis) -> float:
+    """Norm of row n_max+1 of (H' - e0) psi~, where psi~ is psi zero-padded to
+    cutoff n_max + 1 and H' is the (kappa = 0) Hamiltonian there.
 
-    Only the photon hops out of psi's top two photon rows reach those rows:
-    row n_max+1 is sqrt(n_max+1) J psi_{n_max} + kappa sqrt(n_max (n_max+1))
-    psi_{n_max-1} and row n_max+2 is kappa sqrt((n_max+1)(n_max+2)) psi_{n_max},
-    with J the collective coupling (_coupling), so no second Hamiltonian is
-    built.  inf at n_max = 0, a cutoff that keeps no photon.
+    Only the photon hop out of psi's top photon row reaches that row: it is
+    sqrt(n_max+1) J psi_{n_max}, with J the collective coupling (_coupling),
+    so no second Hamiltonian is built.  inf at n_max = 0, a cutoff that
+    keeps no photon.
     """
     n, A = basis.n_max, basis.n_atomic
     if n == 0:
         return math.inf
-    top, below = psi[n * A:], psi[(n - 1) * A:n * A]
-    row1 = math.sqrt(n + 1) * (J @ top) + kappa * math.sqrt(n * (n + 1)) * below
-    row2 = kappa * math.sqrt((n + 1) * (n + 2)) * top
-    return math.hypot(float(np.linalg.norm(row1)), float(np.linalg.norm(row2)))
+    return float(np.linalg.norm(math.sqrt(n + 1) * (J @ psi[n * A:])))
 
 
 def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
@@ -669,10 +703,17 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     blocks start from the mean-field product state (mean_field_state)
     at x_star, the global mean-field minimum, which is computed here when
     not given.
+
+    Everything above is done for model0, the kappa = 0 model of
+    _bogoliubov(model): blocks, starts and residual are those of H - c,
+    c = (omega' - omega)/2, in the b photon basis, where the mean-field
+    minimum sits at x_star / s.  e0 is that of H, the ground energy of
+    model0 plus c, and n_max counts b quanta.
     """
+    model0, s = _bogoliubov(model)
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
-    J = _coupling(model, basis)
-    sectors = _sectors(J, n_max, model.kappa)
+    J = _coupling(model0, basis)
+    sectors = _sectors(J, n_max)
     start = None
     if warm is not None:
         start = np.zeros(basis.dim)
@@ -689,9 +730,9 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
                 if start is None:
                     if x_star is None:
                         x_star = meanfield.minimize(model).x_star
-                    start = mean_field_state(model, basis, x_star)
+                    start = mean_field_state(model0, basis, x_star / s)
                 v0 = start[idx] if start[idx].any() else None
-        gs = ground_state(build_hamiltonian(model, basis, sector, J), seed=seed + b, v0=v0)
+        gs = ground_state(build_hamiltonian(model0, basis, sector, J), seed=seed + b, v0=v0)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
         firsts.append(idx[0])
@@ -707,9 +748,10 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     idx = sectors[best].indices(basis.n_atomic)
     psi[idx] = vectors[idx]
     return dataclasses.replace(
-        observables(psi, basis, model), e0=gs.e0, lanczos_iterations=gs.iterations,
-        residual_norm=gs.residual_norm,
-        truncation_residual=_truncation_residual(J, psi, basis, model.kappa),
+        # minus, not plus: x - 0.0 is x for every x, so kappa = 0 keeps e0's bits
+        observables(psi, basis, model), e0=gs.e0 - (model.omega - model0.omega) / 2.0,
+        lanczos_iterations=gs.iterations, residual_norm=gs.residual_norm,
+        truncation_residual=_truncation_residual(J, psi, basis),
         seed=seed, method=gs.method, block_vectors=vectors)
 
 
@@ -726,8 +768,8 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     that this eigenvalue is the block's lowest, and nothing about the
     blocks that lost at this cutoff (with lambda_01 = 0, each
     |n, all-ground> is a one-state block with r = 0).  The starting
-    cutoff comes from the mean-field photon density:
-    n_max0 = max(8, ceil(4 N x*^2) + 16).  Each step is one ed_ground call,
+    cutoff comes from the mean-field density of b photons (_bogoliubov):
+    n_max0 = max(8, ceil(4 N (x*/s)^2) + 16).  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as
     warm.  The result is the accepted step's ed_ground result; only the e0 of
     earlier steps is kept.  Any SolverError that leaves a step, and the
@@ -737,8 +779,9 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     n_atoms, so a scan over N can compute it once.
     """
     x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
+    s = _bogoliubov(model)[1]
     # 4 (N x*^2) rounds like 4 N x*^2; a cutoff above max_dim fails build_basis
-    n = max(8, math.ceil(min(4.0 * (model.n_atoms * x_mf**2), max_dim)) + 16)
+    n = max(8, math.ceil(min(4.0 * (model.n_atoms * (x_mf / s)**2), max_dim)) + 16)
     trace: list[tuple[int, float]] = []
     warm = None
     residual = math.inf
@@ -790,7 +833,9 @@ def dump_state(path, result: EDResult) -> None:
     magnitude first.
 
     Layout (npz): indices (int64 basis indices, n_ph*A + atomic_rank),
-    coefficients (float64), n_atoms, d, n_max (result.n_max_used).
+    coefficients (float64), n_atoms, d, n_max (result.n_max_used).  For a
+    model with kappa > 0, n_ph and n_max count the quanta of the Bogoliubov
+    mode b that ed_ground solves in (_bogoliubov), not of a.
     """
     psi0 = result.psi0
     nz = np.flatnonzero(psi0)

@@ -36,7 +36,7 @@ from dickelab import (
 )
 from dickelab.cli import main as cli_main
 from dickelab.cpb import cpb_hamiltonian
-from dickelab.exactdiag import _lanczos
+from dickelab.exactdiag import _bogoliubov, _lanczos
 
 
 def _report(num, label, checks, elapsed=None):
@@ -228,7 +228,9 @@ def test_criterion_7_ed_internal_consistency():
         m = DickeModel(float(rng.uniform(0.5, 2.0)), AtomSpec(eps, lam),
                        n_atoms=n_atoms,
                        kappa=float(rng.uniform(0.0, 0.2)) if rng.random() < 0.3 else 0.0)
-        H = build_hamiltonian(m, build_basis(n_atoms, d, n_max))
+        # kappa > 0 as ed_ground solves it: the kappa = 0 model in the
+        # Bogoliubov photon basis
+        H = build_hamiltonian(_bogoliubov(m)[0], build_basis(n_atoms, d, n_max))
         dense = ground_state(H)
         lanc = _lanczos(H, seed=done)
         diff = abs(lanc.e0 - dense.e0) / max(1.0, abs(dense.e0))

@@ -326,6 +326,27 @@ class TestExitCodes:
         # the 600-digit dimension and the 309-digit N are abbreviated
         assert len(record["message"]) < 300 and "~1.500e+308" in record["message"]
 
+    def test_trk_saturated_ed_ground(self, tmp_path):
+        # kappa = lam^2 / eps_1 at n_max 183: in the a basis its even block
+        # needed more matvecs than the cap allows, and the run exited 3
+        out = tmp_path / "out"
+        assert main([str(ROOT / "configs" / "trk_ed_ground.json"), "-o", str(out)]) == 0
+        with open(out / "ed.csv") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert int(row["n_max_used"]) == 183
+        assert float(row["e0_per_atom"]) == pytest.approx(0.11109354431620506, abs=1e-13)
+
+    def test_bogoliubov_overflow(self, tmp_path):
+        # omega (omega + 4 kappa) overflows here, while omega' does not
+        doc = {"command": "ed-ground",
+               "model": {"omega": 1e200, "kappa": 1e200, "n_atoms": 2,
+                         "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.5], [0.5, 0.0]]}},
+               "ed": {"n_max": 4}}
+        out = tmp_path / "out"
+        code = main([write_config(tmp_path, doc), "-o", str(out)])
+        assert code in (0, 3)
+        assert (out / "error.json").is_file() == (code == 3)
+
     def test_cutoff_trace_in_error_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc:

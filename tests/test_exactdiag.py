@@ -30,7 +30,7 @@ from dickelab import (
     two_level,
 )
 from dickelab import exactdiag
-from dickelab.exactdiag import (TOL_E, _coupling, _lanczos, _sectors, dump_state,
+from dickelab.exactdiag import (TOL_E, _bogoliubov, _coupling, _lanczos, _sectors, dump_state,
                                  ed_csv_header, ed_csv_row)
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
@@ -54,18 +54,20 @@ def displacement_operator(basis) -> sp.csr_matrix:
 
 def blocks(model, basis) -> list[np.ndarray]:
     """Basis indices of ed_ground's sectors, in its order."""
-    sectors = _sectors(_coupling(model, basis), basis.n_max, model.kappa)
+    sectors = _sectors(_coupling(model, basis), basis.n_max)
     return [sector.indices(basis.n_atomic) for sector in sectors]
 
 
 VTYPE = AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0], [0.3, 0.0, 0.0]])
-# models whose sectors cover parity, m_0 and V-type splits, isolated atomic
-# states (lambda_01 = 0) and kappa
-SECTOR_MODELS = [ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=5),
-                 ladder(1.0, 1.0, 2.0, 0.1, 1.2, kappa=0.05, n_atoms=4),
-                 DickeModel(1.0, VTYPE, n_atoms=4),
-                 DickeModel(1.0, VTYPE, n_atoms=3, kappa=0.1),
-                 two_level(1.0, 1.0, 0.7, kappa=0.2, n_atoms=6)]
+# models whose sectors cover parity, m_0 and V-type splits and isolated
+# atomic states (lambda_01 = 0); the kappa > 0 ones as ed_ground builds them,
+# in their Bogoliubov photon basis
+SECTOR_MODELS = [_bogoliubov(m)[0] for m in (
+    ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=5),
+    ladder(1.0, 1.0, 2.0, 0.1, 1.2, kappa=0.05, n_atoms=4),
+    DickeModel(1.0, VTYPE, n_atoms=4),
+    DickeModel(1.0, VTYPE, n_atoms=3, kappa=0.1),
+    two_level(1.0, 1.0, 0.7, kappa=0.2, n_atoms=6))]
 
 
 def random_model(rng) -> DickeModel:
@@ -77,8 +79,9 @@ def random_model(rng) -> DickeModel:
         for k in range(j + 1, d):
             lam[j, k] = lam[k, j] = rng.uniform(-1.5, 1.5)
     kappa = float(rng.uniform(0.0, 0.2)) if rng.random() < 0.3 else 0.0
-    return DickeModel(float(rng.uniform(0.5, 2.0)), AtomSpec(eps, lam),
-                      n_atoms=n_atoms, kappa=kappa)
+    # the kappa = 0 model ed_ground builds for it
+    return _bogoliubov(DickeModel(float(rng.uniform(0.5, 2.0)), AtomSpec(eps, lam),
+                                  n_atoms=n_atoms, kappa=kappa))[0]
 
 
 class TestBasis:
@@ -138,13 +141,20 @@ class TestHamiltonian:
             assert (H != H.T).nnz == 0
 
     def test_rabi_against_kron_oracle(self):
-        m = two_level(1.0, 0.9, 0.6, kappa=0.05)
         n_max = 40
-        H = build_hamiltonian(m, build_basis(1, 2, n_max)).toarray()
-        ref = oracles.rabi_hamiltonian(1.0, 0.9, 0.6, n_max, kappa=0.05)
+        H = build_hamiltonian(two_level(1.0, 0.9, 0.6), build_basis(1, 2, n_max)).toarray()
+        ref = oracles.rabi_hamiltonian(1.0, 0.9, 0.6, n_max)
         np.testing.assert_allclose(H, ref, atol=1e-13)
         e0 = ground_state(H).e0
         assert e0 == pytest.approx(float(sla.eigvalsh(ref)[0]), abs=1e-10)
+        # kappa > 0 is solved in the Bogoliubov photon basis, shifted back
+        ref = oracles.rabi_hamiltonian(1.0, 0.9, 0.6, n_max, kappa=0.05)
+        e0 = ed_ground(two_level(1.0, 0.9, 0.6, kappa=0.05), n_max).e0
+        assert e0 == pytest.approx(float(sla.eigvalsh(ref)[0]), abs=1e-10)
+
+    def test_kappa_needs_bogoliubov(self):
+        with pytest.raises(ValueError, match="kappa"):
+            build_hamiltonian(two_level(1.0, 1.0, 0.5, kappa=0.1), build_basis(1, 2, 4))
 
     @pytest.mark.parametrize("kappa", [0.0, 0.15])
     @pytest.mark.parametrize("n_atoms, d", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -158,9 +168,16 @@ class TestHamiltonian:
                 lam[j, k] = lam[k, j] = rng.uniform(-1.5, 1.5)
         m = DickeModel(0.8, AtomSpec(eps, lam), n_atoms=n_atoms, kappa=kappa)
         assert not parity_compatible(m.atom)
+        if kappa:
+            # H is solved in the Bogoliubov photon basis: its shifted ground
+            # energy, at the converged cutoff, against the a-basis oracle,
+            # which n_max 30 converges
+            ref = oracles.symmetric_sector_spectrum(n_atoms, eps, lam, 0.8, 30, kappa=kappa)
+            assert converge_cutoff(m).e0 == pytest.approx(ref[0], abs=1e-10)
+            return
         n_max = 6
         H = build_hamiltonian(m, build_basis(n_atoms, d, n_max)).toarray()
-        ref = oracles.symmetric_sector_spectrum(n_atoms, eps, lam, 0.8, n_max, kappa=kappa)
+        ref = oracles.symmetric_sector_spectrum(n_atoms, eps, lam, 0.8, n_max)
         assert ref.size == H.shape[0]
         np.testing.assert_allclose(sla.eigvalsh(H), ref, atol=1e-10)
 
@@ -168,8 +185,7 @@ class TestHamiltonian:
         # couplings off: H is the photon mode alone, ground energy known
         atom = AtomSpec([0.0, 1.0], np.zeros((2, 2)))
         m = DickeModel(1.0, atom, kappa=0.3)
-        H = build_hamiltonian(m, build_basis(1, 2, 180))
-        assert ground_state(H).e0 == pytest.approx(
+        assert ed_ground(m, 8).e0 == pytest.approx(
             oracles.photon_only_ground(1.0, 0.3), abs=1e-9)
 
     def test_parity_block_structure(self):
@@ -222,7 +238,7 @@ class TestHamiltonian:
                 basis = build_basis(model.n_atoms, model.atom.d, n_max)
                 J = _coupling(model, basis)
                 H = build_hamiltonian(model, basis)
-                for sector in _sectors(J, n_max, model.kappa):
+                for sector in _sectors(J, n_max):
                     idx = sector.indices(basis.n_atomic)
                     got = build_hamiltonian(model, basis, sector, J)
                     ref = H[idx][:, idx]
@@ -438,6 +454,20 @@ class TestObservables:
         res = observables(psi, basis, m)
         assert res.quad == pytest.approx(1.0 / 2.0)   # vacuum: <(a+a')^2> = 1
 
+    @pytest.mark.parametrize("kappa", [0.05, 0.1])
+    def test_bogoliubov_moments_map_back_to_a(self, kappa):
+        # ed_ground's psi0 is in the b basis; photon_density and quad are
+        # <a'a> and <(a + a')^2> of the a-basis Rabi oracle's ground vector
+        n_max = 40
+        H = oracles.rabi_hamiltonian(1.0, 0.9, 0.6, n_max, kappa=kappa)
+        v = sla.eigh(H, subset_by_index=(0, 0))[1][:, 0]
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 3)), 1)      # two slack levels, then crop
+        x2 = ((a + a.T) @ (a + a.T))[:n_max + 1, :n_max + 1]
+        number = np.kron(np.diag(np.arange(n_max + 1.0)), np.eye(2))
+        res = ed_ground(two_level(1.0, 0.9, 0.6, kappa=kappa), n_max)
+        assert res.photon_density == pytest.approx(v @ number @ v, abs=1e-10)
+        assert res.quad == pytest.approx(v @ np.kron(x2, np.eye(2)) @ v, abs=1e-10)
+
 
 class TestEdGround:
     def test_decoupled_excited_coupling_gap(self):
@@ -532,27 +562,28 @@ class TestMeanFieldStart:
         np.testing.assert_allclose(psi * np.sign(psi @ ref), ref, atol=1e-13)
 
     def test_energy_is_mean_field_energy(self):
-        # <H> = N e(x*) + kappa for an untruncated coherent x product state
-        kappa = 0.05
-        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=kappa, n_atoms=6)
+        # <H0> = N e(x*) for an untruncated coherent b product state at x*/s,
+        # with H0 the kappa = 0 model in the Bogoliubov photon basis
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.05, n_atoms=6)
         x = minimize(m).x_star
+        m0, s = _bogoliubov(m)
         basis = build_basis(6, 3, 80)
-        psi = mean_field_state(m, basis, x)
-        H = build_hamiltonian(m, basis)
-        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x) + kappa, abs=1e-9)
+        psi = mean_field_state(m0, basis, x / s)
+        H = build_hamiltonian(m0, basis)
+        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x), abs=1e-9)
 
     def test_energy_at_negative_x_star(self):
         # a 0-1-2 triangle of couplings condenses at x* < 0, so <a> < 0 and
-        # the photon amplitudes alternate in sign: <H> = N e(x*) + kappa
-        kappa = 0.05
+        # the photon amplitudes alternate in sign: <H0> = N e(x*), as above
         lam = [[0.0, 0.3, 0.55], [0.3, 0.0, 0.2], [0.55, 0.2, 0.0]]
-        m = DickeModel(1.0, AtomSpec([0.0, 0.559, 1.899], lam), kappa=kappa, n_atoms=6)
+        m = DickeModel(1.0, AtomSpec([0.0, 0.559, 1.899], lam), kappa=0.05, n_atoms=6)
         x = minimize(m).x_star
         assert x < -0.1
+        m0, s = _bogoliubov(m)
         basis = build_basis(6, 3, 80)
-        psi = mean_field_state(m, basis, x)
-        H = build_hamiltonian(m, basis)
-        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x) + kappa, abs=1e-9)
+        psi = mean_field_state(m0, basis, x / s)
+        H = build_hamiltonian(m0, basis)
+        assert psi @ (H @ psi) == pytest.approx(6 * energy_density(m, x), abs=1e-9)
 
     def test_normal_phase_is_vacuum_ground(self):
         m = ladder(1.0, 1.0, 2.0, 0.1, 0.5, n_atoms=4)
@@ -626,7 +657,7 @@ class TestPartnerStart:
         # the even block is solved exactly as from its mean-field part alone
         basis = build_basis(10, 3, n_max)
         J = _coupling(m, basis)
-        sector = _sectors(J, n_max, m.kappa)[0]
+        sector = _sectors(J, n_max)[0]
         idx = sector.indices(basis.n_atomic)
         start = mean_field_state(m, basis, minimize(m).x_star)[idx]
         ref = _lanczos(build_hamiltonian(m, basis, sector, J), seed, start)
@@ -655,10 +686,14 @@ class TestPartnerStart:
         assert len(flips) == 1 and flips[0] < res.n_max_used
 
     def test_stiff_odd_block_converges(self):
-        # TRK-saturated normal phase (kappa = lam^2 / eps_1), x* = 0: from the
-        # seeded random vector the odd block hit the cap of 472 matvecs
-        res = ed_ground(two_level(1.0, 1.0, 3.0, kappa=9.0, n_atoms=20), 70)
-        assert res.method == "lanczos" and round(res.parity) == 1
+        # TRK-saturated normal phase (kappa = lam^2 / eps_1), x* = 0.  In the
+        # a basis its blocks were stiff: cold solves exceeded the matvec cap
+        # at 10 of these 21 cutoffs; in the Bogoliubov basis none is
+        m = two_level(1.0, 1.0, 3.0, kappa=9.0, n_atoms=20)
+        for n_max in range(16, 200, 9):
+            res = ed_ground(m, n_max)
+            assert round(res.parity) == 1, n_max
+            assert res.method == ("dense" if n_max < 25 else "lanczos"), n_max
 
     @pytest.mark.parametrize("model, n_max", [
         (LADDER, N_MAX), (DickeModel(1.0, VTYPE, n_atoms=16), 16),
@@ -666,7 +701,7 @@ class TestPartnerStart:
     def test_image_lies_in_the_partner_block(self, model, n_max):
         basis = build_basis(model.n_atoms, model.atom.d, n_max)
         J = _coupling(model, basis)
-        sectors = _sectors(J, n_max, model.kappa)
+        sectors = _sectors(J, n_max)
         even, odd = (s.indices(basis.n_atomic) for s in sectors)
         psi = np.zeros(basis.dim)
         psi[even] = ed_ground(model, n_max).block_vectors[even]
@@ -854,7 +889,8 @@ class TestTruncationResidual:
     @pytest.mark.parametrize("kappa", [0.0, 0.15])
     def test_matches_padded_hamiltonian(self, kappa):
         # the rows beyond n_max of (H' - e0) psi~, with H' built at n_max + 2
-        # and psi~ the ground vector zero-padded to it
+        # and psi~ the ground vector zero-padded to it; for kappa > 0 both
+        # are in the Bogoliubov photon basis, where ed_ground solves
         rng = np.random.default_rng(31)
         models = [DickeModel(1.0, AtomSpec([0.0, 1.0, 1.5], [[0.0, 0.35, 0.3], [0.35, 0.0, 0.0],
                                                              [0.3, 0.0, 0.0]]),
@@ -871,7 +907,9 @@ class TestTruncationResidual:
                 basis = build_basis(m.n_atoms, m.atom.d, n_max + 2)
                 psi = np.zeros(basis.dim)
                 psi[:res.psi0.size] = res.psi0
-                tail = (build_hamiltonian(m, basis) @ psi - res.e0 * psi)[res.psi0.size:]
+                # psi~ is zero in those rows, so they do not see e0 or its shift
+                tail = (build_hamiltonian(_bogoliubov(m)[0], basis) @ psi
+                        - res.e0 * psi)[res.psi0.size:]
                 assert res.truncation_residual == pytest.approx(np.linalg.norm(tail),
                                                                 rel=1e-12, abs=0.0)
 
