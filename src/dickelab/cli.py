@@ -1,10 +1,15 @@
 """Config-driven command line interface.
 
 One JSON document declares exactly one command plus its parameters; flags
-only choose the config path, output directory, verbosity, and a seed
-override.  Every run writes its result artifacts (CSV for grids, JSON for
-scalar results) plus manifest.json recording the config echo, package
-version, effective seed, wall time, and sha256 checksums of the artifacts.
+only choose the config path, output directory and verbosity.  Every run
+writes its result artifacts (CSV for grids, JSON for scalar results) plus
+manifest.json recording the config echo, package version, wall time, and
+sha256 checksums of the artifacts.
+
+No result depends on a seed: every exact-diagonalization block starts from
+a fixed vector.  The `seed` config key and the --seed flag are still
+accepted, so configs and scripts that set them keep working, and still
+validated as integers >= 0 (exit 2 otherwise), but they change nothing.
 
 Each config rule has one owner: model.config_keys checks the allowed and
 required keys that _COMMANDS states, and a rule on a value is checked by
@@ -62,8 +67,6 @@ from .model import (
     trk_report,
 )
 
-DEFAULT_SEED = 1234
-
 # Each command's top-level blocks.  model's keys are model_from_dict's; for
 # scan, ed and cpb the entry is (allowed keys, required keys).  A block is
 # required unless it has keys and none of them is required (ed-ground's
@@ -87,7 +90,6 @@ _TOP_KEYS = {"command", "seed", "output", *_BLOCKS}
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    seed: int
     output: str | None
     echo: dict
     model: DickeModel | None = None
@@ -191,7 +193,8 @@ def parse_config(doc: Mapping) -> RunConfig:
     for block, keys in blocks.items():
         if keys is not None and block in doc:
             config_keys(doc[block], keys[0], f"$.{block}", required=keys[1])
-    seed = config_int(doc.get("seed", DEFAULT_SEED), "$.seed", minimum=0)
+    if "seed" in doc:
+        config_int(doc["seed"], "$.seed", minimum=0)     # validated, then ignored
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output", "expected a string path")
@@ -224,7 +227,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         atom = kwargs["model"].atom
         _library("$.model.atom.energies", trk_kappa_min, atom.coupling(0, 1), atom.energies[1])
 
-    return RunConfig(command=command, seed=seed, output=output,
+    return RunConfig(command=command, output=output,
                      echo=json.loads(json.dumps(doc)), **kwargs)
 
 
@@ -272,16 +275,16 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
         })
     elif cfg.command == "ed-ground":
         if cfg.ed_n_max is not None:
-            res = ed_ground(cfg.model, cfg.ed_n_max, seed=cfg.seed, max_dim=cfg.ed_max_dim)
+            res = ed_ground(cfg.model, cfg.ed_n_max, max_dim=cfg.ed_max_dim)
         else:
-            res = converge_cutoff(cfg.model, seed=cfg.seed, max_dim=cfg.ed_max_dim)
+            res = converge_cutoff(cfg.model, max_dim=cfg.ed_max_dim)
         _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, [ed_csv_row(res, cfg.model)])
         if cfg.ed_dump_state:
             dump_state(emit("psi0.npz"), res)
     elif cfg.command == "ed-nscan":
         x_star = minimize(cfg.model).x_star    # e(x) does not depend on N
-        rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), seed=cfg.seed,
-                                           max_dim=cfg.ed_max_dim, x_star=x_star), cfg.model)
+        rows = [ed_csv_row(converge_cutoff(cfg.model.with_n_atoms(n), max_dim=cfg.ed_max_dim,
+                                           x_star=x_star), cfg.model)
                 for n in cfg.ed_n_list]
         _write_ed_csv(emit("ed.csv"), cfg.model.atom.d, rows)
     elif cfg.command == "cpb-sweet-spot":
@@ -308,7 +311,6 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
         "artifact_version": __version__,
         "command": cfg.command,
         "config": cfg.echo,
-        "seed": cfg.seed,
         "wall_time_s": wall,
         "outputs": checksums,
     }
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output-dir", default=None,
                         help="directory for artifacts (default: config 'output' or cwd)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="accepted and ignored: no result depends on a seed")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
         cfg = parse_config(doc)
         outdir = Path(args.output_dir or cfg.output or ".")
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=config_int(args.seed, "--seed", minimum=0))
+            config_int(args.seed, "--seed", minimum=0)       # validated, then ignored
         run(cfg, outdir, verbose=args.verbose)
         return 0
     except ConfigError as exc:

@@ -366,9 +366,11 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
         runs[i] = m - lo, count, rows, keep
     row_start = np.concatenate([[0], np.cumsum(length)])
     root = np.sqrt(np.arange(lo, hi + 2, dtype=float))
-    # each band's factor per photon row
-    factor = np.column_stack([root[:-1], model.omega * np.arange(lo, hi + 1, dtype=float),
-                              root[1:]])
+    # each band's factor per photon row; an entry that overflows stays inf,
+    # for ground_state to reject
+    with np.errstate(over="ignore"):
+        factor = np.column_stack([root[:-1], model.omega * np.arange(lo, hi + 1, dtype=float),
+                                  root[1:]])
 
     nnz = int(row_start[-1])
     dim = sum(a[p] * sector.rows(p)[1] for p in (0, 1))
@@ -504,15 +506,20 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
     return norm if norm < math.inf else float(np.linalg.norm(r * 2.0**-600)) * 2.0**600
 
 
-def ground_state(H, seed: int = 0, v0: np.ndarray | None = None) -> GroundState:
+def ground_state(H, v0: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense): dense
     eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos).  A 1 x 1
-    matrix is its own eigenpair: its entry, vector [1.0] and residual 0."""
+    matrix is its own eigenpair: its entry, vector [1.0] and residual 0.
+    A matrix with an inf or nan entry (a model whose energy scale overflows
+    float64, as omega n for omega near 1e308) raises SolverError."""
     import scipy.linalg as sla
     import scipy.sparse as sp
 
+    if not np.isfinite(H.data if sp.issparse(H) else np.asarray(H, dtype=float)).all():
+        raise SolverError("Hamiltonian has a non-finite entry: the model's energies "
+                          "overflow float64")
     if H.shape[0] > DENSE_CUTOFF:
-        return _lanczos(H, seed, v0)
+        return _lanczos(H, v0)
     dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
     if dense.shape[0] == 1:
         return GroundState(e0=float(dense[0, 0]), vector=np.ones(1), iterations=0,
@@ -530,21 +537,21 @@ def _eigsh_takes_rng() -> bool:
 
     ARPACK draws a fresh vector after a Lanczos breakdown.  scipy >= 1.16
     takes it from `rng` (OS entropy if omitted); older releases have no
-    such argument and use ARPACK's own fixed-seed generator.
+    such argument and use ARPACK's own fixed generator.
     """
     from scipy.sparse.linalg import eigsh
 
     return "rng" in inspect.signature(eigsh).parameters
 
 
-def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
-             max_iter: int | None = None) -> GroundState:
+def _lanczos(H, v0: np.ndarray | None = None, max_iter: int | None = None) -> GroundState:
     """ARPACK's implicitly restarted Lanczos (scipy's eigsh with which="SA"),
     whose workspace stays at dim x ncv vectors, at any dimension.
 
     The start vector is v0 when given (ed_ground passes each block's part of
     its warm, partner-image or mean-field start vector), otherwise
-    default_rng(seed).standard_normal(dim), so reruns are byte-identical.
+    default_rng(0).standard_normal(dim).  The same fixed generator then
+    draws ARPACK's restart vectors where eigsh takes one (_eigsh_takes_rng).
     ARPACK stops when the Ritz residual drops below TOL relative to |e0|.
     `iterations` counts matrix-vector products, and max_iter (default
     10 sqrt(dim) + 200) bounds them: running out raises ConvergenceError
@@ -556,7 +563,7 @@ def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
 
     dim = H.shape[0]
     max_iter = max_iter or int(10 * math.sqrt(dim)) + 200
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)     # the fallback start and ARPACK's restarts
     start = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
     if not np.any(start):
         raise ValueError("start vector must be nonzero")
@@ -574,9 +581,9 @@ def _lanczos(H, seed: int = 0, v0: np.ndarray | None = None,
         return H @ x
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    seeded = {"rng": rng} if _eigsh_takes_rng() else {}
+    restarts = {"rng": rng} if _eigsh_takes_rng() else {}
     try:
-        w, v = eigsh(op, k=1, which="SA", v0=start, tol=TOL, maxiter=max_iter, **seeded)
+        w, v = eigsh(op, k=1, which="SA", v0=start, tol=TOL, maxiter=max_iter, **restarts)
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed after {matvecs} matvecs: {exc}") from exc
     psi = v[:, 0]
@@ -602,7 +609,6 @@ class EDResult:
     lanczos_iterations: int = 0
     residual_norm: float = math.nan
     truncation_residual: float = math.nan
-    seed: int = 0
     method: str = ""
     block_vectors: np.ndarray | None = field(default=None, repr=False)
 
@@ -663,9 +669,8 @@ def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis) -> float:
     return float(np.linalg.norm(math.sqrt(n + 1) * (J @ psi[n * A:])))
 
 
-def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
-              max_dim: int = MAX_DIM_DEFAULT, warm: np.ndarray | None = None,
-              x_star: float | None = None) -> EDResult:
+def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
+              warm: np.ndarray | None = None, x_star: float | None = None) -> EDResult:
     """Ground state of the finite-N model at a fixed photon cutoff.
 
     The result carries the normalized ground vector as psi0, over the full
@@ -682,17 +687,17 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
     doublet, and a population sum when the couplings do not connect all
     levels.  They come from J alone, and each block's matrix is built
     (build_hamiltonian) and freed in turn, so the full-basis H is never
-    formed.  The blocks are ordered by their lowest basis index, and block b
-    is solved with seed + b.  The lowest block wins, except that among the
-    blocks whose e0 lies within r_b + r_low of the lowest one (r the
-    residual norms) the first one whose lowest basis state is even under
-    Pi wins; this pins the parity of a quasi-degenerate doublet to the even
-    sector.  A block above DENSE_CUTOFF goes to ARPACK and starts from its
-    part of a start vector, or from the seeded random vector where that
-    part is zero.  The start vector is warm, the block_vectors of a smaller
-    cutoff, zero-padded: the basis index is n_ph * A + rank, so the old
-    basis is a prefix of the new one and each old block lies inside one new
-    block.  Without warm, a block whose photon-parity partner was solved
+    formed.  The blocks are ordered by their lowest basis index.  The
+    lowest block wins, except that among the blocks whose e0 lies within
+    r_b + r_low of the lowest one (r the residual norms) the first one
+    whose lowest basis state is even under Pi wins; this pins the parity of
+    a quasi-degenerate doublet to the even sector.  A block above
+    DENSE_CUTOFF goes to ARPACK and starts from its part of a start vector,
+    or from _lanczos's fixed vector where that part is zero, so every start
+    and the result follow from the arguments alone.  The start vector is
+    warm, the block_vectors of a smaller cutoff, zero-padded: the basis
+    index is n_ph * A + rank, so the old basis is a prefix of the new one
+    and each old block lies inside one new block.  Without warm, a block whose photon-parity partner was solved
     earlier in this call starts from its part of (S (x) 1) applied to the
     ground vectors solved so far (_partner_image), with S = sign(a + a').  S
     commutes with the coupling (a + a') (x) J and flips photon parity, so it
@@ -720,7 +725,7 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
         start[:warm.size] = warm
     solves, firsts = [], []
     vectors = np.zeros(basis.dim)
-    for b, sector in enumerate(sectors):
+    for sector in sectors:
         idx = sector.indices(basis.n_atomic)
         v0 = None
         if idx.size > DENSE_CUTOFF:
@@ -732,7 +737,7 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
                         x_star = meanfield.minimize(model).x_star
                     start = mean_field_state(model0, basis, x_star / s)
                 v0 = start[idx] if start[idx].any() else None
-        gs = ground_state(build_hamiltonian(model0, basis, sector, J), seed=seed + b, v0=v0)
+        gs = ground_state(build_hamiltonian(model0, basis, sector, J), v0=v0)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
         firsts.append(idx[0])
@@ -752,10 +757,10 @@ def ed_ground(model: DickeModel, n_max: int, seed: int = 1234,
         observables(psi, basis, model), e0=gs.e0 - (model.omega - model0.omega) / 2.0,
         lanczos_iterations=gs.iterations, residual_norm=gs.residual_norm,
         truncation_residual=_truncation_residual(J, psi, basis),
-        seed=seed, method=gs.method, block_vectors=vectors)
+        method=gs.method, block_vectors=vectors)
 
 
-def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_DEFAULT,
+def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
                     x_star: float | None = None) -> EDResult:
     """Grow n_max by a factor 1.5 (at least +8) until the truncation residual
     of the ground vector is at most TOL_E.
@@ -787,7 +792,7 @@ def converge_cutoff(model: DickeModel, seed: int = 1234, max_dim: int = MAX_DIM_
     residual = math.inf
     for _ in range(_CUTOFF_STEPS):
         try:
-            res = ed_ground(model, n, seed, max_dim, warm=warm, x_star=x_mf)
+            res = ed_ground(model, n, max_dim, warm=warm, x_star=x_mf)
         except SolverError as exc:
             exc.trace = trace
             raise
@@ -816,7 +821,7 @@ def ed_csv_header(d: int) -> list[str]:
             + [f"coupling_{j}{k}" for j, k in coupling_pairs(d)]
             + ["e0_per_atom", "photon_density", "quad"]
             + [f"pop_{j}" for j in range(d)]
-            + ["parity", "residual_norm", "seed"])
+            + ["parity", "residual_norm"])
 
 
 def ed_csv_row(result: EDResult, model: DickeModel) -> list:
@@ -825,7 +830,7 @@ def ed_csv_row(result: EDResult, model: DickeModel) -> list:
                for j, k in coupling_pairs(model.atom.d)]
             + [repr(result.e0_per_atom), repr(result.photon_density), repr(result.quad)]
             + [repr(float(p)) for p in result.populations]
-            + [repr(result.parity), repr(result.residual_norm), result.seed])
+            + [repr(result.parity), repr(result.residual_norm)])
 
 
 def dump_state(path, result: EDResult) -> None:

@@ -94,7 +94,6 @@ class TestParseConfig:
         })
         assert cfg.model.omega == 1.0
         assert cfg.model.kappa == 0.0
-        assert cfg.seed == 1234                    # recorded even when defaulted
 
     def test_readme_schema_lists_accepted_keys(self):
         # the README's jsonc example names every key a block accepts, no more
@@ -347,6 +346,19 @@ class TestExitCodes:
         assert code in (0, 3)
         assert (out / "error.json").is_file() == (code == 3)
 
+    def test_diagonal_overflow(self, tmp_path):
+        # omega n overflows to inf on photon rows n >= 2: ground_state rejects
+        # the matrix before an eigensolver sees it
+        doc = {"command": "ed-ground",
+               "model": {"omega": 1e308, "kappa": 0.0, "n_atoms": 2,
+                         "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.5], [0.5, 0.0]]}},
+               "ed": {"n_max": 4}}
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, doc), "-o", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_type"] == "SolverError" and "non-finite" in record["message"]
+        assert not (out / "ed.csv").exists()
+
     def test_cutoff_trace_in_error_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exactdiag, "_CUTOFF_STEPS", 1)
         with pytest.raises(ConvergenceError) as exc:
@@ -434,7 +446,8 @@ class TestExitCodes:
         (1, ["--seed", "-7"], "--seed"),
     ])
     def test_negative_seed(self, tmp_path, seed, flags, path):
-        # N=10 at n_max 60 goes through ARPACK, whose default_rng rejects seeds < 0
+        # the seed changes no result, but it is still validated input: an
+        # integer >= 0, so a config or script that sets it keeps its exit code
         cfg = write_config(tmp_path, {"command": "ed-ground", "seed": seed,
                                       "model": {**ladder_model(lam12=1.5), "n_atoms": 10},
                                       "ed": {"n_max": 60}})
@@ -604,7 +617,8 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "meanfield-scan"
         assert manifest["config"] == cfg_doc
-        assert manifest["seed"] == 1234
+        assert sorted(manifest) == ["artifact_version", "command", "config", "outputs",
+                                    "wall_time_s"]
         assert manifest["wall_time_s"] >= 0.0
         digest = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
         assert manifest["outputs"]["scan.csv"] == f"sha256:{digest}"
@@ -637,14 +651,23 @@ class TestArtifacts:
                                "x_jump"]
         assert doc["solves"] <= 12
 
-    def test_seed_override_recorded(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "command": "trk-check", "model": ladder_model(lam01=0.1, kappa=0.01),
-        })
-        out = tmp_path / "out"
-        main([cfg, "-o", str(out), "--seed", "99"])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 99
+    def test_seed_has_no_effect(self, tmp_path):
+        # lam01 = 0: three blocks of its cutoff ladder have no warm,
+        # mean-field or partner weight and start from _lanczos's fixed vector
+        config = str(ROOT / "configs" / "ladder_ed_ground.json")
+        outs = [tmp_path / f"seed{seed}" for seed in (1, 99)]
+        for out, seed in zip(outs, (1, 99)):
+            assert main([config, "-o", str(out), "--seed", str(seed)]) == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == ["ed.csv", "manifest.json", "psi0.npz"]
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in ("ed.csv", "psi0.npz"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+        for manifest in manifests:
+            assert "seed" not in manifest
+            del manifest["wall_time_s"]
+        assert manifests[0] == manifests[1]
 
     def test_trk_json(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -15,6 +15,7 @@ from dickelab import (
     ConvergenceError,
     DickeModel,
     ResourceLimitError,
+    SolverError,
     build_basis,
     build_hamiltonian,
     converge_cutoff,
@@ -324,7 +325,7 @@ class TestGroundState:
         a = rng.standard_normal((200, 200))
         H = (a + a.T) / 2.0
         dense = ground_state(H)
-        lanc = _lanczos(H, seed=3)
+        lanc = _lanczos(H)
         assert lanc.method == "lanczos"
         assert abs(lanc.e0 - dense.e0) <= 1e-10 * max(1.0, abs(dense.e0))
 
@@ -339,7 +340,7 @@ class TestGroundState:
                 continue
             H = build_hamiltonian(m, build_basis(m.n_atoms, m.atom.d, n_max))
             dense = sla.eigh(H.toarray(), subset_by_index=(0, 0))[0][0]
-            lanc = _lanczos(H, seed=done)
+            lanc = _lanczos(H)
             assert abs(lanc.e0 - dense) <= 1e-10 * max(1.0, abs(dense))
             done += 1
 
@@ -362,8 +363,8 @@ class TestGroundState:
         basis = build_basis(8, 3, 100)
         idx = np.flatnonzero(parity_signs(basis) == 1.0)
         Hs = build_hamiltonian(m, basis)[idx][:, idx]
-        cold = ground_state(Hs, seed=2)
-        warm = ground_state(Hs, seed=2, v0=cold.vector)
+        cold = ground_state(Hs)
+        warm = ground_state(Hs, v0=cold.vector)
         assert warm.method == cold.method == "lanczos"
         assert warm.iterations <= cold.iterations // 4
         assert abs(warm.e0 - cold.e0) <= 1e-10 * abs(cold.e0)
@@ -384,21 +385,28 @@ class TestGroundState:
         assert gs.e0 == float(H[0, 0]) and gs.vector.tolist() == [1.0]
         assert gs.residual_norm == 0.0 and gs.iterations == 0 and gs.method == "dense"
 
+    @pytest.mark.parametrize("H", [np.diag([1.0, math.inf]), sp.csr_matrix(np.diag([1.0, math.nan])),
+                                   sp.diags([0.0] * 299 + [-math.inf], format="csr")],
+                             ids=["dense-inf", "csr-nan", "lanczos-size"])
+    def test_non_finite_entry_is_solver_error(self, H):
+        with pytest.raises(SolverError, match="non-finite"):
+            ground_state(H)
+
     def test_arpack_rng_argument_decided_once(self, monkeypatch):
         H = np.diag(np.arange(300.0))
-        _lanczos(H, seed=1)
+        _lanczos(H)
         calls = []
         signature = inspect.signature
         monkeypatch.setattr(inspect, "signature", lambda f: calls.append(f) or signature(f))
-        _lanczos(H, seed=2)
-        _lanczos(H, seed=3)
+        _lanczos(H)
+        _lanczos(H)
         assert calls == []
 
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
         H = build_hamiltonian(m, basis)
-        gs = _lanczos(H, seed=0)
+        gs = _lanczos(H)
         h_scale = float(np.max(np.abs(H.diagonal())))
         assert gs.residual_norm <= 1e-8 * h_scale
 
@@ -486,18 +494,15 @@ class TestEdGround:
         res = converge_cutoff(m)
         assert abs(abs(res.parity) - 1.0) <= 1e-12
 
-    def test_seed_recorded(self):
-        res = ed_ground(two_level(1.0, 1.0, 0.3, n_atoms=2), n_max=8, seed=77)
-        assert res.seed == 77
-
     @pytest.mark.parametrize("lam01", [0.0, 0.1])
     @pytest.mark.parametrize("n_atoms", [8, 10])
     def test_parity_and_energy_independent_of_seed(self, lam01, n_atoms):
         # deep superradiant: the sector energies agree to within their residuals
         m = ladder(1.0, 1.0, 2.0, lam01, 1.5, n_atoms=n_atoms)
-        runs = [converge_cutoff(m, seed=seed) for seed in (1, 2, 3, 1234)]
+        runs = [converge_cutoff(m) for _ in range(2)]
         assert {round(r.parity) for r in runs} == {1}
-        # the winning block starts from the mean-field state: no seed enters
+        # every block starts from a fixed vector, and the winning one from the
+        # mean-field state: a rerun in the same process repeats every bit
         assert len({r.e0_per_atom for r in runs}) == 1
         assert len({r.parity for r in runs}) == 1
 
@@ -525,10 +530,10 @@ class TestEdGround:
         fast = ed_ground(m, n_max=100)
         sizes, solve = [], exactdiag.ground_state
 
-        def dense_one_state(H, seed=0, v0=None):
+        def dense_one_state(H, v0=None):
             sizes.append(H.shape[0])
             if H.shape[0] > 1:
-                return solve(H, seed, v0)
+                return solve(H, v0)
             w, v = sla.eigh(H.toarray(), subset_by_index=(0, 0))
             e0 = float(w[0])
             return exactdiag.GroundState(e0=e0, vector=v[:, 0], iterations=0, method="dense",
@@ -617,7 +622,7 @@ class TestMeanFieldStart:
         for sign in (1.0, -1.0):
             idx = np.flatnonzero(parity_signs(basis) == sign)
             Hs = H[idx][:, idx]
-            cold = ground_state(Hs, seed=1234)
+            cold = ground_state(Hs)
             warm = ground_state(Hs, v0=start[idx])
             assert warm.method == cold.method == "lanczos"
             assert 3 * warm.iterations <= 2 * cold.iterations
@@ -640,7 +645,7 @@ class TestPartnerStart:
     N_MAX = 106                                               # its first cutoff
 
     def test_odd_block_starts_from_the_even_ones_image(self, monkeypatch):
-        m, n_max, seed = self.LADDER, self.N_MAX, 1234
+        m, n_max = self.LADDER, self.N_MAX
         solves, solve = [], exactdiag.ground_state
 
         def counting(H, *args, **kwargs):
@@ -649,7 +654,7 @@ class TestPartnerStart:
             return gs
 
         monkeypatch.setattr(exactdiag, "ground_state", counting)
-        res = ed_ground(m, n_max, seed=seed)
+        res = ed_ground(m, n_max)
         assert [gs.method for gs in solves] == ["lanczos", "lanczos"]
         # from its mean-field part it took 91
         assert solves[1].iterations <= 30
@@ -660,16 +665,27 @@ class TestPartnerStart:
         sector = _sectors(J, n_max)[0]
         idx = sector.indices(basis.n_atomic)
         start = mean_field_state(m, basis, minimize(m).x_star)[idx]
-        ref = _lanczos(build_hamiltonian(m, basis, sector, J), seed, start)
+        ref = _lanczos(build_hamiltonian(m, basis, sector, J), start)
         assert solves[0].e0 == ref.e0 == res.e0
         assert np.array_equal(res.block_vectors[idx], ref.vector)
 
-    @pytest.mark.parametrize("model, n_max", [
-        (two_level(1.0, 1.0, 0.3, n_atoms=40), 16),   # x* = 0: no mean-field weight on odd
-        (DickeModel(1.0, VTYPE, n_atoms=16), 16),
-    ], ids=["two-level-normal", "vtype"])
-    def test_block_vectors_independent_of_seed(self, model, n_max):
-        runs = [ed_ground(model, n_max, seed=seed) for seed in (1, 2, 3)]
+    @pytest.mark.parametrize("model, n_max, fallbacks", [
+        (two_level(1.0, 1.0, 0.3, n_atoms=40), 16, 0),   # x* = 0: no mean-field weight on odd
+        (DickeModel(1.0, VTYPE, n_atoms=16), 16, 0),
+        # lam01 = 0: two m_0 > 0 blocks come before their partners and have
+        # no mean-field weight, so they start from _lanczos's fixed vector
+        (ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10), 60, 2),
+    ], ids=["two-level-normal", "vtype", "ladder-lam01-0"])
+    def test_block_vectors_independent_of_seed(self, model, n_max, fallbacks, monkeypatch):
+        cold, solve = [], exactdiag._lanczos
+
+        def counting(H, v0=None, max_iter=None):
+            cold.append(v0 is None)
+            return solve(H, v0, max_iter)
+
+        monkeypatch.setattr(exactdiag, "_lanczos", counting)
+        runs = [ed_ground(model, n_max) for _ in range(3)]
+        assert sum(cold) == 3 * fallbacks
         assert all(run.method == "lanczos" for run in runs)
         assert all(np.array_equal(runs[0].block_vectors, run.block_vectors) for run in runs[1:])
 
@@ -970,7 +986,7 @@ class TestOutputHelpers:
         header = ed_csv_header(3)
         assert header == ["N", "n_max_used", "coupling_01", "coupling_02",
                           "coupling_12", "e0_per_atom", "photon_density", "quad",
-                          "pop_0", "pop_1", "pop_2", "parity", "residual_norm", "seed"]
+                          "pop_0", "pop_1", "pop_2", "parity", "residual_norm"]
         row = ed_csv_row(res, m)
         assert len(row) == len(header)
         assert row[0] == 4
