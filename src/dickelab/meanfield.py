@@ -13,12 +13,13 @@ e(x; -lam) differs from e(x; lam), and x* may be negative.  Minimization
 runs on a uniform grid over x >= 0 (every grid-resolved local minimum is
 refined by a safeguarded Newton iteration on e'(x)), once more with -lam
 for a non-bipartite atom, which is what makes first-order transitions with
-competing minima safe to classify.  A batch of parameter sets walks the
-grid a fixed number of grid points at a time, so the grid stage's memory
-does not grow with the batch size.  The grid values only place the
-brackets; for d <= 3 they come from a closed form for the lowest
-eigenvalue (_grid_lowest), and every number a solution reports comes from
-LAPACK.
+competing minima safe to classify.  One array pass (_merge) then joins the
+refined minima of every set from both halves of x, the -lam ones at -x.  A
+batch of parameter sets walks the grid a fixed number of grid points at a
+time, so the grid stage's memory does not grow with the batch size.  The
+grid values only place the brackets; for d <= 3 they come from a closed
+form for the lowest eigenvalue (_grid_lowest), and every number a solution
+reports comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 
 @dataclass(frozen=True)
 class MeanFieldSolution:
-    """Global minimum of e(x) plus every grid-resolved local minimum."""
+    """Global minimum of e(x) plus every grid-resolved local minimum.
+
+    local_minima lists (x, e) by ascending x, only x >= 0 for a bipartite
+    atom.  It always lists x = 0, also where x = 0 is a maximum (two-level
+    lam 0.7: ((0.0, 0.0), (0.602..., -0.1176...)) while e(+-1e-3) < 0).
+    """
 
     x_star: float
     e_star: float
@@ -169,41 +175,6 @@ def _odd_cycle(couplings: np.ndarray) -> np.ndarray:
     return odd
 
 
-def _join_mirror(pos: MeanFieldSolution, neg: MeanFieldSolution) -> MeanFieldSolution:
-    """One solution on the whole x axis from the x >= 0 half (pos) and the
-    x >= 0 half of the mirrored set -lam (neg), whose x is -x here.
-
-    The lower e* wins and x* takes its sign; a tie keeps pos.  The minima of
-    both halves are listed in ascending x with one entry at x = 0.
-    """
-    (_, e0_pos), *right = pos.local_minima
-    (_, e0_neg), *left = neg.local_minima
-    minima = (*((-x, e) for x, e in reversed(left)), (0.0, min(e0_pos, e0_neg)), *right)
-    if neg.e_star < pos.e_star:
-        return MeanFieldSolution(-neg.x_star, neg.e_star, neg.occupations, minima)
-    return MeanFieldSolution(pos.x_star, pos.e_star, pos.occupations, minima)
-
-
-def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
-                 ) -> list[MeanFieldSolution]:
-    """Minimize e(x) over all real x for B parameter sets.
-
-    A set whose coupling graph is bipartite has e(-x) = e(x) and is solved
-    on x >= 0 alone.  A set with an odd cycle is also solved as -lam, since
-    e(-x; lam) = e(x; -lam), in the same batch; _join_mirror keeps the lower
-    minimum.  Results do not depend on the batch, so a bipartite set's
-    result is the x >= 0 result bit for bit.  A SolverError from the
-    mirrored copy of set mirror[i] names it as parameter set B + i.
-    """
-    B = couplings.shape[0]
-    mirror = np.flatnonzero(_odd_cycle(couplings))
-    sols = _solve_nonneg(np.concatenate([omega_eff, omega_eff[mirror]]), energies,
-                         np.concatenate([couplings, -couplings[mirror]]))
-    for b, neg in zip(mirror, sols[B:]):
-        sols[b] = _join_mirror(sols[b], neg)
-    return sols[:B]
-
-
 def _grid_lowest(energies: np.ndarray, couplings: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """min_spec[diag(eps) + 2 x lam] for couplings (rows, d, d) and xs (rows, n).
 
@@ -271,58 +242,83 @@ def _grid_brackets(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.nd
     return np.concatenate(owners), np.concatenate(ks)
 
 
-def _solve_nonneg(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
-                  ) -> list[MeanFieldSolution]:
-    """Minimize e(x) on [0, x_max] for B parameter sets.
+def _lowest(seg: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Index of the lowest e in each segment (seg ascending), in segment
+    order; a tie takes x >= 0, then the smaller |x|."""
+    order = np.lexsort((np.abs(x), x < 0.0, e, seg))
+    seg = seg[order]
+    first = np.ones(seg.size, dtype=bool)
+    first[1:] = seg[1:] != seg[:-1]
+    return order[first]
+
+
+def _merge(sets: np.ndarray, x: np.ndarray, e: np.ndarray, tol: np.ndarray):
+    """Local minima of tol.size parameter sets from candidates (sets, x, e).
+
+    Every set also has the candidate (0, 0), e(0) = eps_0 = 0 exactly, and
+    |x| <= X_TOL counts as 0.  Sorted by (set, x), neighbours at most
+    tol[set] apart are one minimum, which takes its lowest candidate (see
+    _lowest).  Returns the minima (s, x, e) sorted by (set, x) and each
+    set's x*, the x of its lowest minimum.
+    """
+    B = tol.size
+    s = np.concatenate([np.arange(B), sets])
+    x = np.concatenate([np.zeros(B), x])
+    x[np.abs(x) <= X_TOL] = 0.0
+    e = np.concatenate([np.zeros(B), e])
+    order = np.lexsort((x, s))
+    s, x, e = s[order], x[order], e[order]
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (x[1:] - x[:-1] > tol[s[1:]])
+    keep = _lowest(np.cumsum(new), x, e)
+    s, x, e = s[keep], x[keep], e[keep]
+    return s, x, e, x[_lowest(s, x, e)]
+
+
+def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray
+                 ) -> list[MeanFieldSolution]:
+    """Minimize e(x) over all real x for B parameter sets.
+
+    A set whose coupling graph is bipartite has e(-x) = e(x) and is solved
+    on x >= 0 alone.  A set with an odd cycle is also solved on x >= 0 as
+    -lam, since e(-x; lam) = e(x; -lam): the mirrored copy of set mirror[i]
+    is row B + i of the batch, and a SolverError names it so.
 
     _grid_brackets places a bracket around every grid-resolved local
     minimum.  Every number that leaves here comes from LAPACK: e at each
     chosen grid point is _energies there, _refine runs on every bracket of
     the batch at once, and a bracket whose refinement ends above its grid
-    point keeps it.  e* is _energies at x*, the formula energy_density
-    uses, and one batched eigh gives each x*'s occupations.  LAPACK solves
-    each matrix on its own and _refine freezes each bracket at its owner's
-    tolerance, so neither the chunk size nor the other sets of the batch
-    change any set's result.
+    point keeps it.  One _merge joins the candidates of both halves of x, a
+    mirrored row's at -x, within 1e-9 max(1, x_max) of each other.  e* is
+    _energies at x*, the formula energy_density uses, and one batched eigh
+    gives each x*'s occupations.  LAPACK solves each matrix on its own and
+    _refine freezes each bracket at its owner's tolerance, so neither the
+    chunk size nor the other sets of the batch change any set's result.
     """
     B = couplings.shape[0]
-    x_hi = _x_max(omega_eff, energies, couplings)
-    owners, k = _grid_brackets(omega_eff, energies, couplings, x_hi)
+    mirror = np.flatnonzero(_odd_cycle(couplings))
+    sets = np.concatenate([np.arange(B), mirror])   # the parameter set of each row
+    om, lam = omega_eff[sets], np.concatenate([couplings, -couplings[mirror]])
+    x_hi = _x_max(om, energies, lam)
+    owners, k = _grid_brackets(om, energies, lam, x_hi)
     # the grid point and its two neighbours, as the products _grid_brackets forms
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     lo, x_grid, hi = (x_hi[owners] * grid[np.clip(k + s, 0, GRID_POINTS - 1)] for s in (-1, 0, 1))
-    e_grid = _energies(omega_eff[owners], energies, couplings[owners], x_grid)
+    e_grid = _energies(om[owners], energies, lam[owners], x_grid)
 
-    x_ref = _refine(omega_eff, energies, couplings, owners, lo, hi, 1e-12 * np.maximum(1.0, x_hi))
-    e_ref = _energies(omega_eff[owners], energies, couplings[owners], x_ref)
+    x_ref = _refine(om, energies, lam, owners, lo, hi, 1e-12 * np.maximum(1.0, x_hi))
+    e_ref = _energies(om[owners], energies, lam[owners], x_ref)
     x_ref, e_ref = np.where(e_ref > e_grid, [x_grid, e_grid], [x_ref, e_ref])
 
-    # owners ascend, so parameter set b owns brackets bounds[b]:bounds[b + 1]
-    bounds = np.searchsorted(owners, np.arange(B + 1))
-    x_star, minima = [], []
-    for b in range(B):
-        sel = slice(bounds[b], bounds[b + 1])
-        cand_x = np.concatenate([[0.0], x_ref[sel]])
-        cand_e = np.concatenate([[0.0], e_ref[sel]])  # e(0) = eps_0 = 0 exactly
-        cand_x = np.where(cand_x <= X_TOL, 0.0, cand_x)
-        order = np.argsort(cand_x, kind="stable")
-        cand_x, cand_e = cand_x[order], cand_e[order]
-        keep_x, keep_e = [cand_x[0]], [cand_e[0]]
-        for xv, ev in zip(cand_x[1:], cand_e[1:]):
-            if xv - keep_x[-1] <= 1e-9 * max(1.0, x_hi[b]):
-                if ev < keep_e[-1]:
-                    keep_x[-1], keep_e[-1] = xv, ev
-            else:
-                keep_x.append(xv)
-                keep_e.append(ev)
-        x_star.append(float(keep_x[int(np.argmin(keep_e))]))
-        minima.append(tuple((float(a), float(c)) for a, c in zip(keep_x, keep_e)))
-
-    x_star = np.array(x_star)
+    s, x, e, x_star = _merge(sets[owners], np.where(owners < B, x_ref, -x_ref), e_ref,
+                             1e-9 * np.maximum(1.0, x_hi[:B]))
     e_star = _energies(omega_eff, energies, couplings, x_star)
     occ = np.linalg.eigh(single_atom_matrices(energies, couplings, x_star))[1][:, :, 0] ** 2
     occ.flags.writeable = False
-    return [MeanFieldSolution(float(x_star[b]), float(e_star[b]), occ[b], minima[b])
+    bounds = np.searchsorted(s, np.arange(B + 1))
+    minima = list(zip(x.tolist(), e.tolist()))
+    return [MeanFieldSolution(float(x_star[b]), float(e_star[b]), occ[b],
+                              tuple(minima[bounds[b]:bounds[b + 1]]))
             for b in range(B)]
 
 

@@ -682,6 +682,84 @@ class TestOddCycle:
         assert [_as_tuple(s) for s in reordered] == [_as_tuple(s) for s in batch]
 
 
+class TestMerge:
+    """The rule that joins the candidate minima of both halves of x."""
+
+    @staticmethod
+    def merge(sets, x, e, tol=1e-9):
+        """(local minima of each set, x* of each set) from synthetic candidates."""
+        B = max(sets) + 1
+        s, xs, es, x_star = meanfield._merge(np.array(sets), np.array(x, dtype=float),
+                                             np.array(e, dtype=float), np.full(B, tol))
+        minima = [[(float(a), float(c)) for t, a, c in zip(s, xs, es) if t == b] for b in range(B)]
+        return minima, x_star.tolist()
+
+    def test_close_candidates_are_one_minimum_with_the_lower_e(self):
+        minima, x_star = self.merge([0, 0, 0, 0], [0.5 + 8e-10, 0.5, 0.5 + 2e-9, -0.3],
+                                    [-0.2, -0.3, -0.1, -0.25])
+        assert minima == [[(-0.3, -0.25), (0.0, 0.0), (0.5, -0.3), (0.5 + 2e-9, -0.1)]]
+        assert x_star == [0.5]
+        minima, _ = self.merge([0, 0], [0.5 + 8e-10, 0.5], [-0.3, -0.2])
+        assert minima == [[(0.0, 0.0), (0.5 + 8e-10, -0.3)]]
+
+    def test_an_e_tie_inside_a_minimum_keeps_the_smaller_abs_x(self):
+        minima, _ = self.merge([0, 0, 0, 0], [0.5 + 8e-10, 0.5, -0.5, -0.5 - 8e-10],
+                               [-0.3, -0.3, -0.2, -0.2])
+        assert minima == [[(-0.5, -0.2), (0.0, 0.0), (0.5, -0.3)]]
+
+    def test_near_zero_joins_the_single_zero_entry(self):
+        tol = meanfield.X_TOL
+        for x in (tol, -tol, 0.5 * tol, -0.5 * tol):
+            minima, x_star = self.merge([0], [x], [-1e-13])
+            assert minima == [[(0.0, -1e-13)]] and x_star == [0.0]
+        minima, x_star = self.merge([0, 0], [0.5 * tol, -tol], [-1e-13, -2e-13])
+        assert minima == [[(0.0, -2e-13)]] and x_star == [0.0]
+        minima, _ = self.merge([0, 0], [1.5 * tol, -1.5 * tol], [-1e-13, -2e-13])
+        assert minima == [[(-1.5 * tol, -2e-13), (0.0, 0.0), (1.5 * tol, -1e-13)]]
+
+    def test_an_e_tie_between_the_halves_keeps_the_positive_x(self):
+        # the x >= 0 half wins a tie, then the smaller |x|
+        assert self.merge([0, 0], [-0.4, 0.4], [-0.1, -0.1])[1] == [0.4]
+        assert self.merge([0, 0], [-0.3, 0.5], [-0.1, -0.1])[1] == [0.5]
+        assert self.merge([0, 0], [-0.3, -0.2], [-0.1, -0.1])[1] == [-0.2]
+        assert self.merge([0], [-0.3], [0.0])[1] == [0.0]
+
+    def test_sets_do_not_merge_with_each_other(self):
+        minima, x_star = self.merge([1, 0, 1], [0.5, 0.5, -0.2], [-0.1, -0.2, -0.3])
+        assert minima == [[(0.0, 0.0), (0.5, -0.2)], [(-0.2, -0.3), (0.0, 0.0), (0.5, -0.1)]]
+        assert x_star == [0.5, -0.2]
+        minima, x_star = self.merge([2], [0.5], [-0.1])
+        assert minima[:2] == [[(0.0, 0.0)], [(0.0, 0.0)]] and x_star == [0.0, 0.0, 0.5]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_result_does_not_depend_on_the_batch(self, seed):
+        # set 0 has a 0-1-2 triangle (odd cycle), set 1 only lam_01 (bipartite)
+        rng = np.random.default_rng(seed)
+        d, B = int(rng.integers(3, 5)), int(rng.integers(2, 9))
+        energies = np.sort(np.r_[0.0, rng.uniform(0.0, 2.0, d - 1)])
+        if rng.random() < 0.3:
+            energies[1] = 0.0
+        C = np.triu(rng.normal(0.0, 0.7, (B, d, d)), 1) * (rng.random((B, d, d)) > 0.4)
+        C[0, 0, 1], C[0, 0, 2], C[0, 1, 2] = rng.uniform(0.2, 1.0, 3) * rng.choice([-1, 1], 3)
+        C[1] = 0.0
+        C[1, 0, 1] = rng.uniform(0.2, 1.5)
+        C = C + C.transpose(0, 2, 1)
+        odd = meanfield._odd_cycle(C)
+        assert odd[0] and not odd[1]
+        omega_eff = rng.uniform(0.3, 2.0, B)
+        batch = _solve_batch(omega_eff, energies, C)
+        for b in range(B):
+            alone = _solve_batch(omega_eff[b:b + 1], energies, C[b:b + 1])[0]
+            assert _as_tuple(alone) == _as_tuple(batch[b])
+            xs = [x for x, _ in batch[b].local_minima]
+            assert xs == sorted(xs) and xs.count(0.0) == 1 and batch[b].x_star in xs
+            assert odd[b] or min(xs) == 0.0
+        perm = rng.permutation(B)
+        shuffled = _solve_batch(omega_eff[perm], energies, C[perm])
+        assert [_as_tuple(shuffled[i]) for i in np.argsort(perm)] == [_as_tuple(s) for s in batch]
+
+
 class TestCriticalCoupling:
     def test_two_level_standard(self):
         tp = critical_coupling(two_level(1.0, 1.0, 0.1), (0, 1), (0.3, 0.8))
