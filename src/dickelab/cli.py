@@ -13,7 +13,8 @@ validated as integers >= 0 (exit 2 otherwise), but they change nothing.
 
 Each config rule has one owner: model.config_keys checks the allowed and
 required keys that _COMMANDS states, and a rule on a value is checked by
-the library function that owns it, whose message _library reports.
+the library function that owns it, whose message model.config_rule
+reports at the field's path.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence,
 bad bracket), 4 resource limit.  Failures leave a machine-readable
@@ -61,6 +62,7 @@ from .model import (
     config_keys,
     config_number,
     config_numbers,
+    config_rule,
     coupling_pair,
     model_from_dict,
     trk_kappa_min,
@@ -107,20 +109,11 @@ class RunConfig:
     cpb_specs: tuple[CpbSpec, ...] = ()
 
 
-def _library(path: str, rule, *args, **kwargs):
-    """rule(*args, **kwargs), a library function that owns a rule on a config
-    field; its ValueError becomes a ConfigError at path, message unchanged."""
-    try:
-        return rule(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 def _pair(value, path, d) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a pair of level indices [j, k]")
     pair = [config_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return _library(path, coupling_pair, pair, d)
+    return config_rule(path, coupling_pair, pair, d)
 
 
 def _parse_tie(doc, path, d, scanned):
@@ -132,7 +125,7 @@ def _parse_tie(doc, path, d, scanned):
             j, k = (int(part) for part in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"{path}.{key}", "key must look like 'j,k'") from exc
-        pair = _library(f"{path}.{key}", meanfield.tie_pair, (j, k), scanned, d)
+        pair = config_rule(f"{path}.{key}", meanfield.tie_pair, (j, k), scanned, d)
         tie[pair] = config_number(ratio, f"{path}.{key}")
     return tie
 
@@ -158,7 +151,7 @@ def _parse_scan(doc, path, d) -> dict:
     for key, (field, parse, rule) in _SCAN_FIELDS.items():
         if key in doc:
             out[field] = parse(doc[key], f"{path}.{key}")
-            _library(f"{path}.{key}", rule, out[field])
+            config_rule(f"{path}.{key}", rule, out[field])
     return out
 
 
@@ -171,11 +164,11 @@ def _parse_cpb(doc, path) -> tuple[CpbSpec, ...]:
     if len(sweeps) > 1:
         raise ConfigError(f"{path}.{sweeps[1]}", "at most one of ec/ej/ng may be a sweep list")
     if not sweeps:
-        return (_library(path, CpbSpec, **params),)
+        return (config_rule(path, CpbSpec, **params),)
     key = sweeps[0]
     if not params[key]:
         raise ConfigError(f"{path}.{key}", "sweep list must not be empty")
-    return tuple(_library(path, CpbSpec, **{**params, key: value}) for value in params[key])
+    return tuple(config_rule(path, CpbSpec, **{**params, key: value}) for value in params[key])
 
 
 def parse_config(doc: Mapping) -> RunConfig:
@@ -225,7 +218,7 @@ def parse_config(doc: Mapping) -> RunConfig:
         kwargs["cpb_specs"] = _parse_cpb(doc["cpb"], "$.cpb")
     if command == "trk-check" or kwargs.get("kappa_rule") == "trk-ground":
         atom = kwargs["model"].atom
-        _library("$.model.atom.energies", trk_kappa_min, atom.coupling(0, 1), atom.energies[1])
+        config_rule("$.model.atom.energies", trk_kappa_min, atom.coupling(0, 1), atom.energies[1])
 
     return RunConfig(command=command, output=output,
                      echo=json.loads(json.dumps(doc)), **kwargs)

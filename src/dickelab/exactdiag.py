@@ -12,10 +12,11 @@ of occupation vectors; occupation vectors are ranked so the all-ground state
 
 The core works on kappa = 0 models only.  In the index above
 H = D + (a + a') (x) J, with D diagonal and J the A x A collective coupling
-(_coupling).  ed_ground finds the connected components of H from J alone
-(_sectors) and builds each one's CSR matrix directly from these factors
-(build_hamiltonian), one at a time; the full-basis H is built only when a
-caller asks for it.
+(_coupling).  ed_ground splits H into blocks from J alone (_sectors): each
+block is the states of one set of atomic states over every photon row, in
+basis order as whole photon-row pairs (Sector).  It builds each block's
+CSR matrix directly from these factors (build_hamiltonian), one at a time;
+the full-basis H is built only when a caller asks for it.
 
 A model with kappa > 0 is solved in its Bogoliubov photon basis
 (_bogoliubov; Emary and Brandes, PRE 67, 066203 (2003)):
@@ -211,81 +212,61 @@ def _coupling(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class Sector:
-    """The basis states n * A + r with lo <= n <= hi and r in atoms[n % 2].
+    """The basis states n * A + r with 0 <= n <= n_max and r in atoms[n % 2].
 
-    atoms holds two ascending arrays of atomic ranks, one for the even and
-    one for the odd photon rows; unless lo = hi, J maps each into the other.
-    The states keep the basis order, so the photon rows of one parity start
-    evenly spaced, atoms[0].size + atoms[1].size states apart.
+    atoms holds two ascending arrays of atomic ranks, the even and the odd
+    photon rows' part of one component of _sectors' graph.  The states keep
+    the basis order, which takes the photon rows in pairs (2k, 2k + 1): each
+    pair holds atoms[0] in row 2k, then atoms[1] in row 2k + 1, so the
+    sector is a (pairs x step) array, step = atoms[0].size + atoms[1].size,
+    without the odd half of its last pair when n_max is even.
     """
     atoms: tuple[np.ndarray, np.ndarray]
-    lo: int
-    hi: int
+    n_max: int
 
-    def rows(self, p: int) -> tuple[int, int, int]:
-        """The photon rows of parity p: the first one, their count, and where
-        the first one starts inside the sector."""
-        first = self.lo + (p - self.lo) % 2
-        count = max(0, (self.hi - first) // 2 + 1)
-        return first, count, (first - self.lo) * self.atoms[self.lo % 2].size
-
-    def first(self, n_atomic: int) -> int:
-        """The lowest basis index of the sector: the first state of row lo,
-        which every sector has (_sectors)."""
-        return self.lo * n_atomic + int(self.atoms[self.lo % 2][0])
+    @property
+    def size(self) -> int:
+        """The number of states: the padded array's, less its padding."""
+        pad = self.atoms[1].size if self.n_max % 2 == 0 else 0
+        return (self.n_max // 2 + 1) * (self.atoms[0].size + self.atoms[1].size) - pad
 
     def indices(self, n_atomic: int) -> np.ndarray:
         """The sector's basis indices, ascending."""
-        step = self.atoms[0].size + self.atoms[1].size
-        idx = np.empty(sum(a.size * self.rows(p)[1] for p, a in enumerate(self.atoms)), np.int64)
-        for p, atoms in enumerate(self.atoms):
-            first, count, start = self.rows(p)
-            if atoms.size and count:
-                ns = np.arange(first, first + 2 * count, 2)
-                _rows_view(idx, start, step, count, atoms.size)[:] = ns[:, None] * n_atomic + atoms
-        return idx
-
-
-def _rows_view(arr: np.ndarray, start: int, step: int, count: int, width: int) -> np.ndarray:
-    """arr[start + j * step:][:width] for j < count, as one 2-D view."""
-    return np.ndarray((count, width), arr.dtype, arr, int(start) * arr.itemsize,
-                      (int(step) * arr.itemsize, arr.itemsize))
+        pair = 2 * n_atomic * np.arange(self.n_max // 2 + 1)[:, None]
+        idx = np.concatenate([pair + self.atoms[0], pair + n_atomic + self.atoms[1]], axis=1)
+        return idx.ravel()[:self.size]
 
 
 def _sectors(J: sp.csr_matrix, n_max: int) -> list[Sector]:
-    """The connected components of H's sparsity graph, ordered by lowest basis index.
+    """The blocks of H, ordered by lowest basis index.
 
-    They come from a graph on the 2A vertices (n mod 2, r), in which J joins
-    (p, r) to (1 - p, r').  For n_max >= 1 each such edge is a photon hop of
-    H, and a J neighbour of r links every photon row of r to the rows two
-    above and below it, so a component with an edge is one sector over all
-    photon rows.  A vertex without one (r has no J neighbour, or n_max = 0)
-    stands for one state per photon row of its parity, which nothing links:
-    each is a sector of its own.
+    For n_max >= 1 they come from a graph on the 2A vertices (n mod 2, r),
+    in which J joins (p, r) to (1 - p, r'): each component is the Sector of
+    its two atom sets over photon rows 0..n_max, so the atom sets do not
+    depend on n_max.  Each J edge is a photon hop of H, and a J neighbour
+    of r links every photon row of r to the rows two above and below it,
+    so a component with an edge is a connected component of H.  A vertex
+    without one (r has no J neighbour) gives the states of r in the photon
+    rows of its parity, on which H is diagonal.  Vertex (p, r) is numbered
+    p A + r, which is also the basis index of the state (p, r), so a
+    component's lowest vertex is its block's lowest basis index.  At
+    n_max = 0 no state has a photon hop, and each state is a block.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     A = J.shape[0]
     if n_max == 0:
-        labels = np.arange(2 * A)
-    else:
-        # symmetric, so its strong components are its components
-        graph = sp.csr_matrix((np.ones(2 * J.nnz), np.concatenate([J.indices + A, J.indices]),
-                               np.concatenate([J.indptr, J.indptr[1:] + J.nnz])),
-                              shape=(2 * A, 2 * A))
-        labels = connected_components(graph, directed=True, connection="strong")[1]
+        none = np.empty(0, dtype=np.int64)
+        return [Sector((np.array([r]), none), 0) for r in range(A)]
+    # symmetric, so its strong components are its components
+    graph = sp.csr_matrix((np.ones(2 * J.nnz), np.concatenate([J.indices + A, J.indices]),
+                           np.concatenate([J.indptr, J.indptr[1:] + J.nnz])),
+                          shape=(2 * A, 2 * A))
+    labels = connected_components(graph, directed=True, connection="strong")[1]
     order, sizes = labels.argsort(kind="stable"), np.bincount(labels)
-    sectors = []
-    for start, end in zip(sizes.cumsum() - sizes, sizes.cumsum()):
-        verts = order[start:end]
-        cut = int(verts.searchsorted(A))
-        atoms = (verts[:cut], verts[cut:] - A)
-        if verts.size > 1:
-            sectors.append(Sector(atoms, 0, n_max))
-        else:
-            sectors += [Sector(atoms, n, n) for n in range(int(cut == 0), n_max + 1, 2)]
-    return sorted(sectors, key=lambda s: s.first(A))
+    components = sorted(np.split(order, sizes.cumsum()[:-1]), key=lambda verts: verts[0])
+    return [Sector((verts[verts < A], verts[verts >= A] - A), n_max) for verts in components]
 
 
 def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector | None = None,
@@ -298,12 +279,13 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     The model must have kappa = 0 (ValueError otherwise); ed_ground maps
     kappa > 0 onto such a model (_bogoliubov).  Row (n, r) holds, in column
     order, up to three bands: sqrt(n) J[r] on photon row n-1, D and
-    sqrt(n+1) J[r] on row n+1, each as far as that photon row lies in the
-    sector.  indptr follows from these counts.  The photon rows of one
-    parity that have the same bands share one layout and lie evenly spaced
-    in the CSR arrays, so indices and data are written through one 2-D view
-    per such run of rows, a bounded number of rows at a time: nothing of
-    the matrix's size is allocated besides the matrix.
+    sqrt(n+1) J[r] on row n+1, each as far as that photon row exists.
+    Every photon-row pair but the first and the last has all three bands,
+    so these interior pairs share one layout and follow each other in the
+    CSR arrays: the first pair, the interior pairs and the last pair are
+    three contiguous runs, each written through 2-D reshapes of indptr,
+    indices and data, a bounded number of pairs at a time: nothing of the
+    matrix's size is allocated besides the matrix.
     """
     import scipy.sparse as sp
 
@@ -317,85 +299,81 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
         J = _coupling(model, basis)
     if sector is None:
         every = np.arange(A)
-        sector = Sector((every, every), 0, basis.n_max)
-    lo, hi = sector.lo, sector.hi
+        sector = Sector((every, every), basis.n_max)
+    n_max = sector.n_max
     step = sector.atoms[0].size + sector.atoms[1].size
 
-    # One template row per atom of atoms[0] + atoms[1]: its state's entries
-    # in a photon row n that has every band, in column order: its J row at
-    # n-1, D, its J row at n+1, with the J rows padded to the longest one.
-    # Each entry has a band (0-2 for n-1 .. n+1), a column counted from the
-    # first state of row n, and val and plus that make it
-    # factor[n, band] * val + plus (plus is sum_j eps_j m_j on the diagonal,
-    # whose factor holds the rest of D).  The real entries, row by row, are
-    # the photon row's entries in CSR order.
+    # One template row per state of a photon-row pair, atoms[0] + atoms[1]:
+    # its entries in a pair whose rows have every band, in column order: its
+    # J row at n-1, D, its J row at n+1, with the J rows padded to the
+    # longest one.  Each entry has a band (0-2 for n-1 .. n+1), a column
+    # counted from the pair's first state, and val and plus that make it
+    # factor[pair, 3 (n % 2) + band] * val + plus (plus is sum_j eps_j m_j
+    # on the diagonal, whose factor holds the rest of D).  The real
+    # entries, row by row, are the pair's entries in CSR order.
     a = [atoms.size for atoms in sector.atoms]
     atoms = np.concatenate(sector.atoms)
     odd = np.arange(step) >= a[0]
-    own = (np.arange(step) - a[0] * odd)[:, None]         # position among its parity's atoms
     starts = J.indptr[atoms]
-    counts = J.indptr[atoms + 1] - starts if hi > lo else np.zeros(step, int)
+    # at n_max 0 no state has a photon hop
+    counts = J.indptr[atoms + 1] - starts if n_max else np.zeros(step, int)
     slot = np.arange(int(counts.max(initial=0)))
     hop = slot < counts[:, None]
     ent = np.where(hop, starts[:, None] + slot, 0)
-    inv = np.empty(2 * A, dtype=np.int64)                 # (parity, r) -> own
-    inv[atoms + A * odd] = own[:, 0]
-    other = inv[J.indices[ent] + A * ~odd[:, None]]
-    other_size = np.where(odd, a[0], a[1])[:, None]       # states in photon rows n -+ 1
+    inv = np.empty(2 * A, dtype=np.int64)                 # (parity, r) -> its place in its row
+    inv[atoms + A * odd] = np.arange(step) - a[0] * odd
+    below = np.where(odd, 0, -a[1])[:, None]              # row n-1's first state
+    other = inv[J.indices[ent] + A * ~odd[:, None]] + below
     one = np.ones((step, 1))
     band = np.repeat([0, 1, 2], [slot.size, 1, slot.size])
-    col = np.concatenate([other - other_size, own, other + step - other_size], axis=1)
+    col = np.concatenate([other, np.arange(step)[:, None], other + step], axis=1)
     val = np.concatenate([J.data[ent], one, J.data[ent]], axis=1)
     plus = np.where(band == 1, (basis.atomic_states[atoms] @ atom.energies)[:, None], 0.0)
     real = np.concatenate([hop, one > 0, hop], axis=1)
+    cell = 3 * odd[:, None] + band                        # the entry's column of factor
 
-    # Runs of photon rows of one parity that have the same bands: rows lo
-    # and hi one by one, the other rows of each parity together.  A run's
-    # rows lie evenly spaced in the CSR arrays, so each run is written
-    # through one 2-D view.
-    runs = [(m, 1) for m in sorted({lo, hi})]
-    for p in (0, 1):
-        first = lo + 1 + (p - lo - 1) % 2
-        if first <= hi - 1:
-            runs.append((first, (hi - 1 - first) // 2 + 1))
-    length = np.zeros(hi - lo + 1, dtype=np.int64)         # entries per photon row
-    for i, (m, count) in enumerate(runs):
-        rows = slice(0, a[0]) if m % 2 == 0 else slice(a[0], step)
-        keep = real[rows] & np.array([m - 1 >= lo, True, m + 1 <= hi])[band]   # inside [lo, hi]
-        length[m - lo:m - lo + 2 * count:2] = np.count_nonzero(keep)
-        runs[i] = m - lo, count, rows, keep
-    row_start = np.concatenate([[0], np.cumsum(length)])
-    root = np.sqrt(np.arange(lo, hi + 2, dtype=float))
-    # each band's factor per photon row; an entry that overflows stays inf,
-    # for ground_state to reject
+    # The runs of pairs that share a layout, the first pair, the interior
+    # pairs and the last pair: each one's first pair, its pair count and the
+    # template entries it keeps (no band leaves rows 0..n_max, and the half
+    # last pair of an even n_max keeps the atoms[0] rows only).
+    last = n_max // 2
+    runs = []
+    for k, count in [(0, 1), (1, last - 1)] + ([(last, 1)] if last else []):
+        if count > 0:
+            n = 2 * k + odd                               # each template row's photon row
+            keep = real & np.stack([n > 0, np.ones(step, bool), n < n_max], axis=1)[:, band]
+            runs.append((k, count, keep[:step if 2 * k < n_max else a[0]]))
+    # each row pair's factor [sqrt(n), omega n, sqrt(n+1)] for n = 2k, 2k+1;
+    # an entry that overflows stays inf, for ground_state to reject
+    ns = np.arange(2 * last + 2, dtype=float)
     with np.errstate(over="ignore"):
-        factor = np.column_stack([root[:-1], model.omega * np.arange(lo, hi + 1, dtype=float),
-                                  root[1:]])
+        factor = np.column_stack([np.sqrt(ns), model.omega * ns, np.sqrt(ns + 1.0)]).reshape(-1, 6)
 
-    nnz = int(row_start[-1])
-    dim = sum(a[p] * sector.rows(p)[1] for p in (0, 1))
+    nnz = sum(count * np.count_nonzero(keep) for _, count, keep in runs)
+    dim = sector.size
     index = np.int32 if max(nnz, dim) < 2**31 else np.int64
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index)
     indptr = np.zeros(dim + 1, dtype=index)               # the row lengths, summed at the end
-    for r, count, rows, keep in runs:
-        width = int(length[r])
+    at = 0
+    for k, count, keep in runs:
+        rows, width = keep.shape[0], np.count_nonzero(keep)
         if not width:
             continue
-        gap = int(row_start[r + 2] - row_start[r]) if count > 1 else 0
-        state = (r // 2) * step + (r % 2) * a[lo % 2]
-        _rows_view(indptr, state + 1, step, count, keep.shape[0])[:] = keep.sum(axis=1)
-        np.add(np.arange(state, state + step * count, step, dtype=index)[:, None],
-               col[rows][keep].astype(index),
-               out=_rows_view(indices, row_start[r], gap, count, width))
-        out = _rows_view(data, row_start[r], gap, count, width)
-        b, v, c = band[keep.nonzero()[1]], val[rows][keep], plus[rows][keep]
+        first = k * step
+        indptr[first + 1:first + 1 + count * rows].reshape(count, rows)[:] = keep.sum(axis=1)
+        np.add(np.arange(first, first + step * count, step, dtype=index)[:, None],
+               col[:rows][keep].astype(index),
+               out=indices[at:at + count * width].reshape(count, width))
+        out = data[at:at + count * width].reshape(count, width)
+        c, v, p = cell[:rows][keep], val[:rows][keep], plus[:rows][keep]
         chunk = 2**16 // width + 1              # bounds the temporary of a long run
         for j in range(0, count, chunk):
-            values = np.take(factor[r + 2 * j:r + 2 * min(count, j + chunk) - 1:2], b, axis=1)
+            values = np.take(factor[k + j:k + min(count, j + chunk)], c, axis=1)
             values *= v
-            values += c
+            values += p
             out[j:j + chunk] = values
+        at += count * width
     np.cumsum(indptr, out=indptr)
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
@@ -459,27 +437,23 @@ def _partner_image(vectors: np.ndarray, sector: Sector,
     """The sector's part of (S (x) 1) vectors, in the sector's state order,
     with S = sign(a + a') (_parity_flip); None where that part is zero.
 
-    The sector spans every photon row, as each sector of more than one state
-    does.  Flipping n mod 2 permutes the components of _sectors' graph, so
-    the state (n, r) of the sector reads only the states (m, r) with m of
-    the other parity, which form its photon-parity partner: the part is zero
+    Flipping n mod 2 permutes the components of _sectors' graph, so the
+    state (n, r) of the sector reads only the states (m, r) with m of the
+    other parity, which form its photon-parity partner: the part is zero
     unless that partner's vector is in vectors.  Each parity's rows come
-    from one product of S with the partner's rows, so no basis-sized
-    temporary is made.
+    from one product of S with the partner's rows, written into the
+    sector's padded (pairs x step) array, so no basis-sized temporary is
+    made.
     """
     rows = vectors.reshape(basis.n_max + 1, basis.n_atomic)
-    partner = [rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms)]
-    if not any(part.any() for part in partner):
+    even, odd = (rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms))
+    if not (even.any() or odd.any()):
         return None
     flip = _parity_flip(basis.n_max)
-    step = sector.atoms[0].size + sector.atoms[1].size
-    image = np.empty(sum(a.size * sector.rows(p)[1] for p, a in enumerate(sector.atoms)))
-    for p, part in enumerate(partner):
-        if part.size:
-            _, count, start = sector.rows(p)
-            s = flip if p == 0 else flip.T
-            _rows_view(image, start, step, count, part.shape[1])[:] = s @ part
-    return image
+    image = np.empty((flip.shape[0], even.shape[1] + odd.shape[1]))
+    image[:, :even.shape[1]] = flip @ even
+    image[:flip.shape[1], even.shape[1]:] = flip.T @ odd
+    return image.ravel()[:sector.size]
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +482,35 @@ def _true_residual(H, psi: np.ndarray, e0: float) -> float:
 
 def ground_state(H, v0: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense): dense
-    eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos).  A 1 x 1
-    matrix is its own eigenpair: its entry, vector [1.0] and residual 0.
-    A matrix with an inf or nan entry (a model whose energy scale overflows
-    float64, as omega n for omega near 1e308) raises SolverError."""
+    eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos).  A
+    diagonal matrix, sparse with no stored entry off its diagonal or dense
+    with no nonzero one, is solved exactly with no eigensolver: its lowest
+    entry (the first of equal ones), that entry's unit vector and residual
+    0.  A matrix with an inf or nan entry (a model whose energy scale
+    overflows float64, as omega n for omega near 1e308) raises SolverError
+    before any of this."""
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    if not np.isfinite(H.data if sp.issparse(H) else np.asarray(H, dtype=float)).all():
+    dense = None if sp.issparse(H) else np.asarray(H, dtype=float)
+    if not np.isfinite(H.data if dense is None else dense).all():
         raise SolverError("Hamiltonian has a non-finite entry: the model's energies "
                           "overflow float64")
+    if dense is None:
+        coo = H.tocoo() if H.nnz <= H.shape[0] else None
+        diagonal = coo is not None and np.array_equal(coo.row, coo.col)
+    else:
+        diagonal = np.count_nonzero(dense) == np.count_nonzero(dense.diagonal())
+    if diagonal:
+        entries = (H if dense is None else dense).diagonal()
+        low = np.argmin(entries)
+        psi = np.zeros(entries.size)
+        psi[low] = 1.0
+        return GroundState(e0=float(entries[low]), vector=psi, iterations=0,
+                           residual_norm=0.0, method="dense")
     if H.shape[0] > DENSE_CUTOFF:
         return _lanczos(H, v0)
-    dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-    if dense.shape[0] == 1:
-        return GroundState(e0=float(dense[0, 0]), vector=np.ones(1), iterations=0,
-                           residual_norm=0.0, method="dense")
-    w, v = sla.eigh(dense, subset_by_index=(0, 0))
+    w, v = sla.eigh(H.toarray() if dense is None else dense, subset_by_index=(0, 0))
     psi = v[:, 0]
     e0 = float(w[0])
     return GroundState(e0=e0, vector=psi, iterations=0,
@@ -680,34 +666,38 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     at every larger cutoff the winning block has an eigenvalue within its
     square over that block's gap of e0.
 
-    The blocks are the connected components of H's sparsity graph
-    (_sectors), so every conserved quantity splits H: the photon parity
-    Pi = (-1)^(n_ph + sum_j j*m_j) when every coupled pair (j, k) has odd
-    k - j, which keeps |<Pi>| = 1 for the near-degenerate superradiant
-    doublet, and a population sum when the couplings do not connect all
-    levels.  They come from J alone, and each block's matrix is built
-    (build_hamiltonian) and freed in turn, so the full-basis H is never
-    formed.  The blocks are ordered by their lowest basis index.  The
-    lowest block wins, except that among the blocks whose e0 lies within
-    r_b + r_low of the lowest one (r the residual norms) the first one
-    whose lowest basis state is even under Pi wins; this pins the parity of
-    a quasi-degenerate doublet to the even sector.  A block above
-    DENSE_CUTOFF goes to ARPACK and starts from its part of a start vector,
-    or from _lanczos's fixed vector where that part is zero, so every start
-    and the result follow from the arguments alone.  The start vector is
-    warm, the block_vectors of a smaller cutoff, zero-padded: the basis
-    index is n_ph * A + rank, so the old basis is a prefix of the new one
-    and each old block lies inside one new block.  Without warm, a block whose photon-parity partner was solved
-    earlier in this call starts from its part of (S (x) 1) applied to the
-    ground vectors solved so far (_partner_image), with S = sign(a + a').  S
-    commutes with the coupling (a + a') (x) J and flips photon parity, so it
-    takes the even member (L + R)/sqrt(2) of a superradiant doublet to the
-    odd one (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  S has
+    The blocks are the connected components of H's sparsity graph, except
+    that the states of an atomic state no coupling touches form one
+    diagonal block per photon parity (_sectors).  So every conserved
+    quantity splits H: the photon parity Pi = (-1)^(n_ph + sum_j j*m_j)
+    when every coupled pair (j, k) has odd k - j, which keeps |<Pi>| = 1
+    for the near-degenerate superradiant doublet, and a population sum when
+    the couplings do not connect all levels.  They come from J alone, and
+    each block's matrix is built (build_hamiltonian) and freed in turn, so
+    the full-basis H is never formed; a diagonal block is solved exactly
+    (ground_state).  The blocks are ordered by their lowest basis index.
+    The lowest block wins, except that among the blocks whose e0 lies
+    within r_b + r_low of the lowest one (r the residual norms) the first
+    one whose lowest basis state is even under Pi wins; this pins the
+    parity of a quasi-degenerate doublet to the even sector.  A block above
+    DENSE_CUTOFF that is not diagonal goes to ARPACK and starts from its
+    part of a start vector, or from _lanczos's fixed vector where that part
+    is zero, so every start and the result follow from the arguments alone.
+    The start vector is warm, the block_vectors of a smaller cutoff,
+    zero-padded: the basis index is n_ph * A + rank, so the old basis is a
+    prefix of the new one and each old block lies inside one new block
+    (from n_max 1 on, one with the same atom sets).  Without warm, a block
+    whose photon-parity partner was solved earlier in this call starts from
+    its part of (S (x) 1) applied to the ground vectors solved so far
+    (_partner_image), with S = sign(a + a').  S commutes with the coupling
+    (a + a') (x) J and flips photon parity, so it takes the even member
+    (L + R)/sqrt(2) of a superradiant doublet to the odd one
+    (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  S has
     (n_max + 1)^2 entries and is made only when that is at most max_dim,
     the bound on the basis and so on every vector made here.  Other cold
-    blocks start from the mean-field product state (mean_field_state)
-    at x_star, the global mean-field minimum, which is computed here when
-    not given.
+    blocks start from the mean-field product state (mean_field_state) at
+    x_star, the global mean-field minimum, which is computed here when not
+    given.
 
     Everything above is done for model0, the kappa = 0 model of
     _bogoliubov(model): blocks, starts and residual are those of H - c,
@@ -728,7 +718,8 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
         v0 = None
-        if idx.size > DENSE_CUTOFF:
+        # the block of one atomic state is diagonal: ground_state takes no start
+        if idx.size > DENSE_CUTOFF and sector.atoms[0].size + sector.atoms[1].size > 1:
             if warm is None and (n_max + 1) ** 2 <= max_dim:
                 v0 = _partner_image(vectors, sector, basis)
             if v0 is None:
@@ -771,8 +762,9 @@ def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
     r^2 / delta <= TOL_E of e0 for any in-block gap delta >= TOL_E, so a
     step is accepted after one solve.  The rule certifies only that: not
     that this eigenvalue is the block's lowest, and nothing about the
-    blocks that lost at this cutoff (with lambda_01 = 0, each
-    |n, all-ground> is a one-state block with r = 0).  The starting
+    blocks that lost at this cutoff (with lambda_01 = 0, the states
+    |n, all-ground> form two diagonal blocks, one per photon parity, with
+    r = 0).  The starting
     cutoff comes from the mean-field density of b photons (_bogoliubov):
     n_max0 = max(8, ceil(4 N (x*/s)^2) + 16).  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as

@@ -12,7 +12,10 @@ scaling makes the energy per atom finite in the thermodynamic limit.
 
 The rules every layer shares are stated once here: coupling_pair checks a
 (j, k) coupling pair, trk_kappa_min gives the ground-transition TRK bound,
-and config_keys checks the keys of a config mapping.
+config_keys checks the keys of a config mapping, and one check_* function
+per model field (check_energies, check_couplings, check_omega, check_kappa,
+check_n_atoms) checks its value, for the constructors and, through
+config_rule, at that field's path for model_from_dict.
 """
 
 from __future__ import annotations
@@ -52,38 +55,50 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def check_energies(energies) -> np.ndarray:
+    """The level energies as a read-only array: 1d, at least 2 levels, the
+    first 0 and the rest ascending; else ValueError."""
+    energies = _frozen_array(energies)
+    if energies.ndim != 1 or energies.size < 2:
+        raise ValueError("energies must be a 1d sequence with at least 2 levels")
+    if energies[0] != 0.0:
+        raise ValueError("energies[0] must be 0 (ground level sets the zero)")
+    if np.any(np.diff(energies) < 0):
+        raise ValueError("energies must be sorted ascending")
+    return energies
+
+
+def check_couplings(couplings, d: int) -> np.ndarray:
+    """The coupling matrix of a d-level atom as a read-only array: (d, d),
+    zero diagonal and symmetric; else ValueError."""
+    couplings = _frozen_array(couplings)
+    if couplings.shape != (d, d):
+        raise ValueError(f"couplings must have shape ({d}, {d}), got {couplings.shape}")
+    if np.any(np.diag(couplings) != 0.0):
+        raise ValueError("couplings must have zero diagonal")
+    ij = np.argwhere(couplings != couplings.T)
+    if ij.size:
+        j, k = ij[0]
+        raise ValueError(f"couplings must be symmetric, mismatch at ({j}, {k})")
+    return couplings
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     """Level energies and transition couplings of a single d-level atom.
 
-    energies : ascending, energies[0] == 0, length d >= 2
+    energies : ascending, energies[0] == 0, length d >= 2 (check_energies)
     couplings : real symmetric (d, d) matrix, zero diagonal; entry (j, k)
-        is the coupling strength of the j <-> k transition to the photon.
+        is the coupling strength of the j <-> k transition to the photon
+        (check_couplings).
     """
 
     energies: np.ndarray
     couplings: np.ndarray
 
     def __post_init__(self):
-        energies = _frozen_array(self.energies)
-        couplings = _frozen_array(self.couplings)
-        if energies.ndim != 1 or energies.size < 2:
-            raise ValueError("energies must be a 1d sequence with at least 2 levels")
-        d = energies.size
-        if energies[0] != 0.0:
-            raise ValueError("energies[0] must be 0 (ground level sets the zero)")
-        if np.any(np.diff(energies) < 0):
-            raise ValueError("energies must be sorted ascending")
-        if couplings.shape != (d, d):
-            raise ValueError(f"couplings must have shape ({d}, {d}), got {couplings.shape}")
-        if np.any(np.diag(couplings) != 0.0):
-            raise ValueError("couplings must have zero diagonal")
-        ij = np.argwhere(couplings != couplings.T)
-        if ij.size:
-            j, k = ij[0]
-            raise ValueError(f"couplings must be symmetric, mismatch at ({j}, {k})")
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "energies", check_energies(self.energies))
+        object.__setattr__(self, "couplings", check_couplings(self.couplings, self.d))
 
     @property
     def d(self) -> int:
@@ -102,11 +117,33 @@ class AtomSpec:
         return AtomSpec(self.energies, lam)
 
 
+def check_omega(omega) -> float:
+    """omega as a float; ValueError unless it is positive."""
+    if not omega > 0:
+        raise ValueError("omega must be positive")
+    return float(omega)
+
+
+def check_kappa(kappa) -> float:
+    """kappa as a float; ValueError when it is negative."""
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    return float(kappa)
+
+
+def check_n_atoms(n_atoms) -> int:
+    """n_atoms as an int; ValueError unless it is a positive integer."""
+    if int(n_atoms) != n_atoms or n_atoms < 1:
+        raise ValueError("n_atoms must be a positive integer")
+    return int(n_atoms)
+
+
 @dataclass(frozen=True)
 class DickeModel:
     """One photon mode (frequency omega) coupled to n_atoms copies of atom.
 
-    kappa is the strength of the diamagnetic (a + a')^2 term.
+    kappa is the strength of the diamagnetic (a + a')^2 term.  Each field's
+    rule is its check_* function.
     """
 
     omega: float
@@ -115,15 +152,9 @@ class DickeModel:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
-            raise ValueError("n_atoms must be a positive integer")
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
+        object.__setattr__(self, "omega", check_omega(self.omega))
+        object.__setattr__(self, "kappa", check_kappa(self.kappa))
+        object.__setattr__(self, "n_atoms", check_n_atoms(self.n_atoms))
 
     @property
     def omega_eff(self) -> float:
@@ -237,6 +268,15 @@ def config_keys(doc, allowed, path: str, required=()) -> None:
             raise ConfigError(f"{path}.{key}", "missing required key")
 
 
+def config_rule(path: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), a library function that owns a rule on a config
+    field; its ValueError becomes a ConfigError at path, message unchanged."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def config_number(value, path: str) -> float:
     """A finite JSON number (bool excluded) as a float, else ConfigError at path."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -291,11 +331,12 @@ def model_from_dict(doc: Mapping, path: str = "model") -> DickeModel:
     kappa = config_number(doc.get("kappa", 0.0), f"{path}.kappa")
     n_atoms = config_int(doc.get("n_atoms", 1), f"{path}.n_atoms")
 
-    try:
-        atom = AtomSpec(energies, couplings)
-        model = DickeModel(omega, atom, n_atoms=n_atoms, kappa=kappa)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    # each value rule at its own field, in the order the constructors check them
+    atom = AtomSpec(config_rule(f"{path}.atom.energies", check_energies, energies),
+                    config_rule(cpath, check_couplings, couplings, d))
+    model = DickeModel(config_rule(f"{path}.omega", check_omega, omega), atom,
+                       kappa=config_rule(f"{path}.kappa", check_kappa, kappa),
+                       n_atoms=config_rule(f"{path}.n_atoms", check_n_atoms, n_atoms))
 
     if "ladder" in doc:
         flag = doc["ladder"]

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import dickelab
 from dickelab import (
+    AtomSpec,
+    DickeModel,
     cli,
     converge_cutoff,
     critical_coupling,
@@ -48,6 +50,8 @@ def ladder_model(lam12=1.0, lam01=0.0, kappa=0.0):
                                [0.0, lam12, 0.0]]},
     }
 
+
+LADDER_ATOM = AtomSpec([0.0, 1.0, 2.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 # eps_1 = 0: the TRK bound lam_01^2 / eps_1 is undefined
 DEGENERATE_MODEL = {"atom": {"energies": [0.0, 0.0, 1.0],
@@ -251,6 +255,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.path == path and str(exc.value) == f"{path}: {lib.value}"
+
+    @pytest.mark.parametrize("key, value, path, library", [
+        ("omega", -1, "$.model.omega", lambda: DickeModel(-1.0, LADDER_ATOM)),
+        ("kappa", -1, "$.model.kappa", lambda: DickeModel(1.0, LADDER_ATOM, kappa=-1.0)),
+        ("n_atoms", 0, "$.model.n_atoms", lambda: DickeModel(1.0, LADDER_ATOM, n_atoms=0)),
+        ("energies", [0, 2, 1], "$.model.atom.energies",
+         lambda: AtomSpec([0.0, 2.0, 1.0], LADDER_ATOM.couplings)),
+        ("energies", [0.5, 1, 2], "$.model.atom.energies",
+         lambda: AtomSpec([0.5, 1.0, 2.0], LADDER_ATOM.couplings)),
+        ("couplings", [[0, 0.3, 0], [0.4, 0, 1], [0, 1, 0]], "$.model.atom.couplings",
+         lambda: AtomSpec(LADDER_ATOM.energies, [[0, 0.3, 0], [0.4, 0, 1], [0, 1, 0]])),
+    ], ids=["omega", "kappa", "n_atoms", "energies-unsorted", "energies-offset",
+            "couplings-asymmetric"])
+    def test_model_rule_names_its_field(self, tmp_path, key, value, path, library):
+        # each model value rule is reported at its own field, in error.json
+        # too, with the constructor's message
+        model = ladder_model()
+        (model["atom"] if key in _ATOM_KEYS else model)[key] = value
+        with pytest.raises(ValueError) as lib:
+            library()
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, {"command": "trk-check", "model": model}),
+                     "-o", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["path"] == path and record["message"] == f"{path}: {lib.value}"
 
 
 class TestExitCodes:

@@ -219,13 +219,18 @@ class TestHamiltonian:
 
     def test_blocks_are_undirected_components(self):
         # the sectors come from J alone; they must be the connected
-        # components of the full H's sparsity graph, in order of lowest index
+        # components of the full H's sparsity graph with each state (n, r)
+        # also joined to (n + 2, r), in order of lowest index
         from scipy.sparse.csgraph import connected_components
 
         for model in SECTOR_MODELS:
-            for n_max in (0, 1, 6, 17):
+            for n_max in (0, 1, 2, 3, 6, 17):
                 basis = build_basis(model.n_atoms, model.atom.d, n_max)
-                labels = connected_components(build_hamiltonian(model, basis), directed=False)[1]
+                low = np.arange(max(0, basis.dim - 2 * basis.n_atomic))
+                two_up = sp.coo_matrix((np.ones(low.size), (low, low + 2 * basis.n_atomic)),
+                                       shape=(basis.dim, basis.dim))
+                graph = build_hamiltonian(model, basis) + two_up
+                labels = connected_components(graph, directed=False)[1]
                 expected = sorted((np.flatnonzero(labels == c) for c in np.unique(labels)),
                                   key=lambda idx: idx[0])
                 got = blocks(model, basis)
@@ -233,9 +238,21 @@ class TestHamiltonian:
                 for a, b in zip(got, expected):
                     np.testing.assert_array_equal(a, b)
 
+    def test_sector_atoms_do_not_depend_on_n_max(self):
+        # from n_max 1 on, a sector spans every photon row: only n_max changes
+        for model in SECTOR_MODELS:
+            J = _coupling(model, build_basis(model.n_atoms, model.atom.d, 0))
+            ref = _sectors(J, 1)
+            for n_max in (2, 6, 17):
+                got = _sectors(J, n_max)
+                assert len(got) == len(ref) and all(s.n_max == n_max for s in got)
+                for a, b in zip(got, ref):
+                    for p in (0, 1):
+                        np.testing.assert_array_equal(a.atoms[p], b.atoms[p])
+
     def test_sector_matrix_is_slice_of_full_h(self):
         for model in SECTOR_MODELS:
-            for n_max in (0, 1, 6, 17):
+            for n_max in (0, 1, 2, 3, 6, 17):
                 basis = build_basis(model.n_atoms, model.atom.d, n_max)
                 J = _coupling(model, basis)
                 H = build_hamiltonian(model, basis)
@@ -251,7 +268,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(8)
         models = SECTOR_MODELS + [random_model(rng) for _ in range(10)]
         for model in models:
-            for n_max in (0, 1, 2, 7):
+            for n_max in (0, 1, 2, 3, 7):
                 H = build_hamiltonian(model, build_basis(model.n_atoms, model.atom.d, n_max))
                 rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
                 steps = np.diff(H.indices)
@@ -377,12 +394,22 @@ class TestGroundState:
         with pytest.raises(ConvergenceError, match="ARPACK"):
             _lanczos(H, v0=v0)
 
-    @pytest.mark.parametrize("H", [sp.csr_matrix([[2.5]]), sp.csr_matrix((1, 1)), np.array([[-0.75]])],
-                             ids=["csr", "csr_no_entry", "dense"])
+    @pytest.mark.parametrize("H", [
+        sp.csr_matrix([[2.5]]), sp.csr_matrix((1, 1)), np.array([[-0.75]]),
+        sp.csr_matrix((np.array([1.5, 0.0, 2.0]), np.arange(3), np.arange(4)), shape=(3, 3)),
+        np.diag([0.5, -2.0, 3.0, -2.0]),
+        sp.diags(np.cos(np.arange(exactdiag.DENSE_CUTOFF + 50.0)), format="csr"),
+    ], ids=["csr", "csr_no_entry", "dense", "csr-stored-zero", "dense-diagonal",
+            "csr-above-dense-cutoff"])
     def test_one_state_matrix_is_its_own_eigenpair(self, H, monkeypatch):
+        # a diagonal matrix is solved exactly: its lowest entry (the first of
+        # equal ones) and that entry's unit vector
         monkeypatch.setattr(sla, "eigh", None)     # no eigensolver runs
+        monkeypatch.setattr(exactdiag, "_lanczos", None)
         gs = ground_state(H)
-        assert gs.e0 == float(H[0, 0]) and gs.vector.tolist() == [1.0]
+        diagonal = H.diagonal()
+        low = int(np.argmin(diagonal))
+        assert gs.e0 == diagonal[low] and np.array_equal(gs.vector, np.eye(diagonal.size)[low])
         assert gs.residual_norm == 0.0 and gs.iterations == 0 and gs.method == "dense"
 
     @pytest.mark.parametrize("H", [np.diag([1.0, math.inf]), sp.csr_matrix(np.diag([1.0, math.nan])),
@@ -524,24 +551,25 @@ class TestEdGround:
 
 
     def test_one_state_blocks_match_dense_eigh(self, monkeypatch):
-        # lam01 = 0: 101 of the 141 blocks are the single states |n, (N, 0, 0)>,
-        # and the n = 0 one wins; results are those of a dense eigh of each
+        # lam01 = 0: the states |n, (N, 0, 0)> form two diagonal blocks, one
+        # per photon parity, and the even one wins at n = 0; results are
+        # those of a dense eigh of each diagonal block
         m = ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=20)
         fast = ed_ground(m, n_max=100)
-        sizes, solve = [], exactdiag.ground_state
+        diagonal, solve = [], exactdiag.ground_state
 
-        def dense_one_state(H, v0=None):
-            sizes.append(H.shape[0])
-            if H.shape[0] > 1:
+        def dense_diagonal(H, v0=None):
+            diagonal.append(H.nnz == H.shape[0])
+            if not diagonal[-1]:
                 return solve(H, v0)
             w, v = sla.eigh(H.toarray(), subset_by_index=(0, 0))
             e0 = float(w[0])
             return exactdiag.GroundState(e0=e0, vector=v[:, 0], iterations=0, method="dense",
                                          residual_norm=exactdiag._true_residual(H, v[:, 0], e0))
 
-        monkeypatch.setattr(exactdiag, "ground_state", dense_one_state)
+        monkeypatch.setattr(exactdiag, "ground_state", dense_diagonal)
         slow = ed_ground(m, n_max=100)
-        assert (len(sizes), sizes.count(1)) == (141, 101)
+        assert (len(diagonal), sum(diagonal)) == (42, 2)
         for f in dataclasses.fields(fast):
             a, b = getattr(fast, f.name), getattr(slow, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
@@ -688,6 +716,21 @@ class TestPartnerStart:
         assert sum(cold) == 3 * fallbacks
         assert all(run.method == "lanczos" for run in runs)
         assert all(np.array_equal(runs[0].block_vectors, run.block_vectors) for run in runs[1:])
+
+    def test_diagonal_blocks_take_no_start(self, monkeypatch):
+        # lam01 = 0: |n, (N, 0, 0)> forms two diagonal blocks of 301 and 300
+        # states, above DENSE_CUTOFF; they are solved exactly, and no partner
+        # image is made for them
+        seen, image = [], exactdiag._partner_image
+
+        def spy(vectors, sector, basis):
+            seen.append(sector.atoms[0].size + sector.atoms[1].size)
+            return image(vectors, sector, basis)
+
+        monkeypatch.setattr(exactdiag, "_partner_image", spy)
+        res = ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=2), 600)
+        assert seen and 1 not in seen
+        assert res.e0 == 0.0 and res.residual_norm == 0.0 and res.method == "dense"
 
     def test_warm_steps_keep_their_warm_start(self, monkeypatch):
         flips, flip = [], exactdiag._parity_flip

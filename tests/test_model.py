@@ -179,8 +179,9 @@ class TestModelFromDict:
     def test_negative_omega_names_field(self):
         doc = self.base()
         doc["omega"] = -1.0
-        with pytest.raises(ConfigError, match="omega"):
+        with pytest.raises(ConfigError, match="omega") as exc:
             model_from_dict(doc)
+        assert exc.value.path == "model.omega"
 
     def test_bad_coupling_shape(self):
         doc = self.base()
