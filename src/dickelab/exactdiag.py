@@ -44,7 +44,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -432,10 +432,12 @@ def _parity_flip(n_max: int) -> np.ndarray:
     return (v[::2] * np.sign(w)) @ v[1::2].T
 
 
-def _partner_image(vectors: np.ndarray, sector: Sector,
-                   basis: SymmetricBasis) -> np.ndarray | None:
+def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis,
+                   make_flip: Callable[[], np.ndarray]) -> np.ndarray | None:
     """The sector's part of (S (x) 1) vectors, in the sector's state order,
-    with S = sign(a + a') (_parity_flip); None where that part is zero.
+    with S = sign(a + a'); None where that part is zero.  make_flip()
+    returns S[even rows, odd rows] (_parity_flip) and is called only for a
+    nonzero part; ed_ground passes one that builds S once per call.
 
     Flipping n mod 2 permutes the components of _sectors' graph, so the
     state (n, r) of the sector reads only the states (m, r) with m of the
@@ -449,7 +451,7 @@ def _partner_image(vectors: np.ndarray, sector: Sector,
     even, odd = (rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms))
     if not (even.any() or odd.any()):
         return None
-    flip = _parity_flip(basis.n_max)
+    flip = make_flip()
     image = np.empty((flip.shape[0], even.shape[1] + odd.shape[1]))
     image[:, :even.shape[1]] = flip @ even
     image[:flip.shape[1], even.shape[1]:] = flip.T @ odd
@@ -694,7 +696,8 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     (L + R)/sqrt(2) of a superradiant doublet to the odd one
     (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  S has
     (n_max + 1)^2 entries and is made only when that is at most max_dim,
-    the bound on the basis and so on every vector made here.  Other cold
+    the bound on the basis and so on every vector made here, and at most
+    once per call.  Other cold
     blocks start from the mean-field product state (mean_field_state) at
     x_star, the global mean-field minimum, which is computed here when not
     given.
@@ -715,13 +718,14 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
         start[:warm.size] = warm
     solves, firsts = [], []
     vectors = np.zeros(basis.dim)
+    make_flip = functools.cache(functools.partial(_parity_flip, n_max))    # S depends on n_max only
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
         v0 = None
         # the block of one atomic state is diagonal: ground_state takes no start
         if idx.size > DENSE_CUTOFF and sector.atoms[0].size + sector.atoms[1].size > 1:
             if warm is None and (n_max + 1) ** 2 <= max_dim:
-                v0 = _partner_image(vectors, sector, basis)
+                v0 = _partner_image(vectors, sector, basis, make_flip)
             if v0 is None:
                 if start is None:
                     if x_star is None:
@@ -751,6 +755,17 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
         method=gs.method, block_vectors=vectors)
 
 
+def _first_cutoff(model: DickeModel, x_star: float, max_dim: int) -> int:
+    """converge_cutoff's first n_max: ceil(max(4 mu, mu + 10 sqrt(mu))) + 16,
+    with mu = N (x*/s)^2 the mean-field density of b photons (_bogoliubov).
+
+    A cutoff above max_dim fails build_basis, so the bound is capped there,
+    which also keeps an overflow to inf out of ceil.
+    """
+    mu = model.n_atoms * (x_star / _bogoliubov(model)[1])**2
+    return math.ceil(min(max(4.0 * mu, mu + 10.0 * math.sqrt(mu)), max_dim)) + 16
+
+
 def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
                     x_star: float | None = None) -> EDResult:
     """Grow n_max by a factor 1.5 (at least +8) until the truncation residual
@@ -765,8 +780,14 @@ def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
     blocks that lost at this cutoff (with lambda_01 = 0, the states
     |n, all-ground> form two diagonal blocks, one per photon parity, with
     r = 0).  The starting
-    cutoff comes from the mean-field density of b photons (_bogoliubov):
-    n_max0 = max(8, ceil(4 N (x*/s)^2) + 16).  Each step is one ed_ground call,
+    cutoff comes from the mean-field density mu = N (x*/s)^2 of b photons
+    (_bogoliubov): n_max0 = ceil(max(4 mu, mu + 10 sqrt(mu))) + 16
+    (_first_cutoff).  mu + 10 sqrt(mu) + 16 is calibrated on the smallest
+    cutoff with r <= TOL_E, found by bisection, of superradiant two-level
+    (N 2 to 40) and ladder (N 4 to 80) models, and lies at or above each.
+    It is the larger term for mu < 100/9, so a superradiant two-level model
+    at small N is accepted after one solve like a superradiant ladder; at
+    x* = 0 the first cutoff is 16.  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as
     warm.  The result is the accepted step's ed_ground result; only the e0 of
     earlier steps is kept.  Any SolverError that leaves a step, and the
@@ -776,9 +797,7 @@ def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
     n_atoms, so a scan over N can compute it once.
     """
     x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
-    s = _bogoliubov(model)[1]
-    # 4 (N x*^2) rounds like 4 N x*^2; a cutoff above max_dim fails build_basis
-    n = max(8, math.ceil(min(4.0 * (model.n_atoms * (x_mf / s)**2), max_dim)) + 16)
+    n = _first_cutoff(model, x_mf, max_dim)
     trace: list[tuple[int, float]] = []
     warm = None
     residual = math.inf

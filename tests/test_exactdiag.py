@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 import tracemalloc
@@ -31,14 +32,15 @@ from dickelab import (
     two_level,
 )
 from dickelab import exactdiag
-from dickelab.exactdiag import (TOL_E, _bogoliubov, _coupling, _lanczos, _sectors, dump_state,
-                                 ed_csv_header, ed_csv_row)
+from dickelab.exactdiag import (MAX_DIM_DEFAULT, TOL_E, _bogoliubov, _coupling, _first_cutoff,
+                                 _lanczos, _sectors, dump_state, ed_csv_header, ed_csv_row)
 
 LADDER_E_STAR = -7.0 / 9.0   # min_x e(x) for the eps=(0,1,2) ladder at lam12=1.5
-# converge_cutoff takes two steps here: n_max 31 (truncation residual 1.0e-6,
-# above TOL_E) and 47 (5.6e-13); dims 672 and 1008, whose two parity blocks
-# (336 and 504 states) are above DENSE_CUTOFF and go to ARPACK
-TWO_STEP_MODEL = two_level(1.0, 1.0, 0.6, n_atoms=20)
+# converge_cutoff takes three steps here: n_max 16, 24 and 36 (truncation
+# residuals 1.9e-6 and 2.5e-8, above TOL_E, then 7.6e-11); dims 3927, 5775 and
+# 8547, whose two parity blocks are above DENSE_CUTOFF and go to ARPACK.  With
+# x* = 0 its first cutoff is 16, which no superradiant rule moves
+TWO_STEP_MODEL = ladder(1.0, 1.0, 2.0, 0.3, 1.0, n_atoms=20)
 
 
 def displacement_operator(basis) -> sp.csr_matrix:
@@ -644,7 +646,7 @@ class TestMeanFieldStart:
     def test_fewer_matvecs_than_random_start(self):
         m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20)
         x = minimize(m).x_star
-        basis = build_basis(20, 3, max(8, math.ceil(4.0 * 20 * x**2) + 16))   # first cutoff
+        basis = build_basis(20, 3, _first_cutoff(m, x, MAX_DIM_DEFAULT))
         H = build_hamiltonian(m, basis)
         start = mean_field_state(m, basis, x)
         for sign in (1.0, -1.0):
@@ -723,9 +725,9 @@ class TestPartnerStart:
         # image is made for them
         seen, image = [], exactdiag._partner_image
 
-        def spy(vectors, sector, basis):
+        def spy(vectors, sector, basis, make_flip):
             seen.append(sector.atoms[0].size + sector.atoms[1].size)
-            return image(vectors, sector, basis)
+            return image(vectors, sector, basis, make_flip)
 
         monkeypatch.setattr(exactdiag, "_partner_image", spy)
         res = ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=2), 600)
@@ -741,8 +743,29 @@ class TestPartnerStart:
 
         monkeypatch.setattr(exactdiag, "_parity_flip", counting)
         res = converge_cutoff(TWO_STEP_MODEL)
-        # two steps, and only the cold first one makes S
+        # three steps, and only the cold first one makes S
         assert len(flips) == 1 and flips[0] < res.n_max_used
+
+    def test_one_parity_flip_per_call(self, monkeypatch):
+        # lam01 = 0: seven blocks start from their partner's image; S depends
+        # on n_max only and is built once
+        flips, flip = [], exactdiag._parity_flip
+
+        def counting(n_max):
+            flips.append(n_max)
+            return flip(n_max)
+
+        monkeypatch.setattr(exactdiag, "_parity_flip", counting)
+        images, image = [], exactdiag._partner_image
+
+        def spy(*args):
+            images.append(image(*args))
+            return images[-1]
+
+        monkeypatch.setattr(exactdiag, "_partner_image", spy)
+        ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10), 106)
+        assert sum(v is not None for v in images) == 7
+        assert flips == [106]
 
     def test_stiff_odd_block_converges(self):
         # TRK-saturated normal phase (kappa = lam^2 / eps_1), x* = 0.  In the
@@ -767,9 +790,10 @@ class TestPartnerStart:
         image = (photon_sign(n_max) @ psi.reshape(n_max + 1, -1)).ravel()
         outside = np.delete(image, odd)
         assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(image)
-        np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis), image[odd],
-                                   atol=1e-12)
-        assert exactdiag._partner_image(psi, sectors[0], basis) is None
+        make_flip = functools.partial(exactdiag._parity_flip, n_max)
+        np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis, make_flip),
+                                   image[odd], atol=1e-12)
+        assert exactdiag._partner_image(psi, sectors[0], basis, make_flip) is None
 
 
 class TestConvergeCutoff:
@@ -849,7 +873,7 @@ class TestConvergeCutoff:
     def test_resource_limit_carries_trace(self):
         m = TWO_STEP_MODEL
         with pytest.raises(ResourceLimitError) as exc:
-            converge_cutoff(m, max_dim=800)       # dims 672 and 1008
+            converge_cutoff(m, max_dim=5000)      # dims 3927 and 5775
         assert len(exc.value.trace) == 1          # first cutoff fit, second did not
         n0, e0 = exc.value.trace[0]
         assert n0 >= 8 and e0 < 0.0
@@ -868,7 +892,7 @@ class TestConvergeCutoff:
         res = converge_cutoff(m)
         assert len(calls) >= 2 and calls[-1]["n_max"] == res.n_max_used
         assert calls[0].get("warm") is None and res.method == "lanczos"
-        n_atomic = math.comb(20 + 1, 1)
+        n_atomic = math.comb(22, 2)
         for prev, cur in zip(calls, calls[1:]):
             assert cur["warm"].size == (prev["n_max"] + 1) * n_atomic
         nz = np.flatnonzero(res.psi0)
@@ -892,8 +916,14 @@ class TestConvergeCutoff:
         monkeypatch.undo()
         assert exc.value.trace == [(n0, ed_ground(m, n0).e0)]
 
-    @pytest.mark.parametrize("n_atoms", [8, 20])
-    def test_superradiant_ladder_is_accepted_after_one_solve(self, monkeypatch, n_atoms):
+    @pytest.mark.parametrize("model", [
+        pytest.param(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8), id="8"),
+        pytest.param(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20), id="20"),
+        # mu = N x*^2 < 100/9, where the calibrated mu + 10 sqrt(mu) sets the first cutoff
+        *(pytest.param(two_level(1.0, 1.0, lam, n_atoms=n), id=f"two-level-{lam:g}-N{n}")
+          for lam, n in ((0.7, 4), (0.7, 10), (0.7, 16), (0.6, 20))),
+    ])
+    def test_superradiant_ladder_is_accepted_after_one_solve(self, monkeypatch, model):
         calls = []
         solve = exactdiag.ed_ground
 
@@ -902,7 +932,7 @@ class TestConvergeCutoff:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(exactdiag, "ed_ground", counting)
-        res = converge_cutoff(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=n_atoms))
+        res = converge_cutoff(model)
         assert len(calls) == 1 and res.truncation_residual <= TOL_E
 
     @pytest.mark.parametrize("model", [
