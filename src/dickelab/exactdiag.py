@@ -33,8 +33,9 @@ converge_cutoff grows the cutoff with one ed_ground call per step and stops
 at the first step whose truncation residual is at most TOL_E.
 
 scipy is imported where it is called (_coupling, _sectors,
-build_hamiltonian, _parity_flip, ground_state), so importing this module
-loads numpy only and the mean-field commands never load scipy.
+build_hamiltonian, _parity_flip, ground_state, _eigsh_takes_rng, _lanczos),
+so importing this module loads numpy only and the mean-field commands never
+load scipy.
 """
 
 from __future__ import annotations
@@ -471,18 +472,18 @@ class GroundState:
     method: str
 
 
-def _true_residual(H, psi: np.ndarray, e0: float) -> float:
-    """||H psi - e0 psi||.  Where its sum of squares overflows (entries
-    above ~1e154, as for omega near 1e200), the norm is taken of the vector
-    scaled by 2^-600, a power of two that rounds none of the entries that
-    count, and scaled back."""
-    r = H @ psi - e0 * psi
+def _true_residual(H, psi: np.ndarray, e0: float, H_psi: np.ndarray | None = None) -> float:
+    """||H psi - e0 psi||, from H_psi = H @ psi where the caller has it.
+    Where its sum of squares overflows (entries above ~1e154, as for omega
+    near 1e200), the norm is taken of the vector scaled by 2^-600, a power
+    of two that rounds none of the entries that count, and scaled back."""
+    r = (H @ psi if H_psi is None else H_psi) - e0 * psi
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(r))
     return norm if norm < math.inf else float(np.linalg.norm(r * 2.0**-600)) * 2.0**600
 
 
-def ground_state(H, v0: np.ndarray | None = None) -> GroundState:
+def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> GroundState:
     """Lowest eigenpair of a real symmetric matrix (sparse or dense): dense
     eigh at or below DENSE_CUTOFF, else ARPACK from v0 (_lanczos).  A
     diagonal matrix, sparse with no stored entry off its diagonal or dense
@@ -490,7 +491,18 @@ def ground_state(H, v0: np.ndarray | None = None) -> GroundState:
     entry (the first of equal ones), that entry's unit vector and residual
     0.  A matrix with an inf or nan entry (a model whose energy scale
     overflows float64, as omega n for omega near 1e308) raises SolverError
-    before any of this."""
+    before any of this.
+
+    partner=True says that v0 is the image of a solved parity partner's
+    ground vector (ed_ground's _partner_image), which can already be this
+    matrix's ground vector.  Before ARPACK, the unit vector v along v0 is
+    then tested with one product Hv: where its true residual r (with
+    theta = v.Hv) meets ARPACK's own stopping rule r <= TOL |theta|, the
+    result is (theta, v, r) with iterations 1 and method "partner", and no
+    eigensolver runs.  A warm or mean-field start is never tested so: a
+    zero-padded warm vector's residual is the previous cutoff's truncation
+    residual, which converge_cutoff did not accept, and a product state is
+    no eigenvector."""
     import scipy.linalg as sla
     import scipy.sparse as sp
 
@@ -511,6 +523,19 @@ def ground_state(H, v0: np.ndarray | None = None) -> GroundState:
         return GroundState(e0=float(entries[low]), vector=psi, iterations=0,
                            residual_norm=0.0, method="dense")
     if H.shape[0] > DENSE_CUTOFF:
+        if partner:
+            if v0 is None:
+                raise ValueError("partner=True needs the image as v0")
+            # a non-finite theta or r (an overflowing product) fails the
+            # rule, and ARPACK takes the block as it would without the test
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = v0 / np.linalg.norm(v0)
+                H_v = H @ v
+                theta = float(v @ H_v)
+                r = _true_residual(H, v, theta, H_v)
+            if math.isfinite(theta) and r <= TOL * abs(theta):
+                return GroundState(e0=theta, vector=v, iterations=1, residual_norm=r,
+                                   method="partner")
         return _lanczos(H, v0)
     w, v = sla.eigh(H.toarray() if dense is None else dense, subset_by_index=(0, 0))
     psi = v[:, 0]
@@ -694,7 +719,13 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     (_partner_image), with S = sign(a + a').  S commutes with the coupling
     (a + a') (x) J and flips photon parity, so it takes the even member
     (L + R)/sqrt(2) of a superradiant doublet to the odd one
-    (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  S has
+    (R - L)/sqrt(2), up to the tunnelling tail at x = 0.  Such a block is
+    solved with partner=True: where the image already meets ARPACK's
+    stopping rule, ground_state returns it with one product (method
+    "partner"), so deep in the superradiant phase one ARPACK call solves
+    the doublet.  The even member is solved first, as without the test,
+    so wherever it wins the tie rule, only the odd part of block_vectors
+    moves, by about the tolerance.  S has
     (n_max + 1)^2 entries and is made only when that is at most max_dim,
     the bound on the basis and so on every vector made here, and at most
     once per call.  Other cold
@@ -721,18 +752,21 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     make_flip = functools.cache(functools.partial(_parity_flip, n_max))    # S depends on n_max only
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
-        v0 = None
+        v0, partner = None, False
         # the block of one atomic state is diagonal: ground_state takes no start
         if idx.size > DENSE_CUTOFF and sector.atoms[0].size + sector.atoms[1].size > 1:
             if warm is None and (n_max + 1) ** 2 <= max_dim:
                 v0 = _partner_image(vectors, sector, basis, make_flip)
+                partner = v0 is not None
             if v0 is None:
                 if start is None:
                     if x_star is None:
                         x_star = meanfield.minimize(model).x_star
                     start = mean_field_state(model0, basis, x_star / s)
-                v0 = start[idx] if start[idx].any() else None
-        gs = ground_state(build_hamiltonian(model0, basis, sector, J), v0=v0)
+                v0 = start[idx]
+                if not v0.any():
+                    v0 = None
+        gs = ground_state(build_hamiltonian(model0, basis, sector, J), v0=v0, partner=partner)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
         firsts.append(idx[0])

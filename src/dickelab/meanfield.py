@@ -478,6 +478,11 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     bracket, else the bracket midpoint.  The order is classified from the
     jump of x* across lam_c +/- DELTA_REL*lam_c (first order above
     JUMP_THRESHOLD).
+
+    The two bracket ends are solved in one _solve_batch call, and so are
+    lam_c -/+ DELTA_REL*lam_c; the normal end is checked first.  solves
+    counts the points, not the calls, and by _solve_batch's batch
+    invariance each point's solution is the one a call of its own gives.
     """
     check_bracket(bracket)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -486,30 +491,33 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     D = C1 - C0
     solves = 0
 
-    def probe(lam: float) -> MeanFieldSolution:
-        """Solve at lam and move the bracket end on its side to lam."""
+    def probe(*lams: float) -> list[MeanFieldSolution]:
+        """Solve at each lam, in one batch, and move the bracket end on each
+        one's side to it, in turn."""
         nonlocal solves, lo, hi
-        solves += 1
-        C, omega_eff = _scan_arrays(model, which, np.array([lam]), tie)
-        sol = _solve_batch(omega_eff, energies, C)[0]
-        if sol.superradiant:
-            hi = lam
-        else:
-            lo = lam
-        return sol
+        solves += len(lams)
+        C, omega_eff = _scan_arrays(model, which, np.array(lams), tie)
+        sols = _solve_batch(omega_eff, energies, C)
+        for lam, sol in zip(lams, sols):
+            if sol.superradiant:
+                hi = lam
+            else:
+                lo = lam
+        return sols
 
-    if probe(lo).superradiant:
-        raise BracketError(f"no transition in bracket: x* != 0 already at coupling {lo}")
-    lam, sol = hi, probe(hi)
+    first, lam = lo, hi         # probe may move lo and hi before either is checked
+    at_lo, sol = probe(lo, hi)
+    if at_lo.superradiant:
+        raise BracketError(f"no transition in bracket: x* != 0 already at coupling {first}")
     if not sol.superradiant:
-        raise BracketError(f"no transition in bracket: x* = 0 still at coupling {hi}")
+        raise BracketError(f"no transition in bracket: x* = 0 still at coupling {lam}")
 
     tol = REL_WIDTH * (hi - lo)
     root, lam2 = None, _spinodal(model.omega_eff, energies, C0, D, lo, hi)
     if lam2 is not None:
         for p in (lam2 - 0.4 * tol, lam2 + 0.4 * tol):
             if _accept(p, lam, np.inf, lo, hi):
-                root, lam, sol = lam2, p, probe(p)
+                root, lam, (sol,) = lam2, p, probe(p)
 
     step, newton = hi - lo, True
     while hi - lo > tol:
@@ -524,12 +532,11 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
         else:
             p = 0.5 * (lo + hi)
         step, lam = abs(p - lam), p
-        sol = probe(p)
+        (sol,) = probe(p)
     lam_c = root if root is not None and lo <= root <= hi else 0.5 * (lo + hi)
 
     delta = DELTA_REL * lam_c
-    below = probe(lam_c - delta)
-    above = probe(lam_c + delta)
+    below, above = probe(lam_c - delta, lam_c + delta)
     x_jump = abs(above.x_star - below.x_star)
     pop_jump = float(np.max(np.abs(above.occupations - below.occupations)))
     return TransitionPoint(

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 
 import oracles
@@ -431,6 +433,46 @@ class TestGroundState:
         _lanczos(H)
         assert calls == []
 
+    def test_partner_image_meeting_tol_is_taken(self):
+        # a vector that meets ARPACK's rule r <= TOL |theta| is returned
+        # after one product; one that does not goes to ARPACK from it
+        m = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=8)
+        basis = build_basis(8, 3, 60)
+        H = build_hamiltonian(m, basis)
+        idx = np.flatnonzero(parity_signs(basis) > 0)
+        Hs = H[idx][:, idx]
+        ref = ground_state(Hs)
+        assert ref.method == "lanczos" and ref.residual_norm <= exactdiag.TOL * abs(ref.e0)
+        gs = ground_state(Hs, v0=3.0 * ref.vector, partner=True)
+        assert (gs.method, gs.iterations) == ("partner", 1)
+        np.testing.assert_allclose(gs.vector, ref.vector, rtol=0, atol=1e-15)
+        assert abs(gs.e0 - ref.e0) <= 1e-14 * abs(ref.e0)
+        assert gs.residual_norm == exactdiag._true_residual(Hs, gs.vector, gs.e0)
+        rough = ref.vector + 1e-3 * np.random.default_rng(1).standard_normal(idx.size)
+        gs = ground_state(Hs, v0=rough, partner=True)
+        assert gs.method == "lanczos" and gs.iterations > 1
+        assert gs.residual_norm <= exactdiag.TOL * abs(gs.e0)
+        # without the flag the same exact vector still goes to ARPACK
+        assert ground_state(Hs, v0=ref.vector).method == "lanczos"
+        with pytest.raises(ValueError, match="partner"):
+            ground_state(Hs, partner=True)
+
+    def test_overflowing_partner_test_leaves_the_matrix_to_arpack(self, monkeypatch):
+        # finite entries near 1.5e308 whose v.Hv overflows to inf, and so
+        # does the residual: inf <= TOL inf must not pass for an eigenpair
+        n = 300
+        band = np.full(n - 1, 1.5e308)
+        H = sp.diags([band, np.full(n, 1.5e308), band], [-1, 0, 1], format="csr")
+        handed = []
+
+        def arpack(H, v0=None):
+            handed.append(v0)
+            return "arpack"
+
+        monkeypatch.setattr(exactdiag, "_lanczos", arpack)
+        assert ground_state(H, v0=np.ones(n), partner=True) == "arpack"
+        assert len(handed) == 1 and np.array_equal(handed[0], np.ones(n))
+
     def test_residual_norm_small(self):
         m = ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=6)
         basis = build_basis(6, 3, 60)
@@ -560,10 +602,10 @@ class TestEdGround:
         fast = ed_ground(m, n_max=100)
         diagonal, solve = [], exactdiag.ground_state
 
-        def dense_diagonal(H, v0=None):
+        def dense_diagonal(H, v0=None, *, partner=False):
             diagonal.append(H.nnz == H.shape[0])
             if not diagonal[-1]:
-                return solve(H, v0)
+                return solve(H, v0, partner=partner)
             w, v = sla.eigh(H.toarray(), subset_by_index=(0, 0))
             e0 = float(w[0])
             return exactdiag.GroundState(e0=e0, vector=v[:, 0], iterations=0, method="dense",
@@ -698,6 +740,99 @@ class TestPartnerStart:
         ref = _lanczos(build_hamiltonian(m, basis, sector, J), start)
         assert solves[0].e0 == ref.e0 == res.e0
         assert np.array_equal(res.block_vectors[idx], ref.vector)
+
+    def test_image_within_tol_skips_arpack(self, monkeypatch):
+        # N 20 at its first cutoff: the odd block's image is its ground
+        # vector to within TOL, so one ARPACK call solves the doublet
+        m, n_max = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20), 195
+        solves, solve = [], exactdiag.ground_state
+
+        def counting(H, v0=None, *, partner=False):
+            solves.append(solve(H, v0, partner=partner))
+            return solves[-1]
+
+        def flag_off(H, v0=None, *, partner=False):
+            return counting(H, v0, partner=False)
+
+        monkeypatch.setattr(exactdiag, "ground_state", counting)
+        res = ed_ground(m, n_max)
+        assert [gs.method for gs in solves] == ["lanczos", "partner"]
+        assert solves[1].iterations == 1
+        monkeypatch.setattr(exactdiag, "ground_state", flag_off)
+        ref = ed_ground(m, n_max)
+        assert [gs.method for gs in solves[2:]] == ["lanczos", "lanczos"]
+        assert abs(solves[1].e0 - solves[3].e0) <= 1e-12 * abs(solves[3].e0)
+        # the even block wins either way, so only the odd block's vector moves
+        basis = build_basis(20, 3, n_max)
+        odd = _sectors(_coupling(m, basis), n_max)[1].indices(basis.n_atomic)
+        for f in dataclasses.fields(res):
+            a, b = getattr(res, f.name), getattr(ref, f.name)
+            if f.name == "block_vectors":
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-8)
+                assert np.array_equal(np.delete(a, odd), np.delete(b, odd))
+            else:
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+    @pytest.mark.parametrize("run", [
+        lambda: ed_ground(ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=10), 106),
+        lambda: ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10), 106),
+        lambda: converge_cutoff(TWO_STEP_MODEL),
+    ], ids=["ladder", "ladder-lam01-0", "warm-steps"])
+    def test_flag_marks_partner_images_only(self, run, monkeypatch):
+        images, flags = [], []
+        image, solve = exactdiag._partner_image, exactdiag.ground_state
+
+        def image_spy(*args):
+            images.append(image(*args))
+            return images[-1]
+
+        def solve_spy(H, v0=None, *, partner=False):
+            flags.append((partner, any(v0 is im for im in images if im is not None)))
+            return solve(H, v0, partner=partner)
+
+        monkeypatch.setattr(exactdiag, "_partner_image", image_spy)
+        monkeypatch.setattr(exactdiag, "ground_state", solve_spy)
+        run()
+        assert all(partner == is_image for partner, is_image in flags)
+        assert sum(partner for partner, _ in flags) == sum(im is not None for im in images) > 0
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_partner_test_keeps_the_result(self, seed):
+        # random chain-coupled (parity-compatible) atoms, with the couplings
+        # scaled 1.3 past the first superradiant point, at their first
+        # cutoff; about half of them take their odd block from its image.
+        # With or without that test: one result, up to the odd block's vector
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 4))
+        eps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, d - 1))])
+        lam = np.zeros((d, d))
+        for j in range(d - 1):
+            lam[j, j + 1] = lam[j + 1, j] = rng.uniform(-1.0, 1.0)
+        omega, kappa = float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 0.1))
+        n_atoms = int(rng.integers(10, 21 if d == 3 else 41))
+
+        def scaled(f):
+            return DickeModel(omega, AtomSpec(eps, f * lam), n_atoms=n_atoms, kappa=kappa)
+
+        f = 1.0
+        while not minimize(scaled(f)).superradiant:
+            f *= 1.5
+        m = scaled(1.3 * f)
+        assert parity_compatible(m.atom)
+        n_max = _first_cutoff(m, minimize(m).x_star, MAX_DIM_DEFAULT)
+        res = ed_ground(m, n_max)
+        solve = exactdiag.ground_state
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactdiag, "ground_state",
+                       lambda H, v0=None, *, partner=False: solve(H, v0, partner=False))
+            ref = ed_ground(m, n_max)
+        for f in dataclasses.fields(res):
+            a, b = getattr(res, f.name), getattr(ref, f.name)
+            if f.name == "block_vectors":
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-8)
+            else:
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
     @pytest.mark.parametrize("model, n_max, fallbacks", [
         (two_level(1.0, 1.0, 0.3, n_atoms=40), 16, 0),   # x* = 0: no mean-field weight on odd

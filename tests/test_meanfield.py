@@ -91,11 +91,12 @@ def bisection_reference(model, which, bracket, tie=None):
 
 
 def count_solves(monkeypatch) -> list:
-    """Record the first coupling matrix of every _solve_batch call."""
+    """Record the coupling matrix of every parameter set that _solve_batch
+    solves, in call order and, within a call, in batch order."""
     seen, solve_batch = [], meanfield._solve_batch
 
     def spy(omega_eff, energies, couplings):
-        seen.append(couplings[0].copy())
+        seen.extend(c.copy() for c in couplings)
         return solve_batch(omega_eff, energies, couplings)
 
     monkeypatch.setattr(meanfield, "_solve_batch", spy)
@@ -840,6 +841,36 @@ class TestCriticalCoupling:
             seen.clear()
             tp = critical_coupling(model, which, bracket, tie=tie)
             assert tp.solves == len(seen) <= 12
+
+    def test_independent_probes_share_a_batch(self, monkeypatch):
+        # the two bracket ends are one _solve_batch call, and so are the two
+        # points across lam_c: two calls fewer than solves, and every field
+        # is that of one call per point
+        calls, solve_batch = [], meanfield._solve_batch
+
+        def spy(omega_eff, energies, couplings):
+            calls.append(len(couplings))
+            return solve_batch(omega_eff, energies, couplings)
+
+        def one_by_one(omega_eff, energies, couplings):
+            return [solve_batch(omega_eff[b:b + 1], energies, couplings[b:b + 1])[0]
+                    for b in range(len(couplings))]
+
+        for model, which, bracket, tie in self.BENCH_JOBS:
+            monkeypatch.setattr(meanfield, "_solve_batch", one_by_one)
+            single = critical_coupling(model, which, bracket, tie=tie)
+            monkeypatch.setattr(meanfield, "_solve_batch", spy)
+            calls.clear()
+            tp = critical_coupling(model, which, bracket, tie=tie)
+            assert calls[0] == calls[-1] == 2 and set(calls[1:-1]) == {1}
+            assert tp.solves == sum(calls) == len(calls) + 2
+            assert tp == single
+        for model, which, bracket, (n_calls, n_solves) in [
+                (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), (7, 9)),
+                (two_level(1.0, 1.0, 1.0), (0, 1), (0.1, 1.0), (4, 6))]:
+            calls.clear()
+            assert critical_coupling(model, which, bracket).solves == n_solves
+            assert len(calls) == n_calls
 
     @pytest.mark.parametrize("case", ["ladder", "tied_ladder", "two_level", "odd_cycle"])
     def test_rejecting_every_proposal_is_plain_bisection(self, case, monkeypatch):
