@@ -32,10 +32,23 @@ vector leaks out of the truncated Fock space (truncation_residual).
 converge_cutoff grows the cutoff with one ed_ground call per step and stops
 at the first step whose truncation residual is at most TOL_E.
 
-scipy is imported where it is called (_coupling, _sectors,
-build_hamiltonian, _parity_flip, ground_state, _eigsh_takes_rng, _lanczos),
-so importing this module loads numpy only and the mean-field commands never
-load scipy.
+scipy is imported where it is called (_dot, _coupling, _sectors,
+build_hamiltonian, _parity_flip, _partner_image, ground_state,
+_eigsh_takes_rng, _lanczos, observables), so importing this module loads
+numpy only and the mean-field commands never load scipy.
+
+One BLAS: the numpy and scipy wheels each bundle their own OpenBLAS, each
+with a thread pool whose workers spin for a while after a threaded call.
+ARPACK runs on scipy's, so every BLAS call here whose operand grows with
+the basis, a block or the cutoff runs on scipy's too: dot products and
+norms through _dot and _norm, the S products and the atomic sums through
+scipy.linalg.blas.dgemm and dgemv, none through numpy's @ or
+np.linalg.norm.  numpy's pool then stays asleep during a solve instead of
+spinning on the cores that ARPACK's threads wait on; numpy's BLAS and
+LAPACK see d x d single-atom matrices only.  Dot products and norms give
+numpy's bits; a dgemm can differ from numpy's in the last bit where the two
+OpenBLAS builds split it differently.  Where numpy and scipy share one
+BLAS nothing changes.  No BLAS thread count is set here.
 """
 
 from __future__ import annotations
@@ -59,6 +72,19 @@ TOL = 1e-10           # ARPACK stops at this Ritz residual relative to |e0|
 TOL_E = 1e-8          # converge_cutoff stops when the truncation residual is at most this
 _CUTOFF_GROWTH = 1.5
 _CUTOFF_STEPS = 16    # converge_cutoff raises ConvergenceError after this many steps
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors on scipy's BLAS, 0 for empty ones (which its
+    ddot wrapper rejects)."""
+    from scipy.linalg import blas
+
+    return blas.ddot(a, b) if len(a) else 0.0
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| on scipy's BLAS: sqrt(v . v), which is how np.linalg.norm forms it."""
+    return math.sqrt(_dot(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +315,7 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     matrix's size is allocated besides the matrix.
     """
     import scipy.sparse as sp
+    from scipy.linalg import blas
 
     atom = model.atom
     if atom.d != basis.d or model.n_atoms != basis.n_atoms:
@@ -329,7 +356,8 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     band = np.repeat([0, 1, 2], [slot.size, 1, slot.size])
     col = np.concatenate([other, np.arange(step)[:, None], other + step], axis=1)
     val = np.concatenate([J.data[ent], one, J.data[ent]], axis=1)
-    plus = np.where(band == 1, (basis.atomic_states[atoms] @ atom.energies)[:, None], 0.0)
+    level_sum = blas.dgemv(1.0, basis.atomic_states[atoms].T, atom.energies, trans=True)
+    plus = np.where(band == 1, level_sum[:, None], 0.0)
     real = np.concatenate([hop, one > 0, hop], axis=1)
     cell = 3 * odd[:, None] + band                        # the entry's column of factor
 
@@ -417,7 +445,7 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
     sign_at = 1.0 - 2.0 * ((states @ (c < 0)) % 2)
     sign_ph = np.where((ns % 2 == 1) & (x_star < 0.0), -1.0, 1.0)   # <a> = sqrt(N) x* < 0
     psi = np.outer(sign_ph * np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max()))
-    return psi.ravel() / np.linalg.norm(psi)
+    return psi.ravel() / _norm(psi.ravel())
 
 
 def _parity_flip(n_max: int) -> np.ndarray:
@@ -427,10 +455,12 @@ def _parity_flip(n_max: int) -> np.ndarray:
     odd under photon parity, and so is S, which therefore has no entry
     between two rows of one parity; S[odd rows, even rows] is the transpose.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import blas, eigh_tridiagonal
 
     w, v = eigh_tridiagonal(np.zeros(n_max + 1), np.sqrt(np.arange(1.0, n_max + 1)))
-    return (v[::2] * np.sign(w)) @ v[1::2].T
+    # S' = v[1::2] (v[::2] sign(w))', the product BLAS forms for numpy's
+    # (v[::2] sign(w)) @ v[1::2].T
+    return blas.dgemm(1.0, v[1::2], (v[::2] * np.sign(w)).T).T
 
 
 def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis,
@@ -448,14 +478,19 @@ def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis,
     sector's padded (pairs x step) array, so no basis-sized temporary is
     made.
     """
+    from scipy.linalg import blas
+
     rows = vectors.reshape(basis.n_max + 1, basis.n_atomic)
     even, odd = (rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms))
     if not (even.any() or odd.any()):
         return None
     flip = make_flip()
     image = np.empty((flip.shape[0], even.shape[1] + odd.shape[1]))
-    image[:, :even.shape[1]] = flip @ even
-    image[:flip.shape[1], even.shape[1]:] = flip.T @ odd
+    # the fancy index makes even and odd Fortran-ordered, like flip.T, so
+    # BLAS forms the transposes of S even and S' odd from them uncopied
+    image[:, :even.shape[1]] = blas.dgemm(1.0, even, flip.T, trans_a=True).T
+    image[:flip.shape[1], even.shape[1]:] = blas.dgemm(1.0, odd, flip.T, trans_a=True,
+                                                       trans_b=True).T
     return image.ravel()[:sector.size]
 
 
@@ -478,9 +513,8 @@ def _true_residual(H, psi: np.ndarray, e0: float, H_psi: np.ndarray | None = Non
     near 1e200), the norm is taken of the vector scaled by 2^-600, a power
     of two that rounds none of the entries that count, and scaled back."""
     r = (H @ psi if H_psi is None else H_psi) - e0 * psi
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(r))
-    return norm if norm < math.inf else float(np.linalg.norm(r * 2.0**-600)) * 2.0**600
+    norm = _norm(r)
+    return norm if norm < math.inf else _norm(r * 2.0**-600) * 2.0**600
 
 
 def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> GroundState:
@@ -529,9 +563,9 @@ def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> G
             # a non-finite theta or r (an overflowing product) fails the
             # rule, and ARPACK takes the block as it would without the test
             with np.errstate(over="ignore", invalid="ignore"):
-                v = v0 / np.linalg.norm(v0)
+                v = v0 / _norm(v0)
                 H_v = H @ v
-                theta = float(v @ H_v)
+                theta = _dot(v, H_v)
                 r = _true_residual(H, v, theta, H_v)
             if math.isfinite(theta) and r <= TOL * abs(theta):
                 return GroundState(e0=theta, vector=v, iterations=1, residual_norm=r,
@@ -583,13 +617,13 @@ def _lanczos(H, v0: np.ndarray | None = None, max_iter: int | None = None) -> Gr
     matvecs = 0
 
     def matvec(x):
-        # no numpy BLAS calls here: its thread pool would contend with ARPACK's
         nonlocal matvecs
         if matvecs == max_iter:
-            psi = x / np.linalg.norm(x)
+            psi = x / _norm(x)
+            H_psi = H @ psi
             raise ConvergenceError(
                 f"Lanczos did not reach tol {TOL:g} within {max_iter} matvecs",
-                best_residual=_true_residual(H, psi, float(psi @ (H @ psi))))
+                best_residual=_true_residual(H, psi, _dot(psi, H_psi), H_psi))
         matvecs += 1
         return H @ x
 
@@ -644,6 +678,8 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
     which is <b'b> / N exactly at s = 1.  Parity and populations are the
     same in either basis.
     """
+    from scipy.linalg import blas
+
     if model.atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
     s = _bogoliubov(model)[1]
@@ -653,16 +689,15 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
     p_n = w.sum(axis=1)
     p_r = w.sum(axis=0)
     ns = np.arange(basis.n_max + 1)
-    number = float(ns @ p_n)
+    number = _dot(ns, p_n)
     cross = np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))      # empty below n_max 2
-    pairs = 2.0 * float(cross @ (psi[:-2] * psi[2:]).sum(axis=1))     # <b^2 + b'^2>
+    pairs = 2.0 * _dot(cross, (psi[:-2] * psi[2:]).sum(axis=1))     # <b^2 + b'^2>
     photon = (number + ((s - 1.0 / s)**2 * (2.0 * number + 1.0)
                         + (s * s - 1.0 / (s * s)) * pairs) / 4.0) / N
-    quad = s * s * (float((2.0 * ns + 1.0) @ p_n) + pairs) / N
-    populations = (p_r @ basis.atomic_states) / N
+    quad = s * s * (_dot(2.0 * ns + 1.0, p_n) + pairs) / N
+    populations = blas.dgemv(1.0, basis.atomic_states.T, p_r) / N
     populations.flags.writeable = False
-    signs = parity_signs(basis)
-    parity = float(signs @ (psi.ravel() ** 2))
+    parity = _dot(parity_signs(basis), psi.ravel() ** 2)
     return EDResult(e0=math.nan, photon_density=photon, quad=quad, populations=populations,
                     parity=parity, n_max_used=basis.n_max, n_atoms=N, psi0=psi.ravel())
 
@@ -679,7 +714,7 @@ def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis) -> float:
     n, A = basis.n_max, basis.n_atomic
     if n == 0:
         return math.inf
-    return float(np.linalg.norm(math.sqrt(n + 1) * (J @ psi[n * A:])))
+    return _norm(math.sqrt(n + 1) * (J @ psi[n * A:]))
 
 
 def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,

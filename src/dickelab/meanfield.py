@@ -14,12 +14,13 @@ runs on a uniform grid over x >= 0 (every grid-resolved local minimum is
 refined by a safeguarded Newton iteration on e'(x)), once more with -lam
 for a non-bipartite atom, which is what makes first-order transitions with
 competing minima safe to classify.  One array pass (_merge) then joins the
-refined minima of every set from both halves of x, the -lam ones at -x.  A
-batch of parameter sets walks the grid a fixed number of grid points at a
-time, so the grid stage's memory does not grow with the batch size.  The
-grid values only place the brackets; for d <= 3 they come from a closed
-form for the lowest eigenvalue (_grid_lowest), and every number a solution
-reports comes from LAPACK.
+refined minima of every set from both halves of x, the -lam ones at -x, and
+x = 0 where e''(0) >= 0 (_curvature_at_zero).  A batch of parameter sets
+walks the grid a fixed number of grid points at a time, so the grid
+stage's memory does not grow with the batch size.  The grid values only
+place the brackets; for d <= 3 they come from a closed form for the lowest
+eigenvalue (_grid_lowest), and every number a solution reports comes from
+LAPACK.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class MeanFieldSolution:
     """Global minimum of e(x) plus every grid-resolved local minimum.
 
     local_minima lists (x, e) by ascending x, only x >= 0 for a bipartite
-    atom.  It always lists x = 0, also where x = 0 is a maximum (two-level
-    lam 0.7: ((0.0, 0.0), (0.602..., -0.1176...)) while e(+-1e-3) < 0).
+    atom.  It lists x = 0 where e''(0) >= 0 (_curvature_at_zero), and where
+    a refined minimum lies within X_TOL of it; so at a plain superradiant
+    point (two-level lam 0.7: ((0.602..., -0.1176...),)) it counts 1, and
+    where a metastable x = 0 competes with a superradiant branch, 2.
     """
 
     x_star: float
@@ -252,20 +255,48 @@ def _lowest(seg: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _merge(sets: np.ndarray, x: np.ndarray, e: np.ndarray, tol: np.ndarray):
+def _curvature_at_zero(omega_eff: np.ndarray, energies: np.ndarray,
+                       couplings: np.ndarray) -> np.ndarray:
+    """e''(0) of each parameter set, from second-order perturbation theory in x.
+
+    With a nondegenerate ground level it is 2 omega_eff - 8 sum_{n>=1}
+    lam_0n^2 / eps_n.  Where G, the levels with eps_n = eps_0 = 0, holds
+    more than level 0, the sum becomes the largest eigenvalue of
+    M = sum_{n not in G} lam_Gn lam_Gn' / eps_n, the second-order shift of
+    the lowest level of G; a level of G without couplings adds nothing, and
+    a coupling inside G splits G linearly in x, a cusp: e''(0) = -inf.  An
+    overflowing term gives -inf too.  O(B d) for a nondegenerate ground level.
+    """
+    g = int(np.count_nonzero(energies == energies[0]))
+    lam = couplings[:, :g, g:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g == 1:
+            top = (lam[:, 0] ** 2 / energies[1:]).sum(axis=1)
+        else:
+            M = np.einsum("bin,bjn->bij", lam / energies[g:], lam)
+            finite = np.isfinite(M).all(axis=(1, 2))
+            top = np.full(M.shape[0], np.inf)
+            top[finite] = np.linalg.eigvalsh(M[finite])[:, -1]
+            top[(couplings[:, :g, :g] != 0.0).any(axis=(1, 2))] = np.inf
+    return 2.0 * omega_eff - 8.0 * top
+
+
+def _merge(sets: np.ndarray, x: np.ndarray, e: np.ndarray, tol: np.ndarray,
+           zero: np.ndarray):
     """Local minima of tol.size parameter sets from candidates (sets, x, e).
 
-    Every set also has the candidate (0, 0), e(0) = eps_0 = 0 exactly, and
-    |x| <= X_TOL counts as 0.  Sorted by (set, x), neighbours at most
-    tol[set] apart are one minimum, which takes its lowest candidate (see
-    _lowest).  Returns the minima (s, x, e) sorted by (set, x) and each
-    set's x*, the x of its lowest minimum.
+    A set with zero[set] True (x = 0 a local minimum) also has the
+    candidate (0, 0), e(0) = eps_0 = 0 exactly, and |x| <= X_TOL counts as
+    0.  Sorted by (set, x), neighbours at most tol[set] apart are one
+    minimum, which takes its lowest candidate (see _lowest).  Returns the
+    minima (s, x, e) sorted by (set, x) and each set's x*, the x of its
+    lowest minimum; every set must have a minimum.
     """
-    B = tol.size
-    s = np.concatenate([np.arange(B), sets])
-    x = np.concatenate([np.zeros(B), x])
+    at_zero = np.flatnonzero(zero)
+    s = np.concatenate([at_zero, sets])
+    x = np.concatenate([np.zeros(at_zero.size), x])
     x[np.abs(x) <= X_TOL] = 0.0
-    e = np.concatenate([np.zeros(B), e])
+    e = np.concatenate([np.zeros(at_zero.size), e])
     order = np.lexsort((x, s))
     s, x, e = s[order], x[order], e[order]
     new = np.ones(s.size, dtype=bool)
@@ -289,7 +320,8 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     chosen grid point is _energies there, _refine runs on every bracket of
     the batch at once, and a bracket whose refinement ends above its grid
     point keeps it.  One _merge joins the candidates of both halves of x, a
-    mirrored row's at -x, within 1e-9 max(1, x_max) of each other.  e* is
+    mirrored row's at -x, within 1e-9 max(1, x_max) of each other, and
+    x = 0 where it is a local minimum (_curvature_at_zero).  e* is
     _energies at x*, the formula energy_density uses, and one batched eigh
     gives each x*'s occupations.  LAPACK solves each matrix on its own and
     _refine freezes each bracket at its owner's tolerance, so neither the
@@ -311,7 +343,8 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     x_ref, e_ref = np.where(e_ref > e_grid, [x_grid, e_grid], [x_ref, e_ref])
 
     s, x, e, x_star = _merge(sets[owners], np.where(owners < B, x_ref, -x_ref), e_ref,
-                             1e-9 * np.maximum(1.0, x_hi[:B]))
+                             1e-9 * np.maximum(1.0, x_hi[:B]),
+                             _curvature_at_zero(omega_eff, energies, couplings) >= 0.0)
     e_star = _energies(omega_eff, energies, couplings, x_star)
     occ = np.linalg.eigh(single_atom_matrices(energies, couplings, x_star))[1][:, :, 0] ** 2
     occ.flags.writeable = False

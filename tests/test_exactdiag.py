@@ -931,6 +931,41 @@ class TestPartnerStart:
         assert exactdiag._partner_image(psi, sectors[0], basis, make_flip) is None
 
 
+class TestOnePool:
+    """The basis-sized BLAS calls of the ED solve run on scipy's BLAS, the
+    library ARPACK runs on, with numpy's bits."""
+
+    @pytest.mark.parametrize("n", [1000, 20_000, 100_000])
+    def test_helpers_match_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), 1e3 * rng.standard_normal(n)
+        assert exactdiag._norm(a) == np.linalg.norm(a)
+        assert exactdiag._norm(b) == np.linalg.norm(b)
+        assert exactdiag._dot(a, b) == a @ b
+        assert exactdiag._dot(a[:0], b[:0]) == a[:0] @ b[:0] == 0.0
+
+    def test_ed_ground_takes_no_numpy_norm_of_a_basis_vector(self, monkeypatch):
+        # N=20 at its first cutoff: a mean-field start, an ARPACK solve and
+        # a partner image that meets the tolerance, over a basis of 45,276
+        model = ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20)
+        x_star = minimize(model).x_star
+        n_max = _first_cutoff(model, x_star, MAX_DIM_DEFAULT)
+        plain = ed_ground(model, n_max, x_star=x_star)
+        norm = np.linalg.norm
+
+        def small_only(x, *args, **kwargs):
+            if np.size(x) > 10_000:
+                raise AssertionError(f"np.linalg.norm of {np.size(x)} entries")
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", small_only)
+        patched = ed_ground(model, n_max, x_star=x_star)
+        for f in dataclasses.fields(plain):
+            a, b = getattr(patched, f.name), getattr(plain, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        assert plain.method == "lanczos"
+
+
 class TestConvergeCutoff:
     def test_decoupled_converges_immediately(self):
         m = two_level(1.0, 1.0, 0.0, n_atoms=4)

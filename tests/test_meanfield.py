@@ -227,6 +227,16 @@ class TestMinimize:
         assert sol.x_star == 0.0
         assert sol.n_local_minima == 2           # x = 0 plus the metastable branch
 
+    def test_zero_is_listed_only_where_it_is_a_minimum(self):
+        # two-level lam 0.7: e''(0) = 2 - 8 * 0.49 < 0, so x = 0 is a maximum
+        sol = minimize(two_level(1.0, 1.0, 0.7))
+        assert sol.n_local_minima == 1
+        assert [x for x, _ in sol.local_minima] == [sol.x_star]
+        assert sol.x_star == pytest.approx(oracles.two_level_x_star(1.0, 1.0, 0.7), abs=1e-7)
+        # below lam_c x = 0 is the one minimum, and at lam_c (e''(0) = 0) too
+        for lam in (0.45, 0.5):
+            assert minimize(two_level(1.0, 1.0, lam)).local_minima == ((0.0, 0.0),)
+
     def test_decoupled_model(self):
         atom = AtomSpec([0.0, 1.0, 2.0], np.zeros((3, 3)))
         sol = minimize(DickeModel(1.0, atom))
@@ -612,6 +622,50 @@ class TestRefinement:
             minimize(DickeModel(1.0, atom))
 
 
+def curvature(model: DickeModel) -> float:
+    return float(meanfield._curvature_at_zero(np.array([model.omega_eff]), model.atom.energies,
+                                              model.atom.couplings[None])[0])
+
+
+def second_difference(model: DickeModel, h: float = 1e-4) -> float:
+    e = energy_density(model, np.array([-h, 0.0, h]))
+    return float((e[0] - 2.0 * e[1] + e[2]) / h**2)
+
+
+class TestCurvatureAtZero:
+    def test_matches_the_second_difference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            m = DickeModel(rng.uniform(0.5, 2.0), random_atom(rng, int(rng.integers(2, 5))),
+                           kappa=rng.uniform(0.0, 0.5))
+            assert curvature(m) == pytest.approx(second_difference(m), rel=1e-5, abs=1e-5)
+        assert curvature(odd_cycle_model()) == pytest.approx(
+            second_difference(odd_cycle_model()), rel=1e-5)
+
+    def test_closed_form(self):
+        # 2 omega_eff - 8 sum_n lam_0n^2 / eps_n; zero at the two-level lam_c
+        assert curvature(two_level(1.0, 1.0, 0.5)) == 0.0
+        assert curvature(two_level(1.0, 1.0, 0.7)) == 2.0 - 8.0 * 0.7**2
+        assert curvature(ladder(1.0, 1.0, 2.0, 0.3, 1.5, kappa=0.1)) == 2.8 - 8.0 * 0.3**2
+
+    def test_degenerate_ground_level(self):
+        # level 1 has eps_0's energy: uncoupled it adds nothing ...
+        lam = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+        m = DickeModel(1.0, AtomSpec([0.0, 0.0, 1.0], lam))
+        assert curvature(m) == 2.0 - 8.0 * 0.3**2
+        # ... coupled to level 2 it shifts down faster than level 0 does
+        lam[1, 2] = lam[2, 1] = 1.0
+        m = DickeModel(1.0, AtomSpec([0.0, 0.0, 1.0], lam))
+        assert curvature(m) < 2.0 - 8.0 * 0.3**2 and curvature(m) < 0.0
+        assert curvature(m) == pytest.approx(second_difference(m), rel=1e-5)
+        # ... and coupled to level 0 it splits the pair linearly in x
+        lam = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        m = DickeModel(1.0, AtomSpec([0.0, 0.0, 1.0], lam))
+        assert curvature(m) == -math.inf
+        sol = minimize(m)
+        assert sol.superradiant and [x for x, _ in sol.local_minima] == [sol.x_star]
+
+
 class TestOddCycle:
     def test_odd_cycle_matches_two_colouring(self):
         rng = np.random.default_rng(7)
@@ -687,11 +741,14 @@ class TestMerge:
     """The rule that joins the candidate minima of both halves of x."""
 
     @staticmethod
-    def merge(sets, x, e, tol=1e-9):
-        """(local minima of each set, x* of each set) from synthetic candidates."""
+    def merge(sets, x, e, tol=1e-9, zero=None):
+        """(local minima of each set, x* of each set) from synthetic
+        candidates; x = 0 is a local minimum of the sets where zero is True,
+        by default of every set."""
         B = max(sets) + 1
+        zero = np.ones(B, dtype=bool) if zero is None else np.array(zero)
         s, xs, es, x_star = meanfield._merge(np.array(sets), np.array(x, dtype=float),
-                                             np.array(e, dtype=float), np.full(B, tol))
+                                             np.array(e, dtype=float), np.full(B, tol), zero)
         minima = [[(float(a), float(c)) for t, a, c in zip(s, xs, es) if t == b] for b in range(B)]
         return minima, x_star.tolist()
 
@@ -725,6 +782,16 @@ class TestMerge:
         assert self.merge([0, 0], [-0.3, -0.2], [-0.1, -0.1])[1] == [-0.2]
         assert self.merge([0], [-0.3], [0.0])[1] == [0.0]
 
+    def test_zero_is_a_candidate_only_where_it_is_a_minimum(self):
+        minima, x_star = self.merge([0, 1, 1], [0.5, -0.3, 0.5], [-0.1, -0.2, -0.1],
+                                    zero=[False, True])
+        assert minima == [[(0.5, -0.1)], [(-0.3, -0.2), (0.0, 0.0), (0.5, -0.1)]]
+        assert x_star == [0.5, -0.3]
+        # a refined minimum within X_TOL of 0 is listed as x = 0 all the same
+        minima, x_star = self.merge([0, 0], [0.5 * meanfield.X_TOL, 0.5], [1e-15, 0.1],
+                                    zero=[False])
+        assert minima == [[(0.0, 1e-15), (0.5, 0.1)]] and x_star == [0.0]
+
     def test_sets_do_not_merge_with_each_other(self):
         minima, x_star = self.merge([1, 0, 1], [0.5, 0.5, -0.2], [-0.1, -0.2, -0.3])
         assert minima == [[(0.0, 0.0), (0.5, -0.2)], [(-0.2, -0.3), (0.0, 0.0), (0.5, -0.1)]]
@@ -750,12 +817,16 @@ class TestMerge:
         assert odd[0] and not odd[1]
         omega_eff = rng.uniform(0.3, 2.0, B)
         batch = _solve_batch(omega_eff, energies, C)
+        curvature = meanfield._curvature_at_zero(omega_eff, energies, C)
         for b in range(B):
             alone = _solve_batch(omega_eff[b:b + 1], energies, C[b:b + 1])[0]
             assert _as_tuple(alone) == _as_tuple(batch[b])
             xs = [x for x, _ in batch[b].local_minima]
-            assert xs == sorted(xs) and xs.count(0.0) == 1 and batch[b].x_star in xs
-            assert odd[b] or min(xs) == 0.0
+            assert xs == sorted(xs) and xs.count(0.0) <= 1 and batch[b].x_star in xs
+            # x = 0 is listed wherever e''(0) >= 0, and elsewhere only where
+            # a refined minimum lies within X_TOL of it
+            assert 0.0 in xs or curvature[b] < 0.0
+            assert odd[b] or min(xs) >= 0.0
         perm = rng.permutation(B)
         shuffled = _solve_batch(omega_eff[perm], energies, C[perm])
         assert [_as_tuple(shuffled[i]) for i in np.argsort(perm)] == [_as_tuple(s) for s in batch]
