@@ -32,6 +32,18 @@ vector leaks out of the truncated Fock space (truncation_residual).
 converge_cutoff grows the cutoff with one ed_ground call per step and stops
 at the first step whose truncation residual is at most TOL_E.
 
+Built once: what depends on the model alone.  The atomic states
+(_enumerate_occupations, per N and d) and J (_coupling, per model) do not
+depend on the cutoff, and S = sign(a + a') (_parity_flip) depends on n_max
+alone.  Each is a one-entry cache of read-only arrays, so the blocks of one
+ed_ground call, the steps of converge_cutoff and a later full-basis
+build_hamiltonian of the same model share one, and each is rebuilt only
+when its key changes.  The last model's atomic states and J and the last
+cutoff's S stay alive after a call, bounded by max_dim: the atomic states
+are A x d and J has at most d (d - 1) entries per row, with A <= dim <=
+max_dim, and ed_ground builds S, about (n_max + 1)^2 / 2 entries, only
+where (n_max + 1)^2 <= max_dim.
+
 scipy is imported where it is called (_dot, _coupling, _sectors,
 build_hamiltonian, _parity_flip, _partner_image, ground_state,
 _eigsh_takes_rng, _lanczos, observables), so importing this module loads
@@ -56,9 +68,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,19 +104,22 @@ def _norm(v: np.ndarray) -> float:
 # basis
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _enumerate_occupations(n_atoms: int, d: int) -> np.ndarray:
-    """All occupation vectors, descending lex, (N, 0, ..., 0) first."""
-    states: list[tuple[int, ...]] = []
+    """All occupation vectors, descending lex, (N, 0, ..., 0) first, as one
+    read-only (A, d) array.
 
-    def rec(prefix: tuple[int, ...], rem: int, slots: int):
-        if slots == 1:
-            states.append(prefix + (rem,))
-            return
-        for v in range(rem, -1, -1):
-            rec(prefix + (v,), rem - v, slots - 1)
-
-    rec((), n_atoms, d)
-    return np.array(states, dtype=np.int64)
+    Stars and bars: d - 1 bars placed among N + d - 1 slots leave the gaps
+    m_0, ..., m_{d-1} between them.  itertools.combinations yields the bar
+    positions in ascending lex order, which is ascending lex order of m, so
+    the reversed list is the basis order.
+    """
+    slots = n_atoms + d - 1
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), d - 1)),
+                       dtype=np.int64).reshape(-1, d - 1)
+    states = np.diff(bars[::-1], axis=1, prepend=-1, append=slots) - 1
+    states.flags.writeable = False
+    return states
 
 
 def _rank(states: np.ndarray) -> np.ndarray:
@@ -173,9 +189,8 @@ def build_basis(n_atoms: int, d: int, n_max: int,
         raise ResourceLimitError(
             f"basis dimension {_digits(dim)} exceeds max_dim {_digits(max_dim)} "
             f"(N={_digits(n_atoms)}, d={d}, n_max={_digits(n_max)})")
-    states = _enumerate_occupations(n_atoms, d)
-    states.flags.writeable = False
-    return SymmetricBasis(n_atoms=n_atoms, d=d, n_max=n_max, atomic_states=states)
+    return SymmetricBasis(n_atoms=n_atoms, d=d, n_max=n_max,
+                          atomic_states=_enumerate_occupations(n_atoms, d))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +218,21 @@ def _bogoliubov(model: DickeModel) -> tuple[DickeModel, float]:
     return DickeModel(omega, atom, n_atoms=model.n_atoms), s
 
 
-def _coupling(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
-    """J, the A x A collective coupling in H = D + (a + a') (x) J.
+@functools.lru_cache(maxsize=1)
+def _coupling(model: DickeModel) -> sp.csr_matrix:
+    """J, the A x A collective coupling in H = D + (a + a') (x) J, over the
+    atomic states of _enumerate_occupations(model.n_atoms, model.atom.d).
 
     The collective move k -> j takes occupation vector m to m' with
     amplitude lam_jk sqrt((m_j + 1) m_k) / sqrt(N); J holds it at (m', m)
-    and at (m, m'), as canonical CSR.
+    and at (m, m'), as canonical CSR with read-only arrays.  The last
+    model's J is kept (models compare and hash by value), so the blocks of
+    an ed_ground call and the steps of converge_cutoff share one.
     """
     import scipy.sparse as sp
 
     atom = model.atom
-    states = basis.atomic_states
+    states = _enumerate_occupations(model.n_atoms, atom.d)
     coef = 1.0 / math.sqrt(model.n_atoms)
     src, moved, amp = [np.empty(0, np.int64)], [np.empty((0, atom.d), np.int64)], [np.empty(0)]
     for j, k in coupling_pairs(atom.d):
@@ -230,11 +249,14 @@ def _coupling(model: DickeModel, basis: SymmetricBasis) -> sp.csr_matrix:
     src, amp = np.concatenate(src), np.concatenate(amp)
     dst = _rank(np.concatenate(moved))         # one rank table for every pair
     rows, cols = np.concatenate([dst, src]), np.concatenate([src, dst])
-    A = basis.n_atomic
+    A = states.shape[0]
     order = np.argsort(rows * A + cols)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=A))])
-    return sp.csr_matrix((np.concatenate([amp, amp])[order], cols[order].astype(np.int32),
-                          indptr.astype(np.int32)), shape=(A, A))
+    J = sp.csr_matrix((np.concatenate([amp, amp])[order], cols[order].astype(np.int32),
+                       indptr.astype(np.int32)), shape=(A, A))
+    for part in (J.data, J.indices, J.indptr):
+        part.flags.writeable = False
+    return J
 
 
 @dataclass(frozen=True)
@@ -296,13 +318,14 @@ def _sectors(J: sp.csr_matrix, n_max: int) -> list[Sector]:
     return [Sector((verts[verts < A], verts[verts >= A] - A), n_max) for verts in components]
 
 
-def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector | None = None,
-                      J: sp.csr_matrix | None = None) -> sp.csr_matrix:
+def build_hamiltonian(model: DickeModel, basis: SymmetricBasis,
+                      sector: Sector | None = None) -> sp.csr_matrix:
     """Sparse symmetric H on one sector, or on the whole basis when sector is
     None, as canonical CSR in ascending basis index (both triangles stored).
 
     H = D + (a + a') (x) J, with the diagonal D = omega n + sum_j eps_j m_j
-    and J = _coupling(model, basis), which is built here when not given.
+    and J = _coupling(model), which is built once per model: the blocks of
+    one cutoff and the cutoffs of one model share it.
     The model must have kappa = 0 (ValueError otherwise); ed_ground maps
     kappa > 0 onto such a model (_bogoliubov).  Row (n, r) holds, in column
     order, up to three bands: sqrt(n) J[r] on photon row n-1, D and
@@ -323,8 +346,7 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis, sector: Sector |
     if model.kappa != 0.0:
         raise ValueError("build_hamiltonian takes kappa = 0 models; map others with _bogoliubov")
     A = basis.n_atomic
-    if J is None:
-        J = _coupling(model, basis)
+    J = _coupling(model)
     if sector is None:
         every = np.arange(A)
         sector = Sector((every, every), basis.n_max)
@@ -448,8 +470,10 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
     return psi.ravel() / _norm(psi.ravel())
 
 
+@functools.lru_cache(maxsize=1)
 def _parity_flip(n_max: int) -> np.ndarray:
-    """S[even rows, odd rows] for S = sign(a + a') on photon rows 0..n_max.
+    """S[even rows, odd rows] for S = sign(a + a') on photon rows 0..n_max,
+    read-only; the last n_max's S is kept, so it is built once per n_max.
 
     a + a' is the zero-diagonal tridiagonal with off-diagonal sqrt(n).  It is
     odd under photon parity, and so is S, which therefore has no entry
@@ -460,15 +484,16 @@ def _parity_flip(n_max: int) -> np.ndarray:
     w, v = eigh_tridiagonal(np.zeros(n_max + 1), np.sqrt(np.arange(1.0, n_max + 1)))
     # S' = v[1::2] (v[::2] sign(w))', the product BLAS forms for numpy's
     # (v[::2] sign(w)) @ v[1::2].T
-    return blas.dgemm(1.0, v[1::2], (v[::2] * np.sign(w)).T).T
+    flip = blas.dgemm(1.0, v[1::2], (v[::2] * np.sign(w)).T).T
+    flip.flags.writeable = False
+    return flip
 
 
-def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis,
-                   make_flip: Callable[[], np.ndarray]) -> np.ndarray | None:
+def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis) -> np.ndarray | None:
     """The sector's part of (S (x) 1) vectors, in the sector's state order,
-    with S = sign(a + a'); None where that part is zero.  make_flip()
-    returns S[even rows, odd rows] (_parity_flip) and is called only for a
-    nonzero part; ed_ground passes one that builds S once per call.
+    with S = sign(a + a'); None where that part is zero.  S[even rows, odd
+    rows] comes from _parity_flip(basis.n_max) only for a nonzero part, and
+    is built at most once per n_max.
 
     Flipping n mod 2 permutes the components of _sectors' graph, so the
     state (n, r) of the sector reads only the states (m, r) with m of the
@@ -484,7 +509,7 @@ def _partner_image(vectors: np.ndarray, sector: Sector, basis: SymmetricBasis,
     even, odd = (rows[1 - p::2, atoms] for p, atoms in enumerate(sector.atoms))
     if not (even.any() or odd.any()):
         return None
-    flip = make_flip()
+    flip = _parity_flip(basis.n_max)
     image = np.empty((flip.shape[0], even.shape[1] + odd.shape[1]))
     # the fancy index makes even and odd Fortran-ordered, like flip.T, so
     # BLAS forms the transposes of S even and S' odd from them uncopied
@@ -540,17 +565,13 @@ def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> G
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    dense = None if sp.issparse(H) else np.asarray(H, dtype=float)
-    if not np.isfinite(H.data if dense is None else dense).all():
+    H = sp.csr_matrix(H)
+    if not np.isfinite(H.data).all():
         raise SolverError("Hamiltonian has a non-finite entry: the model's energies "
                           "overflow float64")
-    if dense is None:
-        coo = H.tocoo() if H.nnz <= H.shape[0] else None
-        diagonal = coo is not None and np.array_equal(coo.row, coo.col)
-    else:
-        diagonal = np.count_nonzero(dense) == np.count_nonzero(dense.diagonal())
-    if diagonal:
-        entries = (H if dense is None else dense).diagonal()
+    coo = H.tocoo() if H.nnz <= H.shape[0] else None
+    if coo is not None and np.array_equal(coo.row, coo.col):
+        entries = H.diagonal()
         low = np.argmin(entries)
         psi = np.zeros(entries.size)
         psi[low] = 1.0
@@ -571,7 +592,7 @@ def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> G
                 return GroundState(e0=theta, vector=v, iterations=1, residual_norm=r,
                                    method="partner")
         return _lanczos(H, v0)
-    w, v = sla.eigh(H.toarray() if dense is None else dense, subset_by_index=(0, 0))
+    w, v = sla.eigh(H.toarray(), subset_by_index=(0, 0))
     psi = v[:, 0]
     e0 = float(w[0])
     return GroundState(e0=e0, vector=psi, iterations=0,
@@ -702,19 +723,17 @@ def observables(psi0: np.ndarray, basis: SymmetricBasis, model: DickeModel) -> E
                     parity=parity, n_max_used=basis.n_max, n_atoms=N, psi0=psi.ravel())
 
 
-def _truncation_residual(J, psi: np.ndarray, basis: SymmetricBasis) -> float:
+def _truncation_residual(model: DickeModel, psi: np.ndarray, basis: SymmetricBasis) -> float:
     """Norm of row n_max+1 of (H' - e0) psi~, where psi~ is psi zero-padded to
-    cutoff n_max + 1 and H' is the (kappa = 0) Hamiltonian there.
+    cutoff n_max + 1 and H' is the (kappa = 0) model's Hamiltonian there.
 
     Only the photon hop out of psi's top photon row reaches that row: it is
-    sqrt(n_max+1) J psi_{n_max}, with J the collective coupling (_coupling),
-    so no second Hamiltonian is built.  inf at n_max = 0, a cutoff that
-    keeps no photon.
+    sqrt(n_max+1) J psi_{n_max}, with J the model's collective coupling
+    (_coupling), so no second Hamiltonian is built.  inf at n_max = 0, a
+    cutoff that keeps no photon.
     """
     n, A = basis.n_max, basis.n_atomic
-    if n == 0:
-        return math.inf
-    return _norm(math.sqrt(n + 1) * (J @ psi[n * A:]))
+    return _norm(math.sqrt(n + 1) * (_coupling(model) @ psi[n * A:])) if n else math.inf
 
 
 def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
@@ -763,7 +782,7 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     moves, by about the tolerance.  S has
     (n_max + 1)^2 entries and is made only when that is at most max_dim,
     the bound on the basis and so on every vector made here, and at most
-    once per call.  Other cold
+    once per n_max, not per call (_parity_flip).  Other cold
     blocks start from the mean-field product state (mean_field_state) at
     x_star, the global mean-field minimum, which is computed here when not
     given.
@@ -776,22 +795,20 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     """
     model0, s = _bogoliubov(model)
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
-    J = _coupling(model0, basis)
-    sectors = _sectors(J, n_max)
+    sectors = _sectors(_coupling(model0), n_max)
     start = None
     if warm is not None:
         start = np.zeros(basis.dim)
         start[:warm.size] = warm
     solves, firsts = [], []
     vectors = np.zeros(basis.dim)
-    make_flip = functools.cache(functools.partial(_parity_flip, n_max))    # S depends on n_max only
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
         v0, partner = None, False
         # the block of one atomic state is diagonal: ground_state takes no start
         if idx.size > DENSE_CUTOFF and sector.atoms[0].size + sector.atoms[1].size > 1:
             if warm is None and (n_max + 1) ** 2 <= max_dim:
-                v0 = _partner_image(vectors, sector, basis, make_flip)
+                v0 = _partner_image(vectors, sector, basis)
                 partner = v0 is not None
             if v0 is None:
                 if start is None:
@@ -801,7 +818,7 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
                 v0 = start[idx]
                 if not v0.any():
                     v0 = None
-        gs = ground_state(build_hamiltonian(model0, basis, sector, J), v0=v0, partner=partner)
+        gs = ground_state(build_hamiltonian(model0, basis, sector), v0=v0, partner=partner)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
         firsts.append(idx[0])
@@ -820,7 +837,7 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
         # minus, not plus: x - 0.0 is x for every x, so kappa = 0 keeps e0's bits
         observables(psi, basis, model), e0=gs.e0 - (model.omega - model0.omega) / 2.0,
         lanczos_iterations=gs.iterations, residual_norm=gs.residual_norm,
-        truncation_residual=_truncation_residual(J, psi, basis),
+        truncation_residual=_truncation_residual(model0, psi, basis),
         method=gs.method, block_vectors=vectors)
 
 
@@ -858,12 +875,14 @@ def converge_cutoff(model: DickeModel, max_dim: int = MAX_DIM_DEFAULT,
     at small N is accepted after one solve like a superradiant ladder; at
     x* = 0 the first cutoff is 16.  Each step is one ed_ground call,
     given x* and, after the first step, the previous step's block_vectors as
-    warm.  The result is the accepted step's ed_ground result; only the e0 of
-    earlier steps is kept.  Any SolverError that leaves a step, and the
-    ConvergenceError raised when no step is accepted within _CUTOFF_STEPS,
-    carries the (n_max, e0) pairs measured so far as ``trace``.  x_star is that
-    mean-field minimum, computed here when not given; it does not depend on
-    n_atoms, so a scan over N can compute it once.
+    warm; the steps share the model's J and atomic states, built by the
+    first (_coupling).  The result is the accepted step's ed_ground result;
+    only the e0 of earlier steps is kept.  Any SolverError that leaves a
+    step, and the ConvergenceError raised when no step is accepted within
+    _CUTOFF_STEPS, carries the (n_max, e0) pairs measured so far as
+    ``trace``.  x_star is that mean-field minimum, computed here when not
+    given; it does not depend on n_atoms, so a scan over N can compute it
+    once.
     """
     x_mf = meanfield.minimize(model).x_star if x_star is None else x_star
     n = _first_cutoff(model, x_mf, max_dim)

@@ -56,11 +56,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def check_energies(energies) -> np.ndarray:
-    """The level energies as a read-only array: 1d, at least 2 levels, the
-    first 0 and the rest ascending; else ValueError."""
+    """The level energies as a read-only array: 1d, at least 2 levels, all
+    finite, the first 0 and the rest ascending; else ValueError."""
     energies = _frozen_array(energies)
     if energies.ndim != 1 or energies.size < 2:
         raise ValueError("energies must be a 1d sequence with at least 2 levels")
+    if not np.isfinite(energies).all():
+        raise ValueError("energies must be finite")
     if energies[0] != 0.0:
         raise ValueError("energies[0] must be 0 (ground level sets the zero)")
     if np.any(np.diff(energies) < 0):
@@ -91,6 +93,9 @@ class AtomSpec:
     couplings : real symmetric (d, d) matrix, zero diagonal; entry (j, k)
         is the coupling strength of the j <-> k transition to the photon
         (check_couplings).
+
+    Two atoms are equal when their arrays are, and hash alike then (-0.0
+    and 0.0 included), so a model can key a cache.
     """
 
     energies: np.ndarray
@@ -99,6 +104,13 @@ class AtomSpec:
     def __post_init__(self):
         object.__setattr__(self, "energies", check_energies(self.energies))
         object.__setattr__(self, "couplings", check_couplings(self.couplings, self.d))
+
+    def __eq__(self, other):
+        return (isinstance(other, AtomSpec) and np.array_equal(self.energies, other.energies)
+                and np.array_equal(self.couplings, other.couplings))
+
+    def __hash__(self):
+        return hash((tuple(self.energies.tolist()), tuple(self.couplings.ravel().tolist())))
 
     @property
     def d(self) -> int:
@@ -118,14 +130,18 @@ class AtomSpec:
 
 
 def check_omega(omega) -> float:
-    """omega as a float; ValueError unless it is positive."""
+    """omega as a float; ValueError unless it is positive and finite."""
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     if not omega > 0:
         raise ValueError("omega must be positive")
     return float(omega)
 
 
 def check_kappa(kappa) -> float:
-    """kappa as a float; ValueError when it is negative."""
+    """kappa as a float; ValueError unless it is nonnegative and finite."""
+    if not math.isfinite(kappa):
+        raise ValueError("kappa must be finite")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     return float(kappa)

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import math
 import tracemalloc
@@ -59,7 +58,7 @@ def displacement_operator(basis) -> sp.csr_matrix:
 
 def blocks(model, basis) -> list[np.ndarray]:
     """Basis indices of ed_ground's sectors, in its order."""
-    sectors = _sectors(_coupling(model, basis), basis.n_max)
+    sectors = _sectors(_coupling(model), basis.n_max)
     return [sector.indices(basis.n_atomic) for sector in sectors]
 
 
@@ -110,7 +109,7 @@ class TestBasis:
 
     def test_bijection(self):
         for n_atoms in (1, 3, 7, 12):
-            for d in (2, 3, 4):
+            for d in (2, 3, 4, 5):
                 b = build_basis(n_atoms, d, 0)
                 for r in range(b.n_atomic):
                     m = b.unrank(r)
@@ -245,7 +244,7 @@ class TestHamiltonian:
     def test_sector_atoms_do_not_depend_on_n_max(self):
         # from n_max 1 on, a sector spans every photon row: only n_max changes
         for model in SECTOR_MODELS:
-            J = _coupling(model, build_basis(model.n_atoms, model.atom.d, 0))
+            J = _coupling(model)
             ref = _sectors(J, 1)
             for n_max in (2, 6, 17):
                 got = _sectors(J, n_max)
@@ -258,11 +257,10 @@ class TestHamiltonian:
         for model in SECTOR_MODELS:
             for n_max in (0, 1, 2, 3, 6, 17):
                 basis = build_basis(model.n_atoms, model.atom.d, n_max)
-                J = _coupling(model, basis)
                 H = build_hamiltonian(model, basis)
-                for sector in _sectors(J, n_max):
+                for sector in _sectors(_coupling(model), n_max):
                     idx = sector.indices(basis.n_atomic)
-                    got = build_hamiltonian(model, basis, sector, J)
+                    got = build_hamiltonian(model, basis, sector)
                     ref = H[idx][:, idx]
                     ref.sort_indices()
                     for name in ("indptr", "indices", "data"):
@@ -733,11 +731,10 @@ class TestPartnerStart:
         assert round(res.parity) == 1
         # the even block is solved exactly as from its mean-field part alone
         basis = build_basis(10, 3, n_max)
-        J = _coupling(m, basis)
-        sector = _sectors(J, n_max)[0]
+        sector = _sectors(_coupling(m), n_max)[0]
         idx = sector.indices(basis.n_atomic)
         start = mean_field_state(m, basis, minimize(m).x_star)[idx]
-        ref = _lanczos(build_hamiltonian(m, basis, sector, J), start)
+        ref = _lanczos(build_hamiltonian(m, basis, sector), start)
         assert solves[0].e0 == ref.e0 == res.e0
         assert np.array_equal(res.block_vectors[idx], ref.vector)
 
@@ -764,7 +761,7 @@ class TestPartnerStart:
         assert abs(solves[1].e0 - solves[3].e0) <= 1e-12 * abs(solves[3].e0)
         # the even block wins either way, so only the odd block's vector moves
         basis = build_basis(20, 3, n_max)
-        odd = _sectors(_coupling(m, basis), n_max)[1].indices(basis.n_atomic)
+        odd = _sectors(_coupling(m), n_max)[1].indices(basis.n_atomic)
         for f in dataclasses.fields(res):
             a, b = getattr(res, f.name), getattr(ref, f.name)
             if f.name == "block_vectors":
@@ -860,9 +857,9 @@ class TestPartnerStart:
         # image is made for them
         seen, image = [], exactdiag._partner_image
 
-        def spy(vectors, sector, basis, make_flip):
+        def spy(vectors, sector, basis):
             seen.append(sector.atoms[0].size + sector.atoms[1].size)
-            return image(vectors, sector, basis, make_flip)
+            return image(vectors, sector, basis)
 
         monkeypatch.setattr(exactdiag, "_partner_image", spy)
         res = ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 0.8, n_atoms=2), 600)
@@ -884,13 +881,6 @@ class TestPartnerStart:
     def test_one_parity_flip_per_call(self, monkeypatch):
         # lam01 = 0: seven blocks start from their partner's image; S depends
         # on n_max only and is built once
-        flips, flip = [], exactdiag._parity_flip
-
-        def counting(n_max):
-            flips.append(n_max)
-            return flip(n_max)
-
-        monkeypatch.setattr(exactdiag, "_parity_flip", counting)
         images, image = [], exactdiag._partner_image
 
         def spy(*args):
@@ -898,9 +888,11 @@ class TestPartnerStart:
             return images[-1]
 
         monkeypatch.setattr(exactdiag, "_partner_image", spy)
+        exactdiag._parity_flip.cache_clear()
         ed_ground(ladder(1.0, 1.0, 2.0, 0.0, 1.5, n_atoms=10), 106)
         assert sum(v is not None for v in images) == 7
-        assert flips == [106]
+        info = exactdiag._parity_flip.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
 
     def test_stiff_odd_block_converges(self):
         # TRK-saturated normal phase (kappa = lam^2 / eps_1), x* = 0.  In the
@@ -917,18 +909,16 @@ class TestPartnerStart:
     ], ids=["ladder", "vtype"])
     def test_image_lies_in_the_partner_block(self, model, n_max):
         basis = build_basis(model.n_atoms, model.atom.d, n_max)
-        J = _coupling(model, basis)
-        sectors = _sectors(J, n_max)
+        sectors = _sectors(_coupling(model), n_max)
         even, odd = (s.indices(basis.n_atomic) for s in sectors)
         psi = np.zeros(basis.dim)
         psi[even] = ed_ground(model, n_max).block_vectors[even]
         image = (photon_sign(n_max) @ psi.reshape(n_max + 1, -1)).ravel()
         outside = np.delete(image, odd)
         assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(image)
-        make_flip = functools.partial(exactdiag._parity_flip, n_max)
-        np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis, make_flip),
+        np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis),
                                    image[odd], atol=1e-12)
-        assert exactdiag._partner_image(psi, sectors[0], basis, make_flip) is None
+        assert exactdiag._partner_image(psi, sectors[0], basis) is None
 
 
 class TestOnePool:
@@ -1075,6 +1065,14 @@ class TestConvergeCutoff:
         with pytest.raises(ConvergenceError) as exc:
             converge_cutoff(m)
         assert [n for n, _ in exc.value.trace] == steps == [c["n_max"] for c in calls]
+
+    def test_steps_share_one_coupling(self):
+        # three cutoff steps, each with two blocks and a truncation residual,
+        # build the model's J once
+        _coupling.cache_clear()
+        res = converge_cutoff(TWO_STEP_MODEL)
+        assert res.n_max_used == 36
+        assert _coupling.cache_info().misses == 1
 
     def test_solver_error_in_a_later_step_keeps_its_trace(self, monkeypatch):
         m = TWO_STEP_MODEL

@@ -36,6 +36,9 @@ def test_atom_spec_validation():
         AtomSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         AtomSpec([0.0, 1.0], [[0.0, 0.3], [0.4, 0.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            AtomSpec([0.0, bad], [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_atom_spec_immutable():
@@ -75,8 +78,29 @@ def test_model_validation():
         DickeModel(1.0, atom, kappa=-0.1)
     with pytest.raises(ValueError, match="n_atoms"):
         DickeModel(1.0, atom, n_atoms=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            DickeModel(bad, atom)
+        with pytest.raises(ValueError, match="kappa"):
+            DickeModel(1.0, atom, kappa=bad)
     m = DickeModel(2.0, atom, kappa=0.25)
     assert m.omega_eff == 3.0
+    # a huge but finite omega is a model; its energies overflow only in ED
+    for omega in (1e200, 1e308):
+        assert DickeModel(omega, atom).omega == omega
+
+
+def test_models_compare_and_hash_by_value():
+    a, b = two_level(1.0, 1.0, 0.5, n_atoms=4), two_level(1.0, 1.0, 0.5, n_atoms=4)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    # -0.0 == 0.0, so the two must hash alike
+    neg, pos = ladder(1.0, 1.0, 2.0, -0.0, 1.5), ladder(1.0, 1.0, 2.0, 0.0, 1.5)
+    assert neg == pos and hash(neg) == hash(pos)
+    for other in (two_level(2.0, 1.0, 0.5, n_atoms=4), two_level(1.0, 1.5, 0.5, n_atoms=4),
+                  two_level(1.0, 1.0, 0.4, n_atoms=4), two_level(1.0, 1.0, 0.5, n_atoms=5),
+                  two_level(1.0, 1.0, 0.5, kappa=0.1, n_atoms=4), ladder(1.0, 1.0, 2.0, 0.5, 0.0)):
+        assert a != other
+    assert a.atom != "atom"
 
 
 def test_builders():
