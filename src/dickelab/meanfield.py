@@ -17,10 +17,12 @@ competing minima safe to classify.  One array pass (_merge) then joins the
 refined minima of every set from both halves of x, the -lam ones at -x, and
 x = 0 where e''(0) >= 0 (_curvature_at_zero).  A batch of parameter sets
 walks the grid a fixed number of grid points at a time, so the grid
-stage's memory does not grow with the batch size.  The grid values only
-place the brackets; for d <= 3 they come from a closed form for the lowest
-eigenvalue (_grid_lowest), and every number a solution reports comes from
-LAPACK.
+stage's memory does not grow with the batch size.  Past L / omega_eff, L
+the largest absolute row sum of lam, e rises strictly and holds no
+minimum, so that part of the grid, 60% of it or more, is never evaluated
+(_grid_brackets).  The grid values only place the brackets; for d <= 3
+they come from a closed form for the lowest eigenvalue (_grid_lowest), and
+every number a solution reports comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ N_POINTS_MIN = 100          # no-go scan points, at least
 N_POINTS_MAX = 100_000      # and at most; the batch arrays are O(n_points d^2)
 
 _GRID_CHUNK = 1 << 14   # grid points (single-atom matrices) per _grid_lowest call
+_GRID_MARGIN = 2        # grid points evaluated past ceil(511 L / (omega_eff x_max)):
+                        # one for rounding, one for the last candidate's neighbour
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
 _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 
@@ -105,17 +109,26 @@ def energy_density(model: DickeModel, x) -> np.ndarray | float:
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
+def _row_sum(couplings: np.ndarray) -> np.ndarray:
+    """L, the largest absolute row sum of each (d, d) coupling matrix, which
+    bounds its spectral radius."""
+    return np.abs(couplings).sum(axis=2).max(axis=1)
+
+
 def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     """Conservative scan bound: beyond it e(x) > e(0) = 0 is guaranteed.
 
     Gershgorin gives min_spec >= -2 x L with L the largest absolute row sum
     of the coupling matrix, so e(x) > 0 once omega_eff x^2 > eps_max + 2 L x.
     The positive root of that quadratic (padded) bounds all global minima.
+    Since eps_max >= 0, the root is at least 2 L / omega_eff, so x_max >=
+    2.5 L / omega_eff; past L / omega_eff e rises (_grid_brackets), and
+    that part of the grid is never evaluated.
     Finite but extreme inputs can overflow the bound or the terms
     omega_eff x^2 and 2 x L of e(x) on [0, x_max]; that raises SolverError
     naming the first such parameter set, before any eigensolve.
     """
-    L = np.abs(couplings).sum(axis=2).max(axis=1)
+    L = _row_sum(couplings)
     eps_max = float(energies.max())
     with np.errstate(over="ignore", invalid="ignore"):
         root = (L + np.sqrt(L**2 + omega_eff * eps_max)) / omega_eff
@@ -227,21 +240,42 @@ def _grid_brackets(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.nd
     minima are.  The stage streams over the parameter sets, _GRID_CHUNK //
     GRID_POINTS rows at a time, so its memory is bounded by the chunk and
     not by B.
+
+    The grid past L / omega_eff is not evaluated, L being the largest
+    absolute row sum of lam (_row_sum, as in _x_max).  The lowest
+    eigenvalue's one-sided slopes 2 c^T lam c are at most 2 rho(lam) <= 2 L
+    in size, so e'(x) >= 2 omega_eff x - 2 L > 0 for x > L / omega_eff: from
+    a grid point x_{k-1} >= L / omega_eff to x_k, e rises by at least
+    omega_eff h^2, h = x_hi / (GRID_POINTS - 1), about 4e-6 omega_eff
+    x_hi^2, orders of magnitude above the grid kernel's error
+    (TestGridKernel).  So neither such a point k nor the x_hi end is a grid
+    minimum, and a chunk evaluates the grid up to the index n - 1 = max over
+    its rows of ceil((GRID_POINTS - 1) L / omega_eff / x_hi) + _GRID_MARGIN,
+    capped at the last point; the margin covers the rounding of that index
+    and of the grid points and the neighbour that the last candidate's test
+    reads.  The x_hi end is tested only when the chunk reaches it.  _x_max
+    keeps L / omega_eff <= 0.4 x_hi, so that quotient cannot overflow and
+    60% or more of the grid is skipped; every bracket is the one the full
+    grid gives.
     """
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     rows = _GRID_CHUNK // GRID_POINTS
-    # the mask's columns are the interior points, then the two ends
-    cols = np.r_[1:GRID_POINTS - 1, 0, GRID_POINTS - 1]
+    L = _row_sum(couplings)
+    last = np.minimum(np.ceil((GRID_POINTS - 1) * (L / omega_eff / x_hi)) + _GRID_MARGIN,
+                      GRID_POINTS - 1)
     owners, ks = [], []
     for start in range(0, couplings.shape[0], rows):
         chunk = slice(start, start + rows)
-        xs = x_hi[chunk, None] * grid[None, :]
+        n = int(last[chunk].max()) + 1
+        xs = x_hi[chunk, None] * grid[None, :n]
         e = omega_eff[chunk, None] * xs**2 + _grid_lowest(energies, couplings[chunk], xs)
+        # the mask's columns are the interior points, then the two ends
         is_min = np.concatenate([(e[:, 1:-1] <= e[:, :-2]) & (e[:, 1:-1] <= e[:, 2:]),
-                                 e[:, :1] <= e[:, 1:2], e[:, -1:] <= e[:, -2:-1]], axis=1)
+                                 e[:, :1] <= e[:, 1:2],
+                                 (e[:, -1:] <= e[:, -2:-1]) & (n == GRID_POINTS)], axis=1)
         r, c = np.nonzero(is_min)
         owners.append(start + r)
-        ks.append(cols[c])
+        ks.append(np.r_[1:n - 1, 0, n - 1][c])
     return np.concatenate(owners), np.concatenate(ks)
 
 

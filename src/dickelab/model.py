@@ -72,10 +72,12 @@ def check_energies(energies) -> np.ndarray:
 
 def check_couplings(couplings, d: int) -> np.ndarray:
     """The coupling matrix of a d-level atom as a read-only array: (d, d),
-    zero diagonal and symmetric; else ValueError."""
+    finite, zero diagonal and symmetric; else ValueError."""
     couplings = _frozen_array(couplings)
     if couplings.shape != (d, d):
         raise ValueError(f"couplings must have shape ({d}, {d}), got {couplings.shape}")
+    if not np.isfinite(couplings).all():
+        raise ValueError("couplings must be finite")
     if np.any(np.diag(couplings) != 0.0):
         raise ValueError("couplings must have zero diagonal")
     ij = np.argwhere(couplings != couplings.T)

@@ -563,6 +563,8 @@ class TestExitCodes:
           "model": {"atom": {**ladder_model()["atom"], "energies": [0.0, NAN, 2.0]}},
           "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}},
          "$.model.atom.energies[1]"),
+        ({"command": "meanfield-scan", "model": ladder_model(lam01=-INF),
+          "scan": {"coupling": [1, 2], "values": [1.0, 1.2]}}, "$.model.atom.couplings[0][1]"),
         ({"command": "meanfield-scan", "model": ladder_model(),
           "scan": {"coupling": [1, 2], "values": [1.0, NAN]}}, "$.scan.values[1]"),
         ({"command": "meanfield-scan", "model": ladder_model(),

@@ -474,6 +474,81 @@ class TestGridKernel:
         assert np.array_equal(meanfield._grid_lowest(eps, lam, xs), eigvalsh_lowest(eps, lam, xs))
 
 
+def full_grid_brackets(omega_eff, energies, couplings, x_hi):
+    """_grid_brackets on every grid point, both ends tested: the reference
+    that skipping the grid past L / omega_eff must reproduce."""
+    grid = np.linspace(0.0, 1.0, meanfield.GRID_POINTS)
+    rows = meanfield._GRID_CHUNK // meanfield.GRID_POINTS
+    cols = np.r_[1:meanfield.GRID_POINTS - 1, 0, meanfield.GRID_POINTS - 1]
+    owners, ks = [], []
+    for start in range(0, couplings.shape[0], rows):
+        chunk = slice(start, start + rows)
+        xs = x_hi[chunk, None] * grid[None, :]
+        e = omega_eff[chunk, None] * xs**2 + meanfield._grid_lowest(energies, couplings[chunk], xs)
+        is_min = np.concatenate([(e[:, 1:-1] <= e[:, :-2]) & (e[:, 1:-1] <= e[:, 2:]),
+                                 e[:, :1] <= e[:, 1:2], e[:, -1:] <= e[:, -2:-1]], axis=1)
+        r, c = np.nonzero(is_min)
+        owners.append(start + r)
+        ks.append(cols[c])
+    return np.concatenate(owners), np.concatenate(ks)
+
+
+class TestGridTail:
+    @staticmethod
+    def same_as_full_grid(got, *args) -> bool:
+        """got, the brackets _grid_brackets(*args) gave, equal the full grid's."""
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, full_grid_brackets(*args)))
+
+    def test_random_batches_match_the_full_grid(self):
+        # d = 2-5 (d >= 4 on the eigvalsh path, in smaller batches) at
+        # scales 2^-300, 1 and 2^300; a degenerate eps_0 = eps_1 and rows
+        # without couplings (L = 0) occur in many batches
+        rng = np.random.default_rng(31)
+        for d, batches, rows in ((2, 60, 40), (3, 60, 40), (4, 12, 6), (5, 12, 6)):
+            for i in range(batches):
+                omega_eff, eps, lam = random_grid_batch(rng, d, rows)
+                for s in (2.0**-300, 1.0, 2.0**300):
+                    args = (s * omega_eff, s * eps, s * lam)
+                    args += (_x_max(*args),)
+                    assert self.same_as_full_grid(meanfield._grid_brackets(*args), *args), (d, i, s)
+
+    def test_solves_match_the_full_grid(self, monkeypatch):
+        # every _grid_brackets call of a solve: an odd-cycle atom (its -lam
+        # rows), the lam01 = 0 ladder across its first-order crossing,
+        # kappa > 0, and a TRK no-go scan whose omega_eff varies by row
+        calls, grid_brackets = [], meanfield._grid_brackets
+
+        def spy(*args):
+            got = grid_brackets(*args)
+            calls.append(self.same_as_full_grid(got, *args))
+            return got
+
+        monkeypatch.setattr(meanfield, "_grid_brackets", spy)
+        minimize(odd_cycle_model())
+        scan_order_parameter(odd_cycle_model(), (0, 2), np.linspace(0.0, 1.0, 50))
+        scan_order_parameter(ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), np.linspace(0.0, 3.0, 200))
+        scan_order_parameter(ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.3), (1, 2),
+                             np.linspace(0.0, 3.0, 100), tie={(0, 1): 0.05})
+        no_go_check(ladder(1.0, 1.0, 2.0, 0.1, 1.0), 3.0, 300, which=(1, 2),
+                    kappa_rule="trk-ground")
+        assert len(calls) == 5 and all(calls)
+
+    def test_ladder_scan_skips_the_rising_tail(self, monkeypatch):
+        # the benchmark's 1000-point lam01 = 0 ladder scan: L / omega_eff is
+        # 0.29-0.34 of x_max there, so about a third of the grid is evaluated
+        seen, grid_lowest = [], meanfield._grid_lowest
+
+        def spy(energies, couplings, xs):
+            seen.append(xs.size)
+            return grid_lowest(energies, couplings, xs)
+
+        monkeypatch.setattr(meanfield, "_grid_lowest", spy)
+        values = np.linspace(1.0, 1.5, 1000)
+        scan_order_parameter(ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), values)
+        assert sum(seen) <= 0.45 * values.size * meanfield.GRID_POINTS
+
+
 def _as_tuple(sol):
     return (sol.x_star, sol.e_star, sol.occupations.tobytes(), sol.local_minima)
 
@@ -664,6 +739,52 @@ class TestCurvatureAtZero:
         assert curvature(m) == -math.inf
         sol = minimize(m)
         assert sol.superradiant and [x for x, _ in sol.local_minima] == [sol.x_star]
+
+
+def e_star_slopes(model: DickeModel, h: float = 1e-6) -> dict:
+    """Central differences of e* in omega, kappa (where kappa >= h) and each
+    eps_j, j >= 1, each step a full minimize."""
+    def e(omega=model.omega, kappa=model.kappa, shift=0.0):
+        atom = AtomSpec(model.atom.energies + shift, model.atom.couplings)
+        return minimize(DickeModel(omega, atom, kappa=kappa)).e_star
+
+    slopes = {"omega": (e(omega=model.omega + h) - e(omega=model.omega - h)) / (2 * h)}
+    if model.kappa >= h:
+        slopes["kappa"] = (e(kappa=model.kappa + h) - e(kappa=model.kappa - h)) / (2 * h)
+    for j in range(1, model.atom.d):
+        unit = np.eye(model.atom.d)[j]
+        slopes[f"eps_{j}"] = (e(shift=h * unit) - e(shift=-h * unit)) / (2 * h)
+    return slopes
+
+
+class TestHellmannFeynman:
+    # e* = min_x e(x) moves with a parameter p as de/dp at x* (the envelope
+    # theorem), so de*/domega = x*^2, de*/dkappa = 4 x*^2 and de*/deps_j =
+    # occupations[j]: an oracle without a reference solution.  Measured
+    # within 8.9e-10 on these points.  LAPACK gives e* to a few ulps of the
+    # single-atom matrix norm, up to about 4.5 here, and one such ulp over
+    # the step 2h = 2e-6 is 4.4e-10
+    TOL = 2e-9
+
+    @pytest.mark.parametrize("model", [
+        two_level(1.0, 1.0, 0.8),
+        two_level(1.0, 1.0, 0.8, kappa=0.1),
+        two_level(1.0, 1.0, 0.3, kappa=0.05),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.05),
+        ladder(1.0, 1.0, 2.0, 0.0, 1.5),
+        ladder(1.0, 1.0, 2.0, 0.05 * 1.4, 1.4, kappa=0.02),
+        ladder(1.0, 1.0, 2.0, 0.3, 1.0, kappa=0.5),
+    ], ids=["two_level", "two_level_kappa", "two_level_normal", "ladder", "ladder_kappa",
+            "ladder_lam01_0", "tied_ladder", "ladder_normal"])
+    def test_slopes_are_the_observables(self, model):
+        sol = minimize(model)
+        want = {"omega": sol.x_star**2, "kappa": 4.0 * sol.x_star**2,
+                **{f"eps_{j}": sol.occupations[j] for j in range(1, model.atom.d)}}
+        slopes = e_star_slopes(model)
+        assert len(slopes) == model.atom.d + (model.kappa > 0.0)
+        for name, slope in slopes.items():
+            assert abs(slope - want[name]) <= self.TOL, (name, slope, want[name])
 
 
 class TestOddCycle:

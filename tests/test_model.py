@@ -39,6 +39,14 @@ def test_atom_spec_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="energies must be finite"):
             AtomSpec([0.0, bad], [[0.0, 0.5], [0.5, 0.0]])
+    # a nan coupling is not reported as an asymmetry (nan != nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            AtomSpec([0.0, 1.0], [[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            two_level(1.0, 1.0, bad, n_atoms=2)
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            ladder(1.0, 1.0, 2.0, 0.1, 1.5).with_couplings({(0, 2): bad})
 
 
 def test_atom_spec_immutable():
