@@ -563,8 +563,6 @@ class TestExitCodes:
           "model": {"atom": {**ladder_model()["atom"], "energies": [0.0, NAN, 2.0]}},
           "scan": {"coupling": [1, 2], "bracket": [1.0, 1.4]}},
          "$.model.atom.energies[1]"),
-        ({"command": "meanfield-scan", "model": ladder_model(lam01=-INF),
-          "scan": {"coupling": [1, 2], "values": [1.0, 1.2]}}, "$.model.atom.couplings[0][1]"),
         ({"command": "meanfield-scan", "model": ladder_model(),
           "scan": {"coupling": [1, 2], "values": [1.0, NAN]}}, "$.scan.values[1]"),
         ({"command": "meanfield-scan", "model": ladder_model(),
@@ -585,6 +583,8 @@ class TestExitCodes:
         ({"command": "ed-nscan", "model": ladder_model(lam12=1.5), "ed": {"n_list": [10**400]}},
          "$.ed.n_list[0]"),
         ({"command": "trk-check", "model": ladder_model(lam01=0.1), "seed": 10**400}, "$.seed"),
+        ({"command": "meanfield-scan", "model": ladder_model(lam01=-INF),
+          "scan": {"coupling": [1, 2], "values": [1.0, 1.2]}}, "$.model.atom.couplings[0][1]"),
     ])
     def test_non_finite_number(self, tmp_path, doc, path):
         cfg = write_config(tmp_path, doc)
