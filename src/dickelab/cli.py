@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -312,7 +313,9 @@ def run(cfg: RunConfig, outdir: Path, verbose: bool = False) -> dict[str, Path]:
     return written
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dickelab",
         description="Solvers for superradiant transitions in multilevel Dicke models.")
@@ -322,7 +325,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="accepted and ignored: no result depends on a seed")
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     outdir = Path(args.output_dir) if args.output_dir else None
     try:

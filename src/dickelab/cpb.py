@@ -11,7 +11,7 @@ and gate-independent to first order only in the charge regime E_C >> E_J;
 the solver itself is exact for any ratio.
 
 scipy.linalg is imported where it is called (_spectrum), so importing this
-module loads numpy only.
+module loads numpy only.  write_cpb_csv computes each spec's spectrum once.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ class SweetSpotReport:
     degenerate_pair: bool
 
 
+def _sweet_spot(ng: float) -> int | None:
+    """n where n_g = n + 1/2 (to 1e-9), else None."""
+    n = math.floor(ng)
+    return n if abs(ng - n - 0.5) <= 1e-9 else None
+
+
 def verify_sweet_spot_states(spec: CpbSpec) -> SweetSpotReport:
     """Overlap of the two lowest eigenstates with (|n> +/- |n+1>)/sqrt(2).
 
@@ -91,10 +97,14 @@ def verify_sweet_spot_states(spec: CpbSpec) -> SweetSpotReport:
     which lifts the basis ambiguity.  A third state degenerate with the
     pair is an error.
     """
-    n = math.floor(spec.ng)
-    if abs(spec.ng - n - 0.5) > 1e-9:
+    if _sweet_spot(spec.ng) is None:
         raise ValueError(f"ng = {spec.ng} is not at a sweet spot n + 1/2")
-    w, v = _spectrum(spec)
+    return _sweet_spot_report(spec, *_spectrum(spec))
+
+
+def _sweet_spot_report(spec: CpbSpec, w: np.ndarray, v: np.ndarray) -> SweetSpotReport:
+    """verify_sweet_spot_states from the spectrum (w, v) of a sweet-spot spec."""
+    n = _sweet_spot(spec.ng)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     if w[2] - w[0] <= DEG_TOL * scale:
         raise ValueError("ground-state degeneracy beyond tolerance: "
@@ -132,7 +142,11 @@ def two_level_reduction(spec: CpbSpec) -> TwoLevelReduction:
     near_degenerate flags a third level closer than SEPARATION_FACTOR times
     the qubit splitting, where a two-level truncation stops being valid.
     """
-    w, v = _spectrum(spec)
+    return _reduction(spec, *_spectrum(spec))
+
+
+def _reduction(spec: CpbSpec, w: np.ndarray, v: np.ndarray) -> TwoLevelReduction:
+    """two_level_reduction from the spectrum (w, v) of spec."""
     omega0 = float(w[1] - w[0])
     elem = float(abs(v[:, 1] @ (spec.charges * v[:, 0])))
     near = bool(w[2] - w[1] < SEPARATION_FACTOR * omega0)
@@ -151,10 +165,10 @@ def write_cpb_csv(path, specs: Sequence[CpbSpec]) -> None:
                          "overlap_g", "overlap_e", "omega0_eff",
                          "charge_matrix_element"])
         for spec in specs:
-            red = two_level_reduction(spec)
-            at_sweet = abs(spec.ng - math.floor(spec.ng) - 0.5) <= 1e-9
-            if at_sweet:
-                rep = verify_sweet_spot_states(spec)
+            w, v = _spectrum(spec)
+            red = _reduction(spec, w, v)
+            if _sweet_spot(spec.ng) is not None:
+                rep = _sweet_spot_report(spec, w, v)
                 og, oe = repr(rep.overlap_g), repr(rep.overlap_e)
             else:
                 og = oe = ""

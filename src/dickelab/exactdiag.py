@@ -800,7 +800,7 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     if warm is not None:
         start = np.zeros(basis.dim)
         start[:warm.size] = warm
-    solves, firsts = [], []
+    solves = []
     vectors = np.zeros(basis.dim)
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
@@ -821,13 +821,16 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
         gs = ground_state(build_hamiltonian(model0, basis, sector), v0=v0, partner=partner)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
-        firsts.append(idx[0])
         del idx, v0, gs     # nothing of this block stays alive while the next is built
     e0 = np.array([gs.e0 for gs in solves])
     resid = np.array([gs.residual_norm for gs in solves])
     low = int(np.argmin(e0))
     tied = e0 - (resid + resid[low]) <= e0[low]
-    even = parity_signs(basis)[firsts] > 0
+    # Pi of each block's lowest basis state: its first atoms[0] state in photon
+    # row 0, or, where atoms[0] is empty, its first atoms[1] state in row 1
+    weights = basis.atomic_states @ np.arange(basis.d)
+    even = np.array([(weights[s.atoms[0][0]] if s.atoms[0].size else weights[s.atoms[1][0]] + 1)
+                     % 2 == 0 for s in sectors])
     best = next((int(b) for b in np.flatnonzero(tied & even)), low)
     gs = solves[best]
     psi = np.zeros(basis.dim)

@@ -51,6 +51,9 @@ _GRID_MARGIN = 2        # grid points evaluated past ceil(511 L / (omega_eff x_m
                         # one for rounding, one for the last candidate's neighbour
 _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
 _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
+_TRACK_STEPS = 2.0 ** np.arange(10)    # grid cells from x0 that _track tests, 1 to 512
+_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
+_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,8 @@ class TransitionPoint:
 
     x_jump and pop_jump are evaluated at coupling_value*(1 +/- delta_rel).
     solves counts the full mean-field solves the search made, the two jump
-    solves included; it is deterministic.
+    solves included, and not the local solves of its Newton points; it is
+    deterministic.
     """
 
     coupling_value: float
@@ -142,6 +146,14 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
     return x_hi
 
 
+def _hellmann_feynman(omega_eff, energies: np.ndarray, couplings: np.ndarray, x: np.ndarray):
+    """(w, g, e'(x)) at each x: the eigenvalues w of diag(eps) + 2 x lam, g_n =
+    c_n^T lam c_0, and e' = 2 omega_eff x + 2 g_0 by Hellmann-Feynman."""
+    w, v = np.linalg.eigh(single_atom_matrices(energies, couplings, x))
+    g = (v * (couplings @ v[..., :1])).sum(axis=-2)
+    return w, g, 2.0 * omega_eff * x + 2.0 * g[..., 0]
+
+
 def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
             owners: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Newton on e'(x) from each bracket's midpoint; lo and hi shrink in place.
@@ -159,14 +171,12 @@ def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
     prev, todo = np.full(x.size, np.inf), np.arange(x.size)
     for _ in range(_NEWTON_MAX):
         b, xa = owners[todo], x[todo]
-        w, v = np.linalg.eigh(single_atom_matrices(energies, couplings[b], xa))
-        g = (v * (couplings[b] @ v[:, :, :1])).sum(axis=1)     # g_n = c_n^T lam c_0
-        d1 = 2.0 * omega_eff[b] * xa + 2.0 * g[:, 0]
+        w, g, d1 = _hellmann_feynman(omega_eff[b], energies, couplings[b], xa)
         lo[todo] = la = np.where(d1 < 0.0, xa, lo[todo])
         hi[todo] = ha = np.where(d1 > 0.0, xa, hi[todo])
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = 2.0 * omega_eff[b] - 8.0 * (g[:, 1:] ** 2 / (w[:, 1:] - w[:, :1])).sum(axis=1)
-            newton = np.clip(xa - d1 / d2, la, ha)
+            newton = np.minimum(np.maximum(xa - d1 / d2, la), ha)
         newton_ok = (d2 > 0.0) & (np.abs(newton - xa) <= 0.5 * prev[todo])
         step = np.where(newton_ok, newton, 0.5 * (la + ha)) - xa
         x[todo], prev[todo] = xa + step, np.abs(step)
@@ -226,7 +236,7 @@ def _grid_lowest(energies: np.ndarray, couplings: np.ndarray, xs: np.ndarray) ->
            + (2.0 * b01 * b02 * b12) * (y * y2))
     p = np.sqrt(p2)
     r = np.divide(det, 2.0 * p2 * p, out=np.zeros_like(det), where=p > 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
     return q + (2.0 * s * p) * np.cos(phi + 2.0 * np.pi / 3.0)
 
 
@@ -258,7 +268,6 @@ def _grid_brackets(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.nd
     60% or more of the grid is skipped; every bracket is the one the full
     grid gives.
     """
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
     rows = _GRID_CHUNK // GRID_POINTS
     L = _row_sum(couplings)
     last = np.minimum(np.ceil((GRID_POINTS - 1) * (L / omega_eff / x_hi)) + _GRID_MARGIN,
@@ -267,7 +276,7 @@ def _grid_brackets(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.nd
     for start in range(0, couplings.shape[0], rows):
         chunk = slice(start, start + rows)
         n = int(last[chunk].max()) + 1
-        xs = x_hi[chunk, None] * grid[None, :n]
+        xs = x_hi[chunk, None] * _GRID[None, :n]
         e = omega_eff[chunk, None] * xs**2 + _grid_lowest(energies, couplings[chunk], xs)
         # the mask's columns are the interior points, then the two ends
         is_min = np.concatenate([(e[:, 1:-1] <= e[:, :-2]) & (e[:, 1:-1] <= e[:, 2:]),
@@ -368,12 +377,10 @@ def _solve_batch(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndar
     x_hi = _x_max(om, energies, lam)
     owners, k = _grid_brackets(om, energies, lam, x_hi)
     # the grid point and its two neighbours, as the products _grid_brackets forms
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    lo, x_grid, hi = (x_hi[owners] * grid[np.clip(k + s, 0, GRID_POINTS - 1)] for s in (-1, 0, 1))
-    e_grid = _energies(om[owners], energies, lam[owners], x_grid)
-
+    lo, x_grid, hi = (x_hi[owners] * _GRID[np.minimum(np.maximum(k + s, 0), GRID_POINTS - 1)]
+                      for s in (-1, 0, 1))
     x_ref = _refine(om, energies, lam, owners, lo, hi, 1e-12 * np.maximum(1.0, x_hi))
-    e_ref = _energies(om[owners], energies, lam[owners], x_ref)
+    e_grid, e_ref = _energies(om[owners], energies, lam[owners], np.stack([x_grid, x_ref]))
     x_ref, e_ref = np.where(e_ref > e_grid, [x_grid, e_grid], [x_ref, e_ref])
 
     s, x, e, x_star = _merge(sets[owners], np.where(owners < B, x_ref, -x_ref), e_ref,
@@ -493,18 +500,50 @@ def _spinodal(omega_eff: float, energies: np.ndarray, C0: np.ndarray, D: np.ndar
     return min((float(r) for r in roots if lo < r < hi), default=None)
 
 
+def _sr_branch(sol: MeanFieldSolution) -> tuple[float, float] | None:
+    """(x, e) of the lowest local minimum of sol at x != 0, or None."""
+    return min((m for m in sol.local_minima if m[0] != 0.0), key=lambda m: m[1], default=None)
+
+
+def _track(omega_eff: float, energies: np.ndarray, couplings: np.ndarray,
+           x0: float) -> float | None:
+    """The local minimum of e at x > X_TOL nearest to x0 > 0, or None.
+
+    One eigh call takes e' at x0 and at the points _TRACK_STEPS grid cells
+    of [0, x_max] (_x_max) to each side of it, cut to (0, x_max]; on the
+    left, a point x0 2^-k-close to 0 stands in for one past 0, since e' = 0
+    there at a nondegenerate ground level.  The neighbours with e' < 0 on
+    the left and e' > 0 on the right that lie nearest to x0 bracket the
+    minimum, which _refine finds to the tolerance _solve_batch uses.  None
+    without such a pair, or where the minimum is within X_TOL of 0.
+    """
+    om, lam = np.array([omega_eff]), couplings[None]
+    x_hi = float(_x_max(om, energies, lam)[0])
+    steps = _TRACK_STEPS * (x_hi / (GRID_POINTS - 1))
+    left = np.maximum(x0 - steps, x0 * 0.5 ** np.arange(1, steps.size + 1))
+    xs = np.concatenate([left[::-1], [x0], np.minimum(x0 + steps, x_hi)])
+    d1 = _hellmann_feynman(omega_eff, energies, couplings, xs)[2]
+    down = np.flatnonzero((d1[:-1] < 0.0) & (d1[1:] > 0.0))
+    if down.size == 0:
+        return None
+    i = down[np.argmin(np.maximum(xs[down] - x0, 0.0) + np.maximum(x0 - xs[down + 1], 0.0))]
+    x = float(_refine(om, energies, lam, np.zeros(1, dtype=int), xs[i:i + 1].copy(),
+                      xs[i + 1:i + 2].copy(), np.array([1e-12 * max(1.0, x_hi)]))[0])
+    return x if x > X_TOL else None
+
+
 def _newton_root(energies: np.ndarray, C0: np.ndarray, D: np.ndarray, lam: float,
-                 sol: MeanFieldSolution) -> float | None:
-    """Newton step lam - e_sr / e_sr' on the lowest local minimum at x != 0.
+                 branch: tuple[float, float] | None) -> float | None:
+    """Newton step lam - e_sr / e_sr' from branch = (x, e_sr), a local
+    minimum of e at x != 0 and coupling lam.
 
     By the envelope theorem de_sr/dlam = 2 x c_0^T D c_0, with c_0 the
-    lowest eigenvector at that minimum.  None when there is no such minimum
-    or its energy does not fall with lam.
+    lowest eigenvector at x.  None without a branch, or where its energy
+    does not fall with lam.
     """
-    branch = [m for m in sol.local_minima if m[0] != 0.0]
-    if not branch:
+    if branch is None:
         return None
-    x, e = min(branch, key=lambda m: m[1])
+    x, e = branch
     c = np.linalg.eigh(single_atom_matrices(energies, C0 + lam * D, x))[1][:, 0]
     slope = 2.0 * x * float(c @ D @ c)
     return lam - e / slope if slope < 0.0 else None
@@ -512,7 +551,7 @@ def _newton_root(energies: np.ndarray, C0: np.ndarray, D: np.ndarray, lam: float
 
 def _accept(proposal: float | None, lam: float, step: float, lo: float, hi: float) -> bool:
     """rtsafe's rule: a proposal strictly inside (lo, hi) whose step from the
-    last solved point lam at most halves the previous step."""
+    last point lam at most halves the previous step."""
     return proposal is not None and lo < proposal < hi and abs(proposal - lam) <= 0.5 * step
 
 
@@ -524,86 +563,100 @@ def critical_coupling(model: DickeModel, which: tuple[int, int],
     certified bracket (Newton, bisection fallback).
 
     The bracket must straddle the transition: normal at bracket[0],
-    superradiant at bracket[1].  Every point the search visits is a full
-    mean-field solve, and its indicator moves the bracket, which stops at
+    superradiant at bracket[1].  Only full mean-field solves (_solve_batch)
+    move it: each one at a point in the bracket moves the end on its side
+    there, and the search stops once the bracket is at most tol =
     REL_WIDTH times the initial width.  Each point is built by _scan_arrays,
     as in scan_order_parameter and no_go_check, so a pair or tie is checked
     and applied the same way; C(lam) = C0 + lam D is affine.
 
-    With tol = REL_WIDTH times the initial width, the points come from two
-    proposals, each taken only when _accept allows it, else the bracket is
-    bisected:
-    - second order: _spinodal's root lam2 of e''(0), confirmed by solves at
-      lam2 -/+ 0.4 tol;
+    The root comes from one of two proposals, each taken only when _accept
+    allows it, else the bracket is bisected by a full solve at its midpoint:
+    - second order: _spinodal's root lam2 of e''(0), checked by a full
+      solve at lam2 - 0.4 tol in the call that solves the bracket ends;
     - first order: Newton on e_sr(lam), the lowest local minimum at x != 0
-      (_newton_root).  e_sr is concave, so Newton from the superradiant side
-      moves monotonically to lam_c; once its step is below 0.4 tol, one
-      solve just across the root closes the bracket, and if it does not,
-      bisection alone finishes.
-    With every proposal refused the search is plain bisection.
-    coupling_value is the last accepted root if it lies in the final
-    bracket, else the bracket midpoint.  The order is classified from the
-    jump of x* across lam_c +/- DELTA_REL*lam_c (first order above
-    JUMP_THRESHOLD).
+      (_newton_root), from the lowest superradiant full solve.  A Newton
+      point gets a local solve: _track follows the branch from its last x,
+      and only where it finds none is the point solved in full.  e_sr is
+      concave, so Newton from the superradiant side moves monotonically to
+      lam_c; a step below 0.4 tol ends it.
+    One _solve_batch call then certifies the root: full solves at root -/+
+    0.4 tol, each one unless a bracket end is already that close, together
+    with the jump pair lam_c (1 -/+ DELTA_REL) at lam_c = root.  If they do
+    not straddle the root, bisection alone finishes from the bracket that
+    every full solve so far leaves.  With every proposal refused the search
+    is plain bisection.  coupling_value is the root if it lies in the final
+    bracket, else the bracket midpoint, and the jump pair is solved again
+    only in the latter case.  The order is classified from the jump of x*
+    across lam_c +/- DELTA_REL*lam_c (first order above JUMP_THRESHOLD).
 
-    The two bracket ends are solved in one _solve_batch call, and so are
-    lam_c -/+ DELTA_REL*lam_c; the normal end is checked first.  solves
-    counts the points, not the calls, and by _solve_batch's batch
-    invariance each point's solution is the one a call of its own gives.
+    The normal end is checked first.  solves counts the full solves, not
+    the calls or the local solves, and by _solve_batch's batch invariance
+    each point's solution is the one a call of its own gives.
     """
     check_bracket(bracket)
     lo, hi = float(bracket[0]), float(bracket[1])
-    energies = model.atom.energies
+    energies, omega_eff = model.atom.energies, model.omega_eff
     C0, C1 = (_scan_arrays(model, which, np.array([v]), tie)[0][0] for v in (0.0, 1.0))
     D = C1 - C0
-    solves = 0
+    tol = REL_WIDTH * (hi - lo)
+    solves, at_hi, jump = 0, None, {}
 
     def probe(*lams: float) -> list[MeanFieldSolution]:
-        """Solve at each lam, in one batch, and move the bracket end on each
-        one's side to it, in turn."""
-        nonlocal solves, lo, hi
+        """Solve at each lam, in one batch, and move the bracket end on the
+        side of each one in [lo, hi] to it, in turn."""
+        nonlocal solves, lo, hi, at_hi
         solves += len(lams)
-        C, omega_eff = _scan_arrays(model, which, np.array(lams), tie)
-        sols = _solve_batch(omega_eff, energies, C)
+        C, om = _scan_arrays(model, which, np.array(lams), tie)
+        sols = _solve_batch(om, energies, C)
         for lam, sol in zip(lams, sols):
-            if sol.superradiant:
-                hi = lam
-            else:
-                lo = lam
+            if lo <= lam <= hi:
+                if sol.superradiant:
+                    hi, at_hi = lam, sol
+                else:
+                    lo = lam
         return sols
 
-    first, lam = lo, hi         # probe may move lo and hi before either is checked
-    at_lo, sol = probe(lo, hi)
+    lam2 = _spinodal(omega_eff, energies, C0, D, lo, hi)
+    root = lam2 if _accept(lam2, hi, np.inf, lo, hi) else None
+    first, last = lo, hi
+    below = [root - 0.4 * tol] if root is not None and root - 0.4 * tol > lo else []
+    at_lo, at_last, *_ = probe(lo, hi, *below)
     if at_lo.superradiant:
         raise BracketError(f"no transition in bracket: x* != 0 already at coupling {first}")
-    if not sol.superradiant:
-        raise BracketError(f"no transition in bracket: x* = 0 still at coupling {lam}")
+    if not at_last.superradiant:
+        raise BracketError(f"no transition in bracket: x* = 0 still at coupling {last}")
 
-    tol = REL_WIDTH * (hi - lo)
-    root, lam2 = None, _spinodal(model.omega_eff, energies, C0, D, lo, hi)
-    if lam2 is not None:
-        for p in (lam2 - 0.4 * tol, lam2 + 0.4 * tol):
-            if _accept(p, lam, np.inf, lo, hi):
-                root, lam, (sol,) = lam2, p, probe(p)
-
-    step, newton = hi - lo, True
+    lam, step, branch, newton = hi, hi - lo, _sr_branch(at_hi), True
+    converged = root is not None and lo <= root <= hi    # lam2, unless x* != 0 below it
     while hi - lo > tol:
-        p = _newton_root(energies, C0, D, lam, sol) if newton else None
+        if converged:
+            delta = DELTA_REL * root
+            across = [p for p in (root - 0.4 * tol, root + 0.4 * tol) if lo < p < hi]
+            jump[root] = probe(*across, root - delta, root + delta)[-2:]
+            converged = newton = False
+            continue
+        p = _newton_root(energies, C0, D, lam, branch) if newton else None
         if _accept(p, lam, step, lo, hi):
-            root = p
-            if abs(p - lam) < 0.4 * tol:
-                # converged: one solve just across the root closes the
-                # bracket, and if it does not, bisection alone finishes
-                p += -0.4 * tol if sol.superradiant else 0.4 * tol
-                newton = False
+            root, converged = p, abs(p - lam) < 0.4 * tol
+            if converged:
+                continue
+            step, lam = abs(p - lam), p
+            # a minimum at x < 0 is the one of -C(lam) at |x|
+            sign, C = (1.0 if branch[0] > 0.0 else -1.0), C0 + p * D
+            x = _track(omega_eff, energies, sign * C, abs(branch[0]))
+            if x is not None:
+                branch = (sign * x, float(_energies(omega_eff, energies, C, sign * x)))
+                continue
         else:
             p = 0.5 * (lo + hi)
-        step, lam = abs(p - lam), p
+            step, lam = abs(p - lam), p
         (sol,) = probe(p)
+        branch = _sr_branch(sol)
     lam_c = root if root is not None and lo <= root <= hi else 0.5 * (lo + hi)
 
     delta = DELTA_REL * lam_c
-    below, above = probe(lam_c - delta, lam_c + delta)
+    below, above = jump.get(lam_c) or probe(lam_c - delta, lam_c + delta)
     x_jump = abs(above.x_star - below.x_star)
     pop_jump = float(np.max(np.abs(above.occupations - below.occupations)))
     return TransitionPoint(

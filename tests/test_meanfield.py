@@ -63,10 +63,14 @@ def two_coloured(adj) -> bool:
     return True
 
 
+def model_at(model, which, lam, tie=None):
+    """model with the scanned pair at lam and each tied pair at ratio * lam."""
+    return model.with_couplings({which: lam, **{pair: ratio * lam
+                                                for pair, ratio in (tie or {}).items()}})
+
+
 def minimize_at(model, which, lam, tie=None):
-    """minimize with the scanned pair at lam and each tied pair at ratio * lam."""
-    pairs = {which: lam, **{pair: ratio * lam for pair, ratio in (tie or {}).items()}}
-    return minimize(model.with_couplings(pairs))
+    return minimize(model_at(model, which, lam, tie))
 
 
 def bisection_reference(model, which, bracket, tie=None):
@@ -103,6 +107,44 @@ def count_solves(monkeypatch) -> list:
     return seen
 
 
+
+
+def count_calls(monkeypatch) -> list:
+    """Record the number of parameter sets of each _solve_batch call."""
+    calls, solve_batch = [], meanfield._solve_batch
+
+    def spy(omega_eff, energies, couplings):
+        calls.append(len(couplings))
+        return solve_batch(omega_eff, energies, couplings)
+
+    monkeypatch.setattr(meanfield, "_solve_batch", spy)
+    return calls
+
+
+def newton_iterate(model, which, lam, tie=None):
+    """lam - e_sr / e_sr' from a full solve at lam: e_sr the lowest local
+    minimum at x != 0, its slope 2 x c_0^T (dC/dlam) c_0."""
+    sol = minimize_at(model, which, lam, tie)
+    x, e = min((m for m in sol.local_minima if m[0] != 0.0), key=lambda m: m[1])
+    C, C1, C0 = (model_at(model, which, v, tie).atom.couplings for v in (lam, 1.0, 0.0))
+    dC = C1 - C0
+    c = np.linalg.eigh(np.diag(model.atom.energies) + 2.0 * x * C)[1][:, 0]
+    return lam - e / (2.0 * x * (c @ dC @ c))
+
+
+def certified_bracket(model, which, bracket, tie, lams):
+    """The bracket that full solves at lams, in order, leave: each one in
+    the bracket moves the end on its side."""
+    lo, hi = bracket
+    for lam in lams:
+        if lo <= lam <= hi:
+            if minimize_at(model, which, lam, tie).superradiant:
+                hi = lam
+            else:
+                lo = lam
+    assert not minimize_at(model, which, lo, tie).superradiant
+    assert minimize_at(model, which, hi, tie).superradiant
+    return lo, hi
 
 
 def random_transitions(seed: int, n: int):
@@ -1034,15 +1076,23 @@ class TestCriticalCoupling:
             tp = critical_coupling(model, which, bracket, tie=tie)
             assert tp.solves == len(seen) <= 12
 
-    def test_independent_probes_share_a_batch(self, monkeypatch):
-        # the two bracket ends are one _solve_batch call, and so are the two
-        # points across lam_c: two calls fewer than solves, and every field
-        # is that of one call per point
-        calls, solve_batch = [], meanfield._solve_batch
+    def test_benchmark_jobs_take_two_calls(self, monkeypatch):
+        # the Newton points of a first-order search are local solves, and one
+        # call certifies the root with the jump pair: the ends, then root -/+
+        # 0.4 tol and the pair; a second-order search checks the spinodal
+        # root from below with the ends, and from above with the pair
+        calls = count_calls(monkeypatch)
+        for model, which, bracket, tie in self.BENCH_JOBS:
+            calls.clear()
+            tp = critical_coupling(model, which, bracket, tie=tie)
+            assert calls == ([2, 4] if tp.order == "first" else [3, 3])
+            assert tp.solves == sum(calls) == 6
 
-        def spy(omega_eff, energies, couplings):
-            calls.append(len(couplings))
-            return solve_batch(omega_eff, energies, couplings)
+    def test_independent_probes_share_a_batch(self, monkeypatch):
+        # the two bracket ends are one _solve_batch call, and the points
+        # across lam_c share one with the jump pair: every field is that of
+        # one call per point
+        solve_batch = meanfield._solve_batch
 
         def one_by_one(omega_eff, energies, couplings):
             return [solve_batch(omega_eff[b:b + 1], energies, couplings[b:b + 1])[0]
@@ -1051,18 +1101,49 @@ class TestCriticalCoupling:
         for model, which, bracket, tie in self.BENCH_JOBS:
             monkeypatch.setattr(meanfield, "_solve_batch", one_by_one)
             single = critical_coupling(model, which, bracket, tie=tie)
-            monkeypatch.setattr(meanfield, "_solve_batch", spy)
-            calls.clear()
+            calls = count_calls(monkeypatch)
             tp = critical_coupling(model, which, bracket, tie=tie)
-            assert calls[0] == calls[-1] == 2 and set(calls[1:-1]) == {1}
-            assert tp.solves == sum(calls) == len(calls) + 2
+            assert calls[0] >= 2 and calls[-1] >= 3
+            assert tp.solves == sum(calls)
             assert tp == single
         for model, which, bracket, (n_calls, n_solves) in [
-                (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), (7, 9)),
-                (two_level(1.0, 1.0, 1.0), (0, 1), (0.1, 1.0), (4, 6))]:
+                (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), (2, 6)),
+                (two_level(1.0, 1.0, 1.0), (0, 1), (0.1, 1.0), (2, 6))]:
             calls.clear()
             assert critical_coupling(model, which, bracket).solves == n_solves
             assert len(calls) == n_calls
+
+    @pytest.mark.parametrize("case", ["ladder", "tied_ladder", "odd_cycle"])
+    def test_lost_branch_takes_full_solves(self, case, monkeypatch):
+        # with every local solve failing, each Newton point is a full solve,
+        # as before local tracking: the points are the Newton iterates of
+        # e_sr from the upper end, then one solve just below the root, which
+        # shares a call with the jump pair, and the bracket is certified
+        model, which, bracket, tie = {
+            "ladder": (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), None),
+            "tied_ladder": (ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0), {(0, 1): 0.1}),
+            "odd_cycle": (odd_cycle_model(), (0, 2), (0.3, 0.45), None),
+        }[case]
+        monkeypatch.setattr(meanfield, "_track", lambda *args: None)
+        seen = count_solves(monkeypatch)
+        calls = count_calls(monkeypatch)
+        tp = critical_coupling(model, which, bracket, tie=tie)
+        monkeypatch.undo()
+        tol = meanfield.REL_WIDTH * (bracket[1] - bracket[0])
+        lams, first = [c[which] for c in seen], calls[0]
+        assert lams[:2] == list(bracket)
+        # Newton starts from the lowest superradiant point of the first call
+        newton = [certified_bracket(model, which, bracket, tie, lams[:first])[1]]
+        while abs(newton_iterate(model, which, newton[-1], tie) - newton[-1]) >= 0.4 * tol:
+            newton.append(newton_iterate(model, which, newton[-1], tie))
+        root = newton_iterate(model, which, newton[-1], tie)
+        assert lams[first:-3] == pytest.approx(newton[1:], rel=1e-14, abs=0.0)
+        assert tp.coupling_value == pytest.approx(root, rel=1e-14, abs=0.0)
+        assert lams[-3] == tp.coupling_value - 0.4 * tol
+        assert calls == [first] + [1] * (len(newton) - 1) + [3]
+        assert tp.solves == len(lams) == first + len(newton) + 2
+        lo, hi = certified_bracket(model, which, bracket, tie, lams)
+        assert hi - lo <= tol and lo <= tp.coupling_value <= hi
 
     @pytest.mark.parametrize("case", ["ladder", "tied_ladder", "two_level", "odd_cycle"])
     def test_rejecting_every_proposal_is_plain_bisection(self, case, monkeypatch):
@@ -1081,8 +1162,9 @@ class TestCriticalCoupling:
         assert (tp.coupling_value, tp.order) == (lam_c, order)
 
     def test_failed_straddle_hands_over_to_bisection(self, monkeypatch):
-        # every Newton root 20 tol too high: the solve just below the last
-        # one is still superradiant, and bisection of the bracket finishes
+        # every Newton root 20 tol too high: the solves just across the
+        # last one are both superradiant, and bisection of the bracket that
+        # every full solve leaves finishes
         m, which, bracket = ladder(1.0, 1.0, 2.0, 0.0, 1.0), (1, 2), (0.5, 2.0)
         tol = meanfield.REL_WIDTH * (bracket[1] - bracket[0])
         newton_root = meanfield._newton_root
@@ -1099,10 +1181,11 @@ class TestCriticalCoupling:
         midpoints = []
         for lam in (c[which] for c in seen[2:-2]):
             midpoints.append(lam == 0.5 * (lo + hi))
-            if minimize_at(m, which, lam).superradiant:
-                hi = lam
-            else:
-                lo = lam
+            if lo <= lam <= hi:
+                if minimize_at(m, which, lam).superradiant:
+                    hi = lam
+                else:
+                    lo = lam
         assert hi - lo <= tol and lo <= tp.coupling_value <= hi
         newton = midpoints.index(True)
         assert 1 <= newton <= 6 and all(midpoints[newton:])
