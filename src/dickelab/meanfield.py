@@ -53,7 +53,7 @@ _NO_GO_BLOCK = 256      # no-go scan points solved before looking for x* != 0
 _NEWTON_MAX = 64        # refinement steps per bracket before SolverError
 _TRACK_STEPS = 2.0 ** np.arange(10)    # grid cells from x0 that _track tests, 1 to 512
 _GRID = np.linspace(0.0, 1.0, GRID_POINTS)
-_GRID.flags.writeable = False
+_TRACK_STEPS.flags.writeable = _GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
