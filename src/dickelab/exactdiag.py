@@ -47,7 +47,7 @@ where (n_max + 1)^2 <= max_dim.
 scipy is imported where it is called (_dot, _coupling, _sectors,
 build_hamiltonian, _parity_flip, _partner_image, ground_state,
 _eigsh_takes_rng, _lanczos, observables), so importing this module loads
-numpy only and the mean-field commands never load scipy.
+numpy only, and only the ED commands (ed-ground, ed-nscan) load scipy.
 
 One BLAS: the numpy and scipy wheels each bundle their own OpenBLAS, each
 with a thread pool whose workers spin for a while after a threaded call.

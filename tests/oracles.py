@@ -5,6 +5,7 @@ matrices, brute-force scans) without importing solver code, so agreement
 with the package is a real cross-check and not a tautology.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -240,3 +241,23 @@ def symmetric_sector_spectrum(n_atoms: int, energies, couplings, omega: float,
     w, v = np.linalg.eigh(sym)
     q = np.kron(np.eye(n_max + 1), v[:, w > 0.5])
     return np.linalg.eigvalsh(q.T @ full @ q)
+
+
+def central_slopes(energy, model, h: float) -> dict:
+    """Central differences, step h, of energy(m) over the models m that differ
+    from model in one parameter: omega, "omega"; kappa where kappa >= h, so
+    that it stays >= 0, "kappa"; and each level energy eps_j, j >= 1, so that
+    eps_0 stays 0, "eps_j".  By Hellmann-Feynman each is the ground-state
+    expectation of that parameter's term in H.
+    """
+    def slope(vary):
+        return (energy(vary(h)) - energy(vary(-h))) / (2 * h)
+
+    slopes = {"omega": slope(lambda t: dataclasses.replace(model, omega=model.omega + t))}
+    if model.kappa >= h:
+        slopes["kappa"] = slope(lambda t: dataclasses.replace(model, kappa=model.kappa + t))
+    for j in range(1, model.atom.d):
+        unit = np.eye(model.atom.d)[j]
+        slopes[f"eps_{j}"] = slope(lambda t: dataclasses.replace(
+            model, atom=dataclasses.replace(model.atom, energies=model.atom.energies + t * unit)))
+    return slopes

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,7 +10,7 @@ from dickelab import (
     two_level_reduction,
     verify_sweet_spot_states,
 )
-from dickelab.cpb import write_cpb_csv
+from dickelab.cpb import _spectrum, write_cpb_csv
 
 
 class TestSpec:
@@ -107,6 +109,35 @@ class TestProperties:
             wa = np.sort(sla.eigvalsh(cpb_hamiltonian(a)))[:6]
             wb = np.sort(sla.eigvalsh(cpb_hamiltonian(b)))[:6]
             assert np.max(np.abs(wa - wb)) <= 1e-12
+
+
+# E_J = 0 at a sweet spot, the charge regime, the transmon regime; sweet
+# spots at n_g 0.5, -0.5 and 1.5 and points off them
+REFERENCE_SPECS = [CpbSpec(ec=ec, ej=ej, ng=ng, n_cut=n_cut)
+                   for ec, ej, ngs in [(1.0, 0.0, (0.5, 0.3)),
+                                       (1.0, 0.002, (0.5, -0.5, 1.5, 0.3)),
+                                       (1.0, 0.02, (0.5, -0.5, 1.5, -1.2)),
+                                       (1.0, 0.2, (0.5, -0.5, 1.5, 0.3)),
+                                       (0.05, 2.0, (0.5, -0.5, 1.5, 0.3))]
+                   for ng in ngs
+                   for n_cut in (5 + math.ceil(abs(ng)), 12, 40)]
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS,
+                             ids=lambda s: f"ec{s.ec}-ej{s.ej}-ng{s.ng}-ncut{s.n_cut}")
+    def test_matches_tridiagonal_solver(self, spec):
+        # the reference is LAPACK's tridiagonal solver on H's two diagonals
+        h = cpb_hamiltonian(spec)
+        w_ref, v_ref = sla.eigh_tridiagonal(np.diag(h).copy(), np.diag(h, 1).copy())
+        w, v = _spectrum(spec)
+        scale = max(abs(w_ref[0]), abs(w_ref[-1]), 1.0)
+        np.testing.assert_allclose(w[:4], w_ref[:4], rtol=0, atol=1e-12 * scale)
+        # a state is fixed up to sign where it is apart from its neighbours
+        gap = np.diff(w_ref[:3]) > 1e-6 * scale
+        for i, apart in enumerate((gap[0], gap[0] and gap[1])):
+            if apart:
+                np.testing.assert_allclose(np.abs(v[:, i]), np.abs(v_ref[:, i]), rtol=0, atol=1e-10)
 
 
 class TestReduction:

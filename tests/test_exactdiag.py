@@ -546,6 +546,35 @@ class TestObservables:
         assert res.quad == pytest.approx(v @ np.kron(x2, np.eye(2)) @ v, abs=1e-10)
 
 
+class TestHellmannFeynman:
+    # dE0/dp = <dH/dp> at fixed n_max, so d(e0/N)/domega = photon_density,
+    # d(e0/N)/dkappa = quad and d(e0/N)/deps_j = populations[j]: a finite-N
+    # oracle without a reference solution.  The eps slopes, and the omega
+    # slope at kappa = 0, are exact for the truncated H; at kappa > 0 omega
+    # and kappa move the Bogoliubov mode that n_max truncates, so n_max is
+    # converged there (converge_cutoff's).  Measured with h = 1e-4: omega
+    # within 1.09e-8, kappa 6.98e-7 (both the ladder_kappa point, where quad
+    # is 6.3) and eps 4.3e-10, the central difference's h^2 term each
+    TOL = {"omega": 1.1e-8, "kappa": 7e-7, "eps": 5e-10}
+
+    @pytest.mark.parametrize("model, n_max", [
+        (two_level(1.0, 1.0, 0.4, n_atoms=10), 16),
+        (two_level(1.0, 1.0, 0.8, kappa=0.1, n_atoms=10), 36),
+        (ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.05, n_atoms=8), 70),
+        (ladder(1.0, 1.0, 2.0, 0.3, 1.0, kappa=0.5, n_atoms=6), 16),
+    ], ids=["two_level", "two_level_kappa", "ladder_kappa", "ladder_normal"])
+    def test_slopes_are_the_observables(self, model, n_max):
+        res = ed_ground(model, n_max)
+        if model.kappa > 0.0:
+            assert res.truncation_residual <= TOL_E
+        want = {"omega": res.photon_density, "kappa": res.quad,
+                **{f"eps_{j}": res.populations[j] for j in range(1, model.atom.d)}}
+        slopes = oracles.central_slopes(lambda m: ed_ground(m, n_max).e0_per_atom, model, h=1e-4)
+        assert len(slopes) == model.atom.d + (model.kappa > 0.0)
+        for name, slope in slopes.items():
+            assert abs(slope - want[name]) <= self.TOL[name.split("_")[0]], (name, slope, want[name])
+
+
 class TestEdGround:
     def test_decoupled_excited_coupling_gap(self):
         # lam12 below critical with lam01 = 0: the photon-atom block around

@@ -783,22 +783,6 @@ class TestCurvatureAtZero:
         assert sol.superradiant and [x for x, _ in sol.local_minima] == [sol.x_star]
 
 
-def e_star_slopes(model: DickeModel, h: float = 1e-6) -> dict:
-    """Central differences of e* in omega, kappa (where kappa >= h) and each
-    eps_j, j >= 1, each step a full minimize."""
-    def e(omega=model.omega, kappa=model.kappa, shift=0.0):
-        atom = AtomSpec(model.atom.energies + shift, model.atom.couplings)
-        return minimize(DickeModel(omega, atom, kappa=kappa)).e_star
-
-    slopes = {"omega": (e(omega=model.omega + h) - e(omega=model.omega - h)) / (2 * h)}
-    if model.kappa >= h:
-        slopes["kappa"] = (e(kappa=model.kappa + h) - e(kappa=model.kappa - h)) / (2 * h)
-    for j in range(1, model.atom.d):
-        unit = np.eye(model.atom.d)[j]
-        slopes[f"eps_{j}"] = (e(shift=h * unit) - e(shift=-h * unit)) / (2 * h)
-    return slopes
-
-
 class TestHellmannFeynman:
     # e* = min_x e(x) moves with a parameter p as de/dp at x* (the envelope
     # theorem), so de*/domega = x*^2, de*/dkappa = 4 x*^2 and de*/deps_j =
@@ -823,7 +807,7 @@ class TestHellmannFeynman:
         sol = minimize(model)
         want = {"omega": sol.x_star**2, "kappa": 4.0 * sol.x_star**2,
                 **{f"eps_{j}": sol.occupations[j] for j in range(1, model.atom.d)}}
-        slopes = e_star_slopes(model)
+        slopes = oracles.central_slopes(lambda m: minimize(m).e_star, model, h=1e-6)
         assert len(slopes) == model.atom.d + (model.kappa > 0.0)
         for name, slope in slopes.items():
             assert abs(slope - want[name]) <= self.TOL, (name, slope, want[name])
