@@ -40,6 +40,9 @@ class CpbSpec:
     n_cut: int = 12
 
     def __post_init__(self):
+        for name in ("ec", "ej", "ng"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.ec > 0:
             raise ValueError("ec must be positive")
         if self.ej < 0:
@@ -60,11 +63,17 @@ class CpbSpec:
 
 
 def cpb_hamiltonian(spec: CpbSpec) -> np.ndarray:
-    """Dense H: diagonal 4 E_C (n - n_g)^2, off-diagonals -E_J/2."""
+    """Dense H: diagonal 4 E_C (n - n_g)^2, off-diagonals -E_J/2.
+
+    The off-diagonals are written into the one (2 n_cut + 1)^2 array, so
+    building H allocates H alone.  They hold -E_J/2 + 0.0, which stores
+    +0.0 for E_J = 0, as the sum of the three diagonals did.
+    """
     n = spec.charges.astype(float)
-    off = np.full(spec.dim - 1, -spec.ej / 2.0)
     h = np.diag(4.0 * spec.ec * (n - spec.ng) ** 2)
-    h += np.diag(off, 1) + np.diag(off, -1)
+    off = -spec.ej / 2.0 + 0.0
+    np.fill_diagonal(h[1:], off)
+    np.fill_diagonal(h[:, 1:], off)
     return h
 
 

@@ -16,7 +16,10 @@ H = D + (a + a') (x) J, with D diagonal and J the A x A collective coupling
 block is the states of one set of atomic states over every photon row, in
 basis order as whole photon-row pairs (Sector).  It builds each block's
 CSR matrix directly from these factors (build_hamiltonian), one at a time;
-the full-basis H is built only when a caller asks for it.
+the full-basis H is built only when a caller asks for it.  One rule writes
+every photon-row pair of a block: a template pair whose rows have all
+three bands, shifted to the pair, less the entries whose row or column
+lies outside the block.
 
 A model with kappa > 0 is solved in its Bogoliubov photon basis
 (_bogoliubov; Emary and Brandes, PRE 67, 066203 (2003)):
@@ -248,12 +251,9 @@ def _coupling(model: DickeModel) -> sp.csr_matrix:
         amp.append((lam * coef) * np.sqrt(to_j[:, j] * states[have_k, k]))    # (m_j + 1) m_k
     src, amp = np.concatenate(src), np.concatenate(amp)
     dst = _rank(np.concatenate(moved))         # one rank table for every pair
-    rows, cols = np.concatenate([dst, src]), np.concatenate([src, dst])
     A = states.shape[0]
-    order = np.argsort(rows * A + cols)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=A))])
-    J = sp.csr_matrix((np.concatenate([amp, amp])[order], cols[order].astype(np.int32),
-                       indptr.astype(np.int32)), shape=(A, A))
+    J = sp.csr_matrix((np.concatenate([amp, amp]),
+                       (np.concatenate([dst, src]), np.concatenate([src, dst]))), shape=(A, A))
     for part in (J.data, J.indices, J.indptr):
         part.flags.writeable = False
     return J
@@ -330,28 +330,32 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis,
     kappa > 0 onto such a model (_bogoliubov).  Row (n, r) holds, in column
     order, up to three bands: sqrt(n) J[r] on photon row n-1, D and
     sqrt(n+1) J[r] on row n+1, each as far as that photon row exists.
-    Every photon-row pair but the first and the last has all three bands,
-    so these interior pairs share one layout and follow each other in the
-    CSR arrays: the first pair, the interior pairs and the last pair are
-    three contiguous runs, each written through 2-D reshapes of indptr,
-    indices and data, a bounded number of pairs at a time: nothing of the
-    matrix's size is allocated besides the matrix.
+
+    One rule writes every photon-row pair: pair k's entries are a template
+    pair's entries, in which every row has all three bands, shifted by
+    k step states, and an entry is kept where its row and its column lie in
+    [0, sector.size).  This drops the row n-1 band of photon row 0, the row
+    n+1 band of row n_max and, when n_max is even, the odd half of the last
+    pair.  So every diagonal entry is stored, zeros included, and each of
+    the n_max links between neighbouring photon rows carries every J entry
+    of the atoms on one side twice: nnz = size + 2 n_max (J entries of
+    atoms[0]).  One loop writes indptr, indices and data a bounded number
+    of pairs at a time, so nothing of the matrix's size is allocated
+    besides the matrix.  A pass copies its entries up to the first dropped
+    one as they are and filters only the rest, so a pass of interior pairs
+    copies all of its entries.
     """
     import scipy.sparse as sp
     from scipy.linalg import blas
 
-    atom = model.atom
-    if atom.d != basis.d or model.n_atoms != basis.n_atoms:
+    if model.atom.d != basis.d or model.n_atoms != basis.n_atoms:
         raise ValueError("model and basis disagree on d or n_atoms")
     if model.kappa != 0.0:
         raise ValueError("build_hamiltonian takes kappa = 0 models; map others with _bogoliubov")
     A = basis.n_atomic
     J = _coupling(model)
     if sector is None:
-        every = np.arange(A)
-        sector = Sector((every, every), basis.n_max)
-    n_max = sector.n_max
-    step = sector.atoms[0].size + sector.atoms[1].size
+        sector = Sector((np.arange(A),) * 2, basis.n_max)
 
     # One template row per state of a photon-row pair, atoms[0] + atoms[1]:
     # its entries in a pair whose rows have every band, in column order: its
@@ -362,71 +366,65 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis,
     # on the diagonal, whose factor holds the rest of D).  The real
     # entries, row by row, are the pair's entries in CSR order.
     a = [atoms.size for atoms in sector.atoms]
+    n_max, size, step = sector.n_max, sector.size, sum(a)
     atoms = np.concatenate(sector.atoms)
     odd = np.arange(step) >= a[0]
-    starts = J.indptr[atoms]
     # at n_max 0 no state has a photon hop
-    counts = J.indptr[atoms + 1] - starts if n_max else np.zeros(step, int)
+    counts = np.diff(J.indptr)[atoms] if n_max else np.zeros(step, int)
     slot = np.arange(int(counts.max(initial=0)))
     hop = slot < counts[:, None]
-    ent = np.where(hop, starts[:, None] + slot, 0)
+    ent = np.where(hop, J.indptr[atoms][:, None] + slot, 0)
     inv = np.empty(2 * A, dtype=np.int64)                 # (parity, r) -> its place in its row
     inv[atoms + A * odd] = np.arange(step) - a[0] * odd
-    below = np.where(odd, 0, -a[1])[:, None]              # row n-1's first state
-    other = inv[J.indices[ent] + A * ~odd[:, None]] + below
-    one = np.ones((step, 1))
+    # each hop's column on row n-1, counted from the pair's first state
+    other = inv[J.indices[ent] + A * ~odd[:, None]] + np.where(odd, 0, -a[1])[:, None]
     band = np.repeat([0, 1, 2], [slot.size, 1, slot.size])
     col = np.concatenate([other, np.arange(step)[:, None], other + step], axis=1)
-    val = np.concatenate([J.data[ent], one, J.data[ent]], axis=1)
-    level_sum = blas.dgemv(1.0, basis.atomic_states[atoms].T, atom.energies, trans=True)
+    val = np.concatenate([J.data[ent], np.ones((step, 1)), J.data[ent]], axis=1)
+    level_sum = blas.dgemv(1.0, basis.atomic_states[atoms].T, model.atom.energies, trans=True)
     plus = np.where(band == 1, level_sum[:, None], 0.0)
-    real = np.concatenate([hop, one > 0, hop], axis=1)
+    real = np.concatenate([hop, np.ones((step, 1), bool), hop], axis=1)
     cell = 3 * odd[:, None] + band                        # the entry's column of factor
 
-    # The runs of pairs that share a layout, the first pair, the interior
-    # pairs and the last pair: each one's first pair, its pair count and the
-    # template entries it keeps (no band leaves rows 0..n_max, and the half
-    # last pair of an even n_max keeps the atoms[0] rows only).
-    last = n_max // 2
-    runs = []
-    for k, count in [(0, 1), (1, last - 1)] + ([(last, 1)] if last else []):
-        if count > 0:
-            n = 2 * k + odd                               # each template row's photon row
-            keep = real & np.stack([n > 0, np.ones(step, bool), n < n_max], axis=1)[:, band]
-            runs.append((k, count, keep[:step if 2 * k < n_max else a[0]]))
     # each row pair's factor [sqrt(n), omega n, sqrt(n+1)] for n = 2k, 2k+1;
     # an entry that overflows stays inf, for ground_state to reject
-    ns = np.arange(2 * last + 2, dtype=float)
+    ns = np.arange(2 * (n_max // 2) + 2, dtype=float)
     with np.errstate(over="ignore"):
         factor = np.column_stack([np.sqrt(ns), model.omega * ns, np.sqrt(ns + 1.0)]).reshape(-1, 6)
 
-    nnz = sum(count * np.count_nonzero(keep) for _, count, keep in runs)
-    dim = sector.size
-    index = np.int32 if max(nnz, dim) < 2**31 else np.int64
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index)
-    indptr = np.zeros(dim + 1, dtype=index)               # the row lengths, summed at the end
+    # Pair k's entries are the real ones shifted by k step, and an entry is
+    # kept where its row and its column lie in [0, size).
+    nnz = size + 2 * n_max * int(counts[:a[0]].sum())
+    index = np.int32 if max(nnz, size) < 2**31 else np.int64
+    row = np.nonzero(real)[0]                             # each real entry's template row
+    col, val, plus, cell = col[real].astype(index), val[real], plus[real], cell[real]
+    chunk = min(2**15 // col.size + 1, len(factor))       # pairs per pass: bounds its temporaries
+    lengths = np.tile(real.sum(axis=1), chunk)            # a pass's row lengths before the rule
+    # indptr holds the row lengths, summed at the end
+    data, indices, indptr = np.empty(nnz), np.empty(nnz, index), np.zeros(size + 1, index)
     at = 0
-    for k, count, keep in runs:
-        rows, width = keep.shape[0], np.count_nonzero(keep)
-        if not width:
-            continue
-        first = k * step
-        indptr[first + 1:first + 1 + count * rows].reshape(count, rows)[:] = keep.sum(axis=1)
-        np.add(np.arange(first, first + step * count, step, dtype=index)[:, None],
-               col[:rows][keep].astype(index),
-               out=indices[at:at + count * width].reshape(count, width))
-        out = data[at:at + count * width].reshape(count, width)
-        c, v, p = cell[:rows][keep], val[:rows][keep], plus[:rows][keep]
-        chunk = 2**16 // width + 1              # bounds the temporary of a long run
-        for j in range(0, count, chunk):
-            values = np.take(factor[k + j:k + min(count, j + chunk)], c, axis=1)
-            values *= v
-            values += p
-            out[j:j + chunk] = values
-        at += count * width
+    for k in range(0, len(factor), chunk):
+        pairs = np.arange(k, min(k + chunk, len(factor)))
+        # the pairs' entries in CSR order, up to the first one whose row is past size
+        end = (pairs.size - 1) * col.size + np.searchsorted(row, size - pairs[-1] * step)
+        cols = (col + (pairs * step).astype(index)[:, None]).ravel()[:end]
+        keep = (cols >= 0) & (cols < size)
+        gone = np.flatnonzero(~keep)
+        first, stop = k * step, min((k + pairs.size) * step, size)
+        # a row's length is its template row's, less the entries dropped from it
+        drop = np.bincount(row[gone % col.size] + step * (gone // col.size), minlength=lengths.size)
+        indptr[first + 1:stop + 1] = (lengths - drop)[:stop - first]
+        values = np.take(factor[pairs], cell, axis=1)
+        values *= val
+        values += plus
+        # the entries before the first dropped one are copied as they are
+        lo, width = (gone[0] if gone.size else end), end - gone.size
+        for out, part in ((indices, cols), (data, values.ravel()[:end])):
+            out[at:at + lo] = part[:lo]
+            out[at + lo:at + width] = part[lo:][keep[lo:]]
+        at += width
     np.cumsum(indptr, out=indptr)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def parity_compatible(atom: AtomSpec) -> bool:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dickelab import (
     two_level_reduction,
     verify_sweet_spot_states,
 )
-from dickelab.cpb import _spectrum, write_cpb_csv
+from dickelab.cpb import N_CUT_MAX, _spectrum, write_cpb_csv
 
 
 class TestSpec:
@@ -23,6 +24,14 @@ class TestSpec:
             CpbSpec(ec=1.0, ej=0.1, ng=0.5, n_cut=4)
         with pytest.raises(ValueError, match="n_cut"):
             CpbSpec(ec=1.0, ej=0.1, ng=3.5, n_cut=7)   # needs 5 + ceil(3.5) = 9
+        # each non-finite field is named before the n_cut rule reads ng; an
+        # infinite ec used to construct and give NaN levels, a non-finite ej
+        # a LinAlgError, ng nan or inf a conversion error
+        for name in ("ec", "ej", "ng"):
+            for value in (math.inf, -math.inf, math.nan):
+                fields = {"ec": 1.0, "ej": 0.1, "ng": 0.5, name: value}
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    CpbSpec(**fields)
 
     def test_charge_grid(self):
         spec = CpbSpec(ec=1.0, ej=0.1, ng=0.5, n_cut=6)
@@ -35,6 +44,7 @@ class TestHamiltonian:
         spec = CpbSpec(ec=1.0, ej=0.0, ng=0.0)
         h = cpb_hamiltonian(spec)
         assert np.all(np.tril(h, -1) == 0) and np.all(np.triu(h, 1) == 0)
+        assert not np.signbit(h).any()          # E_J = 0 stores +0.0, never -0.0
         w = np.sort(np.diag(h))
         assert w[0] == 0.0                      # ground state |n=0>
         assert w[1] == w[2] == 4.0              # |+-1> pair
@@ -55,6 +65,18 @@ class TestHamiltonian:
         np.testing.assert_allclose(np.diag(h), 4 * 0.7 * (spec.charges - 0.2) ** 2)
         np.testing.assert_allclose(np.diag(h, 1), -0.15)
         assert np.all(np.triu(h, 2) == 0)
+
+    def test_build_allocates_only_h(self):
+        # tracemalloc counts numpy's allocations, so the peak repeats exactly;
+        # at N_CUT_MAX H is 32 MB, and the sum of three dense diagonals took 3x that
+        spec = CpbSpec(ec=1.0, ej=0.02, ng=0.5, n_cut=N_CUT_MAX)
+        tracemalloc.start()
+        try:
+            h = cpb_hamiltonian(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * h.nbytes
 
 
 class TestSweetSpot:

@@ -279,6 +279,30 @@ class TestHamiltonian:
                 assert H.has_canonical_format
                 assert (H != H.T).nnz == 0
 
+    def test_full_hamiltonian_equals_kron_reference(self):
+        # every entry, bit for bit: diag(omega n + sum_j eps_j m_j) +
+        # (a + a') (x) J.  omega and eps are multiples of 1/8, so the
+        # diagonal is exact in any summation order; the hops are the same
+        # products sqrt(n) J in both.  Every diagonal entry is stored, zeros
+        # included, and each of the n_max photon links holds every J entry twice
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            d, n_atoms = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+            eps = np.concatenate([[0.0], np.sort(rng.integers(1, 24, d - 1)) / 8.0])
+            lam = np.triu(rng.uniform(-1.5, 1.5, (d, d)) * (rng.random((d, d)) < 0.7), 1)
+            model = DickeModel(float(rng.integers(4, 17)) / 8.0, AtomSpec(eps, lam + lam.T),
+                               n_atoms=n_atoms)
+            J = _coupling(model)
+            for n_max in range(8):
+                basis = build_basis(n_atoms, d, n_max)
+                n = np.arange(n_max + 1)
+                hop = sp.diags([np.sqrt(n[1:])] * 2, [-1, 1], shape=(n_max + 1, n_max + 1))
+                diag = (model.omega * n)[:, None] + basis.atomic_states @ eps
+                ref = sp.diags(diag.ravel()) + sp.kron(hop, J)
+                H = build_hamiltonian(model, basis)
+                assert H.nnz == basis.dim + 2 * n_max * J.nnz
+                assert np.array_equal(H.toarray(), ref.toarray())
+
     def test_parity_incompatible_when_even_hop_coupled(self):
         atom = AtomSpec([0.0, 1.0, 2.0],
                         [[0.0, 0.0, 0.4], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
