@@ -19,7 +19,9 @@ CSR matrix directly from these factors (build_hamiltonian), one at a time;
 the full-basis H is built only when a caller asks for it.  One rule writes
 every photon-row pair of a block: a template pair whose rows have all
 three bands, shifted to the pair, less the entries whose row or column
-lies outside the block.
+lies outside the block.  An ARPACK block above _OPERATOR_CUTOFF states
+stores no matrix: ARPACK asks only for products, and _SectorOperator forms
+them from D and J, with the block's states in atom-major order.
 
 A model with kappa > 0 is solved in its Bogoliubov photon basis
 (_bogoliubov; Emary and Brandes, PRE 67, 066203 (2003)):
@@ -48,9 +50,10 @@ max_dim, and ed_ground builds S, about (n_max + 1)^2 / 2 entries, only
 where (n_max + 1)^2 <= max_dim.
 
 scipy is imported where it is called (_dot, _coupling, _sectors,
-build_hamiltonian, _parity_flip, _partner_image, ground_state,
-_eigsh_takes_rng, _lanczos, observables), so importing this module loads
-numpy only, and only the ED commands (ed-ground, ed-nscan) load scipy.
+build_hamiltonian, _SectorOperator, _parity_flip, _partner_image,
+ground_state, _eigsh_takes_rng, _lanczos, observables), so importing this
+module loads numpy only, and only the ED commands (ed-ground, ed-nscan)
+load scipy.
 
 One BLAS: the numpy and scipy wheels each bundle their own OpenBLAS, each
 with a thread pool whose workers spin for a while after a threaded call.
@@ -60,10 +63,12 @@ norms through _dot and _norm, the S products and the atomic sums through
 scipy.linalg.blas.dgemm and dgemv, none through numpy's @ or
 np.linalg.norm.  numpy's pool then stays asleep during a solve instead of
 spinning on the cores that ARPACK's threads wait on; numpy's BLAS and
-LAPACK see d x d single-atom matrices only.  Dot products and norms give
-numpy's bits; a dgemm can differ from numpy's in the last bit where the two
-OpenBLAS builds split it differently.  Where numpy and scipy share one
-BLAS nothing changes.  No BLAS thread count is set here.
+LAPACK see d x d single-atom matrices only.  _SectorOperator's products
+are scipy sparse products and elementwise passes, with no BLAS call at
+all.  Dot products and norms give numpy's bits; a dgemm can differ from
+numpy's in the last bit where the two OpenBLAS builds split it
+differently.  Where numpy and scipy share one BLAS nothing changes.  No
+BLAS thread count is set here.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from .errors import ConvergenceError, ResourceLimitError, SolverError
 from .model import AtomSpec, DickeModel, single_atom_matrices
 
 DENSE_CUTOFF = 256    # dense eigh and ARPACK take about equally long at this dim
+_OPERATOR_CUTOFF = 2**15   # above this dim a product with _SectorOperator costs what CSR's does
 MAX_DIM_DEFAULT = 5_000_000
 TOL = 1e-10           # ARPACK stops at this Ritz residual relative to |e0|
 TOL_E = 1e-8          # converge_cutoff stops when the truncation residual is at most this
@@ -427,6 +433,78 @@ def build_hamiltonian(model: DickeModel, basis: SymmetricBasis,
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
+class _SectorOperator:
+    """H on one sector as a product, with no stored matrix: ed_ground's
+    ARPACK blocks above _OPERATOR_CUTOFF states.  Below about 2e4 states
+    its dozen array calls cost more than a CSR product.
+
+    Its states are atom-major: atoms[0] over the even photon rows, then
+    atoms[1] over the odd ones, with the photon rows of each atomic state
+    contiguous.  So a vector is X_E (|atoms[0]| x even rows) followed by
+    X_O (|atoms[1]| x odd rows), and with J_eo = J[atoms[0]][:, atoms[1]]
+    and D = omega n + sum_j eps_j m_j (formed as build_hamiltonian forms it):
+    (Hx)_E[:, k] = D_E X_E[:, k] + J_eo (sqrt(2k+1) X_O[:, k] + sqrt(2k) X_O[:, k-1]),
+    (Hx)_O[:, k] = D_O X_O[:, k] + J_eo' (sqrt(2k+1) X_E[:, k] + sqrt(2k+2) X_E[:, k+1]).
+    That is two scipy sparse products on contiguous arrays plus elementwise
+    passes, and no BLAS call.  An entry of D that overflows stays inf, for
+    ground_state to reject (finite).
+    """
+
+    def __init__(self, model: DickeModel, basis: SymmetricBasis, sector: Sector):
+        from scipy.linalg import blas
+
+        J = _coupling(model)
+        even, odd = sector.atoms
+        level_sum = blas.dgemv(1.0, basis.atomic_states[np.concatenate(sector.atoms)].T,
+                               model.atom.energies, trans=True)
+        ns = np.arange(sector.n_max + 1.0)
+        with np.errstate(over="ignore"):
+            omega_n = model.omega * ns
+        self.n_max = sector.n_max
+        self.shape = (sector.size, sector.size)
+        self.diag = (level_sum[:even.size, None] + omega_n[0::2],
+                     level_sum[even.size:, None] + omega_n[1::2])
+        self.hop = (J[even][:, odd], J[odd][:, even])      # J_eo and J_eo'
+        # odd row n's hops: sqrt(n) to row n - 1 and sqrt(n + 1) to row n + 1
+        self.down, self.up = np.sqrt(ns[1::2]), np.sqrt(ns[1::2] + 1.0)
+
+    def finite(self) -> bool:
+        """Whether every entry is finite: D, and each J entry times
+        sqrt(n_max), the largest photon factor of a hop."""
+        with np.errstate(over="ignore"):
+            hops = self.hop[0].data * math.sqrt(self.n_max)
+        return bool(np.isfinite(self.diag[0]).all() and np.isfinite(self.diag[1]).all()
+                    and np.isfinite(hops).all())
+
+    def order(self) -> np.ndarray:
+        """Each state's position in the sector's basis order: the positions
+        of the sector's padded (pairs x step) array, read atom-major."""
+        (a0, n_even), (a1, n_odd) = self.diag[0].shape, self.diag[1].shape
+        pairs = np.arange(n_even * (a0 + a1)).reshape(n_even, a0 + a1)
+        return np.concatenate([pairs[:, :a0].T.ravel(), pairs[:n_odd, a0:].T.ravel()])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        (d_e, d_o), (j_eo, j_oe), down, up = self.diag, self.hop, self.down, self.up
+        n_even, n_odd, split = d_e.shape[1], d_o.shape[1], d_e.size
+        x = np.ravel(x)
+        x_e, x_o = x[:split].reshape(d_e.shape), x[split:].reshape(d_o.shape)
+        y = np.empty(x.size)
+        y_e, y_o = y[:split].reshape(d_e.shape), y[split:].reshape(d_o.shape)
+        # what each even row k sees of the odd rows 2k + 1 and 2k - 1
+        u = np.zeros((d_o.shape[0], n_even))
+        np.multiply(x_o, down, out=u[:, :n_odd])
+        u[:, 1:] += x_o[:, :n_even - 1] * up[:n_even - 1]
+        np.multiply(d_e, x_e, out=y_e)
+        y_e += j_eo @ u
+        del u
+        # what each odd row k sees of the even rows 2k and 2k + 2
+        w = x_e[:, :n_odd] * down
+        w[:, :n_even - 1] += x_e[:, 1:] * up[:n_even - 1]
+        np.multiply(d_o, x_o, out=y_o)
+        y_o += j_oe @ w
+        return y
+
+
 def parity_compatible(atom: AtomSpec) -> bool:
     """True when Pi = (-1)^(n + sum j m_j) commutes with the coupling term."""
     return all(atom.couplings[j, k] == 0.0 or (k - j) % 2
@@ -450,6 +528,15 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
     Both factors are formed from logarithms, so large N and n_max neither
     overflow nor underflow to an all-zero vector.
     """
+    psi = np.outer(*_mean_field_factors(model, basis, x_star)).ravel()
+    return psi / _norm(psi)
+
+
+def _mean_field_factors(model: DickeModel, basis: SymmetricBasis,
+                        x_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """mean_field_state's photon factor (over rows 0..n_max) and atomic
+    factor (over the atomic states), signs included, each scaled so that its
+    largest magnitude is 1: the state is their outer product, normalized."""
     N = basis.n_atoms
     c = np.linalg.eigh(single_atom_matrices(model.atom.energies, model.atom.couplings,
                                             x_star))[1][:, 0]
@@ -464,8 +551,7 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
                   - 0.5 * log_fact[states].sum(axis=1))
     sign_at = 1.0 - 2.0 * ((states @ (c < 0)) % 2)
     sign_ph = np.where((ns % 2 == 1) & (x_star < 0.0), -1.0, 1.0)   # <a> = sqrt(N) x* < 0
-    psi = np.outer(sign_ph * np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max()))
-    return psi.ravel() / _norm(psi.ravel())
+    return sign_ph * np.exp(log_ph - log_ph.max()), sign_at * np.exp(log_at - log_at.max())
 
 
 @functools.lru_cache(maxsize=1)
@@ -548,7 +634,10 @@ def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> G
     entry (the first of equal ones), that entry's unit vector and residual
     0.  A matrix with an inf or nan entry (a model whose energy scale
     overflows float64, as omega n for omega near 1e308) raises SolverError
-    before any of this.
+    before any of this.  H can also be a _SectorOperator, a block with a
+    photon hop and above DENSE_CUTOFF states that stores no matrix: it goes
+    to ARPACK, and its entries are D and the J entries times at most
+    sqrt(n_max), so those are what the finiteness rule checks.
 
     partner=True says that v0 is the image of a solved parity partner's
     ground vector (ed_ground's _partner_image), which can already be this
@@ -563,11 +652,12 @@ def ground_state(H, v0: np.ndarray | None = None, *, partner: bool = False) -> G
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    H = sp.csr_matrix(H)
-    if not np.isfinite(H.data).all():
+    operator = isinstance(H, _SectorOperator)
+    H = H if operator else sp.csr_matrix(H)
+    if not (H.finite() if operator else np.isfinite(H.data).all()):
         raise SolverError("Hamiltonian has a non-finite entry: the model's energies "
                           "overflow float64")
-    coo = H.tocoo() if H.nnz <= H.shape[0] else None
+    coo = H.tocoo() if not operator and H.nnz <= H.shape[0] else None
     if coo is not None and np.array_equal(coo.row, coo.col):
         entries = H.diagonal()
         low = np.argmin(entries)
@@ -612,7 +702,9 @@ def _eigsh_takes_rng() -> bool:
 
 def _lanczos(H, v0: np.ndarray | None = None, max_iter: int | None = None) -> GroundState:
     """ARPACK's implicitly restarted Lanczos (scipy's eigsh with which="SA"),
-    whose workspace stays at dim x ncv vectors, at any dimension.
+    whose workspace stays at dim x ncv vectors, at any dimension.  H is a
+    matrix or a _SectorOperator: ARPACK sees only its products H @ x, and
+    v0 and the result are in H's own state order.
 
     The start vector is v0 when given (ed_ground passes each block's part of
     its warm, partner-image or mean-field start vector), otherwise
@@ -754,11 +846,14 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     the couplings do not connect all levels.  They come from J alone, and
     each block's matrix is built (build_hamiltonian) and freed in turn, so
     the full-basis H is never formed; a diagonal block is solved exactly
-    (ground_state).  The blocks are ordered by their lowest basis index.
-    The lowest block wins, except that among the blocks whose e0 lies
-    within r_b + r_low of the lowest one (r the residual norms) the first
-    one whose lowest basis state is even under Pi wins; this pins the
-    parity of a quasi-degenerate doublet to the even sector.  A block above
+    (ground_state).  A block that goes to ARPACK with more than
+    _OPERATOR_CUTOFF states gets no matrix but a _SectorOperator, and its
+    start and ground vector are read and written in that operator's order.
+    The blocks are ordered by their lowest basis index.  The lowest block
+    wins, except that among the blocks whose e0 lies within r_b + r_low of
+    the lowest one (r the residual norms) the first one whose lowest basis
+    state is even under Pi wins; this pins the parity of a quasi-degenerate
+    doublet to the even sector.  A block above
     DENSE_CUTOFF that is not diagonal goes to ARPACK and starts from its
     part of a start vector, or from _lanczos's fixed vector where that part
     is zero, so every start and the result follow from the arguments alone.
@@ -783,7 +878,9 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     once per n_max, not per call (_parity_flip).  Other cold
     blocks start from the mean-field product state (mean_field_state) at
     x_star, the global mean-field minimum, which is computed here when not
-    given.
+    given.  An operator block takes its part of that state unnormalized,
+    from the photon and atomic factors (_mean_field_factors), so no
+    basis-sized start vector is alive during its solve; ARPACK normalizes it.
 
     Everything above is done for model0, the kappa = 0 model of
     _bogoliubov(model): blocks, starts and residual are those of H - c,
@@ -802,24 +899,36 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     vectors = np.zeros(basis.dim)
     for sector in sectors:
         idx = sector.indices(basis.n_atomic)
-        v0, partner = None, False
+        v0, partner, op = None, False, None
         # the block of one atomic state is diagonal: ground_state takes no start
         if idx.size > DENSE_CUTOFF and sector.atoms[0].size + sector.atoms[1].size > 1:
+            if idx.size > _OPERATOR_CUTOFF:
+                op = _SectorOperator(model0, basis, sector)
+                idx = idx[op.order()]       # the operator's states, in its order
             if warm is None and (n_max + 1) ** 2 <= max_dim:
                 v0 = _partner_image(vectors, sector, basis)
                 partner = v0 is not None
+                if partner and op is not None:
+                    v0 = v0[op.order()]
             if v0 is None:
-                if start is None:
-                    if x_star is None:
-                        x_star = meanfield.minimize(model).x_star
-                    start = mean_field_state(model0, basis, x_star / s)
-                v0 = start[idx]
+                if x_star is None and warm is None:
+                    x_star = meanfield.minimize(model).x_star
+                if op is not None and warm is None:
+                    # its part of the mean-field state, unnormalized, from the factors
+                    ph, at = _mean_field_factors(model0, basis, x_star / s)
+                    v0 = np.concatenate([np.outer(at[atoms], ph[p::2]).ravel()
+                                         for p, atoms in enumerate(sector.atoms)])
+                else:
+                    if start is None:
+                        start = mean_field_state(model0, basis, x_star / s)
+                    v0 = start[idx]
                 if not v0.any():
                     v0 = None
-        gs = ground_state(build_hamiltonian(model0, basis, sector), v0=v0, partner=partner)
+        gs = ground_state(build_hamiltonian(model0, basis, sector) if op is None else op,
+                          v0=v0, partner=partner)
         vectors[idx] = gs.vector
         solves.append(dataclasses.replace(gs, vector=None))     # the vector lives in vectors
-        del idx, v0, gs     # nothing of this block stays alive while the next is built
+        del idx, v0, gs, op     # nothing of this block stays alive while the next is built
     e0 = np.array([gs.e0 for gs in solves])
     resid = np.array([gs.residual_norm for gs in solves])
     low = int(np.argmin(e0))

@@ -148,10 +148,12 @@ def _x_max(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray) -
 
 def _hellmann_feynman(omega_eff, energies: np.ndarray, couplings: np.ndarray, x: np.ndarray):
     """(w, g, e'(x)) at each x: the eigenvalues w of diag(eps) + 2 x lam, g_n =
-    c_n^T lam c_0, and e' = 2 omega_eff x + 2 g_0 by Hellmann-Feynman."""
+    c_n^T lam c_0, and e' = 2 omega_eff x + 2 g_0 by Hellmann-Feynman, formed
+    as 2 (omega_eff x + g_0): the same bits, and finite wherever omega_eff x
+    is (_x_max keeps it so) even where 2 omega_eff overflows."""
     w, v = np.linalg.eigh(single_atom_matrices(energies, couplings, x))
     g = (v * (couplings @ v[..., :1])).sum(axis=-2)
-    return w, g, 2.0 * omega_eff * x + 2.0 * g[..., 0]
+    return w, g, 2.0 * (omega_eff * x + g[..., 0])
 
 
 def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
@@ -174,7 +176,8 @@ def _refine(omega_eff: np.ndarray, energies: np.ndarray, couplings: np.ndarray,
         w, g, d1 = _hellmann_feynman(omega_eff[b], energies, couplings[b], xa)
         lo[todo] = la = np.where(d1 < 0.0, xa, lo[todo])
         hi[todo] = ha = np.where(d1 > 0.0, xa, hi[todo])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # 2 omega_eff past ~9e307 overflows to e'' = inf: a zero Newton step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d2 = 2.0 * omega_eff[b] - 8.0 * (g[:, 1:] ** 2 / (w[:, 1:] - w[:, :1])).sum(axis=1)
             newton = np.minimum(np.maximum(xa - d1 / d2, la), ha)
         newton_ok = (d2 > 0.0) & (np.abs(newton - xa) <= 0.5 * prev[todo])
@@ -308,7 +311,8 @@ def _curvature_at_zero(omega_eff: np.ndarray, energies: np.ndarray,
     M = sum_{n not in G} lam_Gn lam_Gn' / eps_n, the second-order shift of
     the lowest level of G; a level of G without couplings adds nothing, and
     a coupling inside G splits G linearly in x, a cusp: e''(0) = -inf.  An
-    overflowing term gives -inf too.  O(B d) for a nondegenerate ground level.
+    overflowing sum gives -inf too, and an overflowing 2 omega_eff +inf.
+    O(B d) for a nondegenerate ground level.
     """
     g = int(np.count_nonzero(energies == energies[0]))
     lam = couplings[:, :g, g:]
@@ -321,7 +325,7 @@ def _curvature_at_zero(omega_eff: np.ndarray, energies: np.ndarray,
             top = np.full(M.shape[0], np.inf)
             top[finite] = np.linalg.eigvalsh(M[finite])[:, -1]
             top[(couplings[:, :g, :g] != 0.0).any(axis=(1, 2))] = np.inf
-    return 2.0 * omega_eff - 8.0 * top
+        return 2.0 * omega_eff - 8.0 * top
 
 
 def _merge(sets: np.ndarray, x: np.ndarray, e: np.ndarray, tol: np.ndarray,

@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +356,27 @@ class TestAssemblyMemory:
         # besides the block it solves, ed_ground holds a few basis-sized
         # vectors (about 1.2 MB here), never the full H (4.4 MB)
         assert all(other < full / 2 for _, other in held), (full, held)
+
+    def doubles_per_block_state(self) -> float:
+        """tracemalloc peak of one ed_ground, in doubles per state of its
+        largest block (22,638 states)."""
+        ed_ground(self.MODEL, 8)        # imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            ed_ground(self.MODEL, self.N_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 8 / max(s.size for s in _sectors(_coupling(self.MODEL), self.N_MAX))
+
+    def test_operator_blocks_store_no_csr(self, monkeypatch):
+        # with scipy 1.17 the peak is 50.2 doubles per state on the operator
+        # and 64.0 on CSR, whose 8.7 entries per row take 13 of them
+        csr = self.doubles_per_block_state()
+        monkeypatch.setattr(exactdiag, "_OPERATOR_CUTOFF", exactdiag.DENSE_CUTOFF)
+        matrix_free = self.doubles_per_block_state()
+        assert matrix_free < 55.0, matrix_free
+        assert csr - matrix_free > 8.0, (csr, matrix_free)
 
 
 class TestGroundState:
@@ -972,6 +995,98 @@ class TestPartnerStart:
         np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis),
                                    image[odd], atol=1e-12)
         assert exactdiag._partner_image(psi, sectors[0], basis) is None
+
+
+class TestSectorOperator:
+    """ed_ground's blocks above _OPERATOR_CUTOFF states get H as a product
+    (_SectorOperator), in atom-major order, instead of a CSR matrix."""
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_product_matches_csr(self, seed):
+        # d 2-5, N 1-8, each coupling zero with probability 0.3, n_max 1-12
+        # (an even n_max has no last odd photon row)
+        rng = np.random.default_rng(seed)
+        d, n_atoms = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        n_max = int(rng.integers(1, 13))
+        eps = np.sort(np.concatenate([[0.0], rng.uniform(0.3, 2.5, d - 1)]))
+        lam = np.triu(rng.uniform(-1.5, 1.5, (d, d)) * (rng.random((d, d)) < 0.7), 1)
+        m = DickeModel(float(rng.uniform(0.5, 2.0)), AtomSpec(eps, lam + lam.T), n_atoms=n_atoms)
+        basis = build_basis(n_atoms, d, n_max)
+        for sector in _sectors(_coupling(m), n_max):
+            if sector.atoms[0].size + sector.atoms[1].size < 2:
+                continue
+            op = exactdiag._SectorOperator(m, basis, sector)
+            order = op.order()
+            assert op.shape == (sector.size,) * 2
+            np.testing.assert_array_equal(np.sort(order), np.arange(sector.size))
+            idx = sector.indices(basis.n_atomic)
+            np.testing.assert_array_equal(np.sort(idx[order]), idx)
+            x = rng.standard_normal(sector.size)
+            y = np.empty(sector.size)
+            y[order] = x
+            ref = (build_hamiltonian(m, basis, sector) @ y)[order]
+            assert np.linalg.norm(op @ x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("model", [
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=10),
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, n_atoms=20),      # its odd block is a "partner"
+        two_level(1.0, 1.0, 0.7, n_atoms=14),
+        DickeModel(1.0, VTYPE, n_atoms=10),                # climbs with warm starts
+        ladder(1.0, 1.0, 2.0, 0.1, 1.5, kappa=0.05, n_atoms=10),
+    ], ids=["ladder-10", "ladder-20", "two-level", "vtype", "ladder-kappa"])
+    def test_same_results_as_csr(self, model, monkeypatch):
+        solve = exactdiag.ground_state
+
+        def run():
+            solves = []
+
+            def recording(H, v0=None, *, partner=False):
+                gs = solve(H, v0, partner=partner)
+                solves.append((type(H).__name__, gs.method, gs.iterations))
+                return gs
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(exactdiag, "ground_state", recording)
+                return converge_cutoff(model), solves
+
+        csr, csr_solves = run()
+        monkeypatch.setattr(exactdiag, "_OPERATOR_CUTOFF", exactdiag.DENSE_CUTOFF)
+        op, op_solves = run()
+        assert {kind for kind, _, _ in csr_solves} == {"csr_matrix"}
+        assert {kind for kind, _, _ in op_solves} == {"_SectorOperator"}
+        assert [s[1:] for s in op_solves] == [s[1:] for s in csr_solves]
+        assert op.n_max_used == csr.n_max_used
+        assert round(op.parity) == round(csr.parity) and abs(op.parity - csr.parity) <= 1e-10
+        assert abs(op.e0 - csr.e0) <= 1e-12 * abs(csr.e0)
+        np.testing.assert_allclose(op.populations, csr.populations, rtol=0, atol=1e-10)
+
+    def test_non_finite_entry_raises(self, tmp_path, monkeypatch):
+        # omega n overflows to inf from photon row 2 on; 2 omega overflows in
+        # the mean-field start's Newton search too, silently
+        from dickelab.cli import main
+
+        monkeypatch.setattr(exactdiag, "_OPERATOR_CUTOFF", exactdiag.DENSE_CUTOFF)
+        solve, seen = exactdiag.ground_state, []
+
+        def spy(H, *args, **kwargs):
+            seen.append(type(H).__name__)
+            return solve(H, *args, **kwargs)
+
+        monkeypatch.setattr(exactdiag, "ground_state", spy)
+        model = {"omega": 1e308, "kappa": 0.0, "n_atoms": 2,
+                 "atom": {"energies": [0.0, 1.0], "couplings": [[0.0, 0.5], [0.5, 0.0]]}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"command": "ed-ground", "model": model,
+                                      "ed": {"n_max": 400}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="non-finite"):
+                ed_ground(DickeModel(1e308, AtomSpec([0.0, 1.0], [[0.0, 0.5], [0.5, 0.0]]),
+                                     n_atoms=2), 400)
+            assert main([str(config), "-o", str(tmp_path / "out")]) == 3
+        assert seen == ["_SectorOperator"] * 2
+        record = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert record["error_type"] == "SolverError" and "non-finite" in record["message"]
 
 
 class TestOnePool:
