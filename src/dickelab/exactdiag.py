@@ -21,7 +21,11 @@ every photon-row pair of a block: a template pair whose rows have all
 three bands, shifted to the pair, less the entries whose row or column
 lies outside the block.  An ARPACK block above _OPERATOR_CUTOFF states
 stores no matrix: ARPACK asks only for products, and _SectorOperator forms
-them from D and J, with the block's states in atom-major order.
+them from D and J, with the block's states in atom-major order.  Every
+ARPACK block's start is gathered at the block's own basis indices, in its
+solver's order: the warm vector there, else its parity partner's image,
+else the mean-field product of two factors (ed_ground), so no
+basis-sized start vector is made.
 
 A model with kappa > 0 is solved in its Bogoliubov photon basis
 (_bogoliubov; Emary and Brandes, PRE 67, 066203 (2003)):
@@ -526,7 +530,8 @@ def mean_field_state(model: DickeModel, basis: SymmetricBasis, x_star: float) ->
     has the coherent amplitudes e^(-mu/2) mu^(n/2) / sqrt(n!), mu = N x*^2,
     and occupation vector m has the amplitude sqrt(N! / prod m_j!) prod c_j^m_j.
     Both factors are formed from logarithms, so large N and n_max neither
-    overflow nor underflow to an all-zero vector.
+    overflow nor underflow to an all-zero vector.  ed_ground does not call
+    this: it gathers each block's part of the unnormalized product.
     """
     psi = np.outer(*_mean_field_factors(model, basis, x_star)).ravel()
     return psi / _norm(psi)
@@ -706,8 +711,8 @@ def _lanczos(H, v0: np.ndarray | None = None, max_iter: int | None = None) -> Gr
     matrix or a _SectorOperator: ARPACK sees only its products H @ x, and
     v0 and the result are in H's own state order.
 
-    The start vector is v0 when given (ed_ground passes each block's part of
-    its warm, partner-image or mean-field start vector), otherwise
+    The start vector is v0 when given (ed_ground passes each block's warm,
+    partner-image or mean-field start, gathered at its indices), otherwise
     default_rng(0).standard_normal(dim).  The same fixed generator then
     draws ARPACK's restart vectors where eigsh takes one (_eigsh_takes_rng).
     ARPACK stops when the Ritz residual drops below TOL relative to |e0|.
@@ -854,13 +859,16 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     the lowest one (r the residual norms) the first one whose lowest basis
     state is even under Pi wins; this pins the parity of a quasi-degenerate
     doublet to the even sector.  A block above
-    DENSE_CUTOFF that is not diagonal goes to ARPACK and starts from its
-    part of a start vector, or from _lanczos's fixed vector where that part
-    is zero, so every start and the result follow from the arguments alone.
-    The start vector is warm, the block_vectors of a smaller cutoff,
-    zero-padded: the basis index is n_ph * A + rank, so the old basis is a
-    prefix of the new one and each old block lies inside one new block
-    (from n_max 1 on, one with the same atom sets).  Without warm, a block
+    DENSE_CUTOFF that is not diagonal goes to ARPACK.  Its start is
+    gathered at the block's own basis indices, in its solver's order, so no
+    basis-sized start vector is made; where that start is zero the block
+    starts from _lanczos's fixed vector, so every start and the result
+    follow from the arguments alone.  With warm, the block_vectors of a
+    smaller cutoff, the start is warm at those indices, 0 past warm's end:
+    the basis index is n_ph * A + rank, so the old basis is a prefix of the
+    new one and each old block lies inside one new block (from n_max 1 on,
+    one with the same atom sets).  A warm longer than the basis raises
+    ValueError.  Without warm, a block
     whose photon-parity partner was solved earlier in this call starts from
     its part of (S (x) 1) applied to the ground vectors solved so far
     (_partner_image), with S = sign(a + a').  S commutes with the coupling
@@ -876,11 +884,11 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     (n_max + 1)^2 entries and is made only when that is at most max_dim,
     the bound on the basis and so on every vector made here, and at most
     once per n_max, not per call (_parity_flip).  Other cold
-    blocks start from the mean-field product state (mean_field_state) at
-    x_star, the global mean-field minimum, which is computed here when not
-    given.  An operator block takes its part of that state unnormalized,
-    from the photon and atomic factors (_mean_field_factors), so no
-    basis-sized start vector is alive during its solve; ARPACK normalizes it.
+    blocks start from the mean-field product state at x_star, the global
+    mean-field minimum, which is computed here when not given: the state
+    n * A + r has the amplitude ph[n] at[r], from one _mean_field_factors
+    call per ed_ground call without warm.  That is mean_field_state without
+    its normalization, which ARPACK applies to any start.
 
     Everything above is done for model0, the kappa = 0 model of
     _bogoliubov(model): blocks, starts and residual are those of H - c,
@@ -890,11 +898,12 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
     """
     model0, s = _bogoliubov(model)
     basis = build_basis(model.n_atoms, model.atom.d, n_max, max_dim=max_dim)
+    if warm is not None and warm.size > basis.dim:
+        raise ValueError(f"warm has {warm.size} entries, more than the {basis.dim} basis states")
     sectors = _sectors(_coupling(model0), n_max)
-    start = None
-    if warm is not None:
-        start = np.zeros(basis.dim)
-        start[:warm.size] = warm
+    if warm is None:
+        x = meanfield.minimize(model).x_star if x_star is None else x_star
+        ph, at = _mean_field_factors(model0, basis, x / s)
     solves = []
     vectors = np.zeros(basis.dim)
     for sector in sectors:
@@ -911,17 +920,11 @@ def ed_ground(model: DickeModel, n_max: int, max_dim: int = MAX_DIM_DEFAULT,
                 if partner and op is not None:
                     v0 = v0[op.order()]
             if v0 is None:
-                if x_star is None and warm is None:
-                    x_star = meanfield.minimize(model).x_star
-                if op is not None and warm is None:
-                    # its part of the mean-field state, unnormalized, from the factors
-                    ph, at = _mean_field_factors(model0, basis, x_star / s)
-                    v0 = np.concatenate([np.outer(at[atoms], ph[p::2]).ravel()
-                                         for p, atoms in enumerate(sector.atoms)])
+                if warm is None:
+                    v0 = ph[idx // basis.n_atomic] * at[idx % basis.n_atomic]
                 else:
-                    if start is None:
-                        start = mean_field_state(model0, basis, x_star / s)
-                    v0 = start[idx]
+                    v0 = np.zeros(idx.size)     # warm at idx, 0 past its end
+                    v0[idx < warm.size] = warm[idx[idx < warm.size]]
                 if not v0.any():
                     v0 = None
         gs = ground_state(build_hamiltonian(model0, basis, sector) if op is None else op,

@@ -44,7 +44,8 @@ REL_WIDTH = 1e-8            # the certified bracket (Newton, bisection fallback)
 DELTA_REL = 1e-4            # the jump is measured at lam_c (1 +/- DELTA_REL)
 DEFAULT_N_POINTS = 200
 N_POINTS_MIN = 100          # no-go scan points, at least
-N_POINTS_MAX = 100_000      # and at most; the batch arrays are O(n_points d^2)
+N_POINTS_MAX = 100_000      # and at most, as are a scan's values; the batch arrays are
+                            # O(n_points d^2), about 1 kB per point in all
 
 _GRID_CHUNK = 1 << 14   # grid points (single-atom matrices) per _grid_lowest call
 _GRID_MARGIN = 2        # grid points evaluated past ceil(511 L / (omega_eff x_max)):
@@ -425,6 +426,10 @@ def tie_pair(pair, scanned: tuple[int, int], d: int) -> tuple[int, int]:
 
 
 def check_scan_values(values: Sequence[float]) -> None:
+    if len(values) > N_POINTS_MAX:
+        raise ValueError(f"values must have at most {N_POINTS_MAX} entries")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     if len(values) < 2 or np.any(np.diff(values) <= 0):
         raise ValueError("values must be strictly ascending with at least 2 entries")
 

@@ -510,6 +510,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, block, path, limit", [
         ("no-go", {"scan": {"coupling": [1, 2], "lambda_max": 2.0, "n_points": 10**9}},
          "$.scan.n_points", "at most 100000"),
+        # a scan takes about 1 kB per value
+        ("meanfield-scan", {"scan": {"coupling": [1, 2],
+                                     "values": [1.0 + 1e-6 * i for i in range(100_001)]}},
+         "$.scan.values", "at most 100000"),
     ])
     def test_mean_field_sizes_bounded(self, tmp_path, command, block, path, limit):
         # checked before 10**9 parameter sets are allocated

@@ -809,7 +809,8 @@ class TestPartnerStart:
         basis = build_basis(10, 3, n_max)
         sector = _sectors(_coupling(m), n_max)[0]
         idx = sector.indices(basis.n_atomic)
-        start = mean_field_state(m, basis, minimize(m).x_star)[idx]
+        ph, at = exactdiag._mean_field_factors(m, basis, minimize(m).x_star)
+        start = ph[idx // basis.n_atomic] * at[idx % basis.n_atomic]
         ref = _lanczos(build_hamiltonian(m, basis, sector), start)
         assert solves[0].e0 == ref.e0 == res.e0
         assert np.array_equal(res.block_vectors[idx], ref.vector)
@@ -995,6 +996,70 @@ class TestPartnerStart:
         np.testing.assert_allclose(exactdiag._partner_image(psi, sectors[1], basis),
                                    image[odd], atol=1e-12)
         assert exactdiag._partner_image(psi, sectors[0], basis) is None
+
+
+class TestBlockStart:
+    # every ARPACK block's start is gathered at the block's own basis
+    # indices, in its solver's order: warm there, else a partner's image,
+    # else the mean-field product ph[n] at[r] at index n A + r
+
+    def test_start_is_gathered_at_the_block_indices(self, monkeypatch):
+        calls, solve = [], exactdiag.ground_state
+
+        def spy(H, v0=None, *, partner=False):
+            calls.append((H, v0, partner))
+            return solve(H, v0, partner=partner)
+
+        def no_state(*args):
+            raise AssertionError("mean_field_state called")
+
+        def starts(model, n_max, **kwargs):
+            """ed_ground's basis and ARPACK blocks, each as (H, v0, partner,
+            its basis indices in H's order)."""
+            calls.clear()
+            ed_ground(model, n_max, **kwargs)
+            basis = build_basis(model.n_atoms, model.atom.d, n_max)
+            out = []
+            for sector, (H, v0, partner) in zip(_sectors(_coupling(model), n_max), calls,
+                                                strict=True):
+                idx = sector.indices(basis.n_atomic)
+                if isinstance(H, exactdiag._SectorOperator):
+                    idx = idx[H.order()]
+                if H.shape[0] > exactdiag.DENSE_CUTOFF:
+                    out.append((H, v0, partner, idx))
+            return basis, out
+
+        monkeypatch.setattr(exactdiag, "ground_state", spy)
+        monkeypatch.setattr(exactdiag, "mean_field_state", no_state)
+        m = TestPartnerStart.LADDER
+        for kind in (sp.csr_matrix, exactdiag._SectorOperator):
+            if kind is exactdiag._SectorOperator:
+                monkeypatch.setattr(exactdiag, "_OPERATOR_CUTOFF", exactdiag.DENSE_CUTOFF)
+            # cold: the even block from the mean-field product, the odd one
+            # from its partner's image
+            basis, solved = starts(m, TestPartnerStart.N_MAX)
+            ph, at = exactdiag._mean_field_factors(m, basis, minimize(m).x_star)
+            assert [partner for *_, partner, _ in solved] == [False, True]
+            H, v0, _, idx = solved[0]
+            assert isinstance(H, kind)
+            assert np.array_equal(v0, ph[idx // basis.n_atomic] * at[idx % basis.n_atomic])
+            # warm: the previous block_vectors at idx, 0 past their end
+            warm = ed_ground(TWO_STEP_MODEL, 16).block_vectors
+            basis, solved = starts(TWO_STEP_MODEL, 24, warm=warm)
+            padded = np.zeros(basis.dim)
+            padded[:warm.size] = warm
+            assert len(solved) == 2
+            for H, v0, partner, idx in solved:
+                assert isinstance(H, kind) and not partner
+                assert np.array_equal(v0, padded[idx])
+                assert (idx >= warm.size).any() and not v0[idx >= warm.size].any()
+            converge_cutoff(TWO_STEP_MODEL)     # no step calls mean_field_state
+
+    def test_warm_longer_than_the_basis_raises(self, monkeypatch):
+        warm = np.ones(build_basis(TWO_STEP_MODEL.n_atoms, 3, 24).dim)
+        monkeypatch.setattr(exactdiag, "ground_state", None)    # raised before any solve
+        with pytest.raises(ValueError, match="more than the 3927 basis states"):
+            ed_ground(TWO_STEP_MODEL, 16, warm=warm)
 
 
 class TestSectorOperator:

@@ -325,6 +325,19 @@ class TestScan:
         with pytest.raises(ValueError, match="ascending"):
             scan_order_parameter(m, (0, 1), [0.5])
 
+    def test_values_finite_and_bounded(self, monkeypatch):
+        # a nan compares false, so the ascending rule alone lets it through;
+        # a scan takes about 1 kB per value, so its length is capped like
+        # no_go_check's n_points.  Both are rejected before any solve
+        m = two_level(1.0, 1.0, 0.1)
+        monkeypatch.setattr(meanfield, "_solve_batch", None)
+        for values in ([math.nan, 0.5, 1.0], [0.5, math.inf], [-math.inf, 0.5]):
+            with pytest.raises(ValueError, match="values must be finite"):
+                scan_order_parameter(m, (0, 1), values)
+        with pytest.raises(ValueError, match="at most 100000 entries"):
+            scan_order_parameter(m, (0, 1), np.arange(meanfield.N_POINTS_MAX + 1.0))
+        meanfield.check_scan_values(np.arange(float(meanfield.N_POINTS_MAX)))
+
     def test_deterministic(self):
         m = ladder(1.0, 1.0, 2.0, 0.05, 1.0)
         vals = np.linspace(0.8, 1.6, 9)
